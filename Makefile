@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-flow bench bench-smoke chaos chaos-localized examples report clean
+.PHONY: install test lint lint-flow bench bench-smoke bench-e2e-test chaos chaos-localized examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -52,6 +52,11 @@ bench:
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --suite smoke --out . \
 		--baseline benchmarks/baseline/BENCH_baseline.json
+
+# Self-test of the end-to-end benchmark (benchmarks/e2e, see its
+# README): toy workloads through the runner, the tracer and the gate.
+bench-e2e-test:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e
 
 examples:
 	@for ex in examples/*.py; do \

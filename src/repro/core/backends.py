@@ -108,14 +108,17 @@ class KernelBackend:
     optional — returns ``(counts, pair_idx, elements)`` from one fused
     traversal; when a backend leaves it ``None`` the dispatcher derives
     the counts from the hit stream instead (same outputs either way).
-    See the module docstring for the preconditions the dispatcher
-    guarantees.
+    ``csr_count(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids)`` — optional
+    — counts pairs of blocks read in place from two CSR arrays; without
+    it :mod:`repro.core.kernels` gathers the blocks for ``count``.  See
+    the module docstring for the preconditions the dispatcher guarantees.
     """
 
     name: str
     count: Callable[..., np.ndarray]
     elements: Callable[..., tuple[np.ndarray, np.ndarray]]
     count_elements: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    csr_count: Callable[..., np.ndarray] | None = None
 
 
 #: name -> loader returning a KernelBackend (may raise ImportError).
@@ -287,29 +290,6 @@ def _load_numba() -> KernelBackend:
                     bi += 1
             counts[i] = c
 
-    @njit(cache=True)
-    def _elements(  # pragma: no cover
-        a_concat, a_xadj, b_concat, b_xadj, pair_out, elem_out
-    ):
-        out = 0
-        for i in range(a_xadj.size - 1):
-            ai, ae = a_xadj[i], a_xadj[i + 1]
-            bi, be = b_xadj[i], b_xadj[i + 1]
-            while ai < ae and bi < be:
-                av = a_concat[ai]
-                bv = b_concat[bi]
-                if av == bv:
-                    pair_out[out] = i
-                    elem_out[out] = av
-                    out += 1
-                    ai += 1
-                    bi += 1
-                elif av < bv:
-                    ai += 1
-                else:
-                    bi += 1
-        return out
-
     def count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
         counts = np.empty(a_xadj.size - 1, dtype=np.int64)
         _count(a_concat, a_xadj, b_concat, b_xadj, counts)
@@ -341,23 +321,21 @@ def _load_numba() -> KernelBackend:
             counts[i] = c
         return out
 
-    def elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
+    def count_elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
+        counts = np.empty(a_xadj.size - 1, dtype=np.int64)
         # Hits per pair are bounded by the smaller block, and the
         # dispatcher guarantees A is the smaller side overall, so
         # |a_concat| bounds the total output.
-        pair_out = np.empty(a_concat.size, dtype=np.int64)
-        elem_out = np.empty(a_concat.size, dtype=np.int64)
-        n = _elements(a_concat, a_xadj, b_concat, b_xadj, pair_out, elem_out)
-        return pair_out[:n], elem_out[:n]
-
-    def count_elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-        counts = np.empty(a_xadj.size - 1, dtype=np.int64)
         pair_out = np.empty(a_concat.size, dtype=np.int64)
         elem_out = np.empty(a_concat.size, dtype=np.int64)
         n = _count_elements(
             a_concat, a_xadj, b_concat, b_xadj, counts, pair_out, elem_out
         )
         return counts, pair_out[:n], elem_out[:n]
+
+    def elements(*args):
+        # The fused pass costs only the k extra counts over a hits-only one.
+        return count_elements(*args)[1:]
 
     return KernelBackend("numba", count, elements, count_elements)
 
@@ -375,8 +353,7 @@ def _load_native() -> KernelBackend:
     # no compiler) surfaces as ImportError -> logged numpy fallback.
     from .native import load_native_kernels
 
-    count, elements, count_elements = load_native_kernels()
-    return KernelBackend("native", count, elements, count_elements)
+    return KernelBackend("native", *load_native_kernels())
 
 
 register_backend("native", _load_native)

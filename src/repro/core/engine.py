@@ -57,7 +57,7 @@ from ..net.messages import HEADER_WORDS
 from ..net.reliable import fault_tolerant
 from .intersect import gather_blocks
 from .kernels import count_csr_pairs, count_record_pairs
-from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees
+from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees, first_of_runs
 
 __all__ = ["EngineConfig", "PECounts", "counting_program"]
 
@@ -158,17 +158,11 @@ def _surrogate_filter(
     """Mask selecting which cut arcs trigger a neighborhood send.
 
     With the surrogate optimization only the first arc of each
-    ``(vertex, destination PE)`` run sends; the runs are contiguous
-    because neighborhoods are sorted by id and the 1D ID partition
-    makes the owning rank monotone in the id (Section IV-D).
+    ``(vertex, destination PE)`` run sends (:func:`first_of_runs`).
     """
-    if src_slots.size == 0:
-        return np.zeros(0, dtype=bool)
     if not enabled:
         return np.ones(src_slots.size, dtype=bool)
-    first = np.ones(src_slots.size, dtype=bool)
-    first[1:] = (src_slots[1:] != src_slots[:-1]) | (dst_ranks[1:] != dst_ranks[:-1])
-    return first
+    return first_of_runs(src_slots, dst_ranks)
 
 
 def _post_cut_neighborhoods(

@@ -7,10 +7,11 @@ intersection ``|a| + |b|`` comparisons; GPU codes use binary-search
 (``searchsorted``) variants instead (Section III-C).
 
 Per the HPC-Python guides, hot paths must not loop per edge in Python.
-The batch kernels here vectorize *across pairs*: all needle arrays are
+The numpy kernels here vectorize *across pairs*: all needle arrays are
 concatenated, offset-keyed so each pair's haystack occupies a disjoint
 key range, and one global :func:`numpy.searchsorted` resolves every
-membership test at once.  Work is *accounted* in the merge model
+membership test at once.  The compiled backends loop per pair in C
+(``native``) or numba instead.  Work is *accounted* in the merge model
 (``|a| + |b|`` per pair), independent of how the kernel executes it, so
 the simulated cost model matches the paper's analysis rather than
 Python's constant factors.
@@ -21,8 +22,11 @@ validation, the ops accounting, the empty fast path and the
 small-into-large side swap, then hand the pre-conditioned arrays to
 the kernel backend selected via :mod:`repro.core.backends` (``numpy``
 by default; ``REPRO_KERNEL_BACKEND=native`` / ``numba`` /
-``repro-tc --kernel-backend ...`` selects a compiled merge-loop
-backend when available, ``auto`` the per-regime tuned winner).  The
+``repro-tc --kernel-backend ...`` selects the cffi/C or numba
+merge-loop backend when available, ``auto`` the per-regime tuned
+winner).  The counting helpers of :mod:`repro.core.kernels` bypass
+:func:`gather_blocks` and this dispatcher when the backend has an
+in-place CSR kernel (``native``), charging the same ops.  The
 fused variant returns per-pair counts *and* the hit streams from one
 backend traversal — the shape the enumeration/LCC paths consume.
 Because everything the cost model sees is computed *before* the
@@ -142,6 +146,26 @@ def _keyed(concat: np.ndarray, xadj: np.ndarray, bound: int) -> tuple[np.ndarray
     return concat + pair_of * np.int64(bound), pair_of
 
 
+def _numpy_hits(
+    a_concat: np.ndarray,
+    a_xadj: np.ndarray,
+    b_concat: np.ndarray,
+    b_xadj: np.ndarray,
+    vertex_bound: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair index of every A entry and whether it occurs in its B block.
+
+    The keyed concatenation of the B side is globally sorted because
+    every block is sorted and blocks occupy increasing key ranges, so a
+    single ``searchsorted`` answers all membership queries.
+    """
+    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
+    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
+    idx = np.searchsorted(keyed_b, keyed_a)
+    idx_clipped = np.minimum(idx, keyed_b.size - 1)
+    return pair_a, (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
+
+
 def _numpy_batch_count(
     a_concat: np.ndarray,
     a_xadj: np.ndarray,
@@ -149,19 +173,9 @@ def _numpy_batch_count(
     b_xadj: np.ndarray,
     vertex_bound: int,
 ) -> np.ndarray:
-    """Raw numpy count kernel (dispatcher preconditions apply).
-
-    The keyed concatenation of the B side is globally sorted because
-    every block is sorted and blocks occupy increasing key ranges, so a
-    single ``searchsorted`` answers all membership queries.
-    """
-    k = a_xadj.size - 1
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
-    return np.bincount(pair_a[hit], minlength=k).astype(np.int64)
+    """Raw numpy count kernel (dispatcher preconditions apply)."""
+    pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
+    return np.bincount(pair_a[hit], minlength=a_xadj.size - 1).astype(np.int64)
 
 
 def _numpy_batch_elements(
@@ -172,11 +186,7 @@ def _numpy_batch_elements(
     vertex_bound: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw numpy elements kernel (dispatcher preconditions apply)."""
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
+    pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
     return pair_a[hit], a_concat[hit]
 
 
@@ -188,14 +198,9 @@ def _numpy_batch_count_elements(
     vertex_bound: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw numpy fused kernel: one keyed search feeds both outputs."""
-    k = a_xadj.size - 1
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
+    pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
     pair_idx = pair_a[hit]
-    counts = np.bincount(pair_idx, minlength=k).astype(np.int64)
+    counts = np.bincount(pair_idx, minlength=a_xadj.size - 1).astype(np.int64)
     return counts, pair_idx, a_concat[hit]
 
 
@@ -206,6 +211,36 @@ def _active_backend():
     from .backends import get_backend
 
     return get_backend()
+
+
+def _conditioned(
+    a_concat: np.ndarray, a_xadj: np.ndarray, b_concat: np.ndarray, b_xadj: np.ndarray
+) -> tuple[tuple[np.ndarray, ...] | None, int, int]:
+    """Validation, ops accounting and side swap shared by the dispatchers.
+
+    Returns ``(sides, k, ops)``: ``sides`` is the contiguous ``int64``
+    ``(a_concat, a_xadj, b_concat, b_xadj)`` with the smaller
+    concatenation first, or ``None`` when there is nothing to intersect
+    (zero pairs or an empty side).  ``ops`` is the merge cost of the
+    original sizes.  Searching the smaller concatenation in the bigger
+    one (the scalar kernels' small-into-large rule, chosen per batch by
+    total size) is output-identical: blocks are sorted unique, so hits
+    are the common keyed values in (pair, element) order whichever side
+    is searched, and the merge cost is symmetric.
+    """
+    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
+    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
+    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
+    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
+    if a_xadj.size != b_xadj.size:
+        raise ValueError("A and B sides must have the same pair count")
+    k = a_xadj.size - 1
+    ops = merge_cost(a_concat.size, b_concat.size)
+    if k == 0 or a_concat.size == 0 or b_concat.size == 0:
+        return None, k, ops
+    if a_concat.size > b_concat.size:
+        return (b_concat, b_xadj, a_concat, a_xadj), k, ops
+    return (a_concat, a_xadj, b_concat, b_xadj), k, ops
 
 
 def batch_intersect_count(
@@ -235,26 +270,10 @@ def batch_intersect_count(
     swap happen here; only the final counts come from the selected
     kernel backend, so the simulated cost is backend-independent.
     """
-    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
-    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
-    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
-    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
-    if a_xadj.size != b_xadj.size:
-        raise ValueError("A and B sides must have the same pair count")
-    k = a_xadj.size - 1
-    ops = merge_cost(a_concat.size, b_concat.size)
-    if k == 0 or a_concat.size == 0 or b_concat.size == 0:
+    sides, k, ops = _conditioned(a_concat, a_xadj, b_concat, b_xadj)
+    if sides is None:
         return BatchIntersections(np.zeros(k, dtype=np.int64), ops)
-    if a_concat.size > b_concat.size:
-        # Search the smaller concatenation in the bigger one (the
-        # scalar kernels' small-into-large rule, chosen per chunk by
-        # total size).  Output-identical: hits are the common keyed
-        # values, counted per pair, whichever side is searched; the
-        # charged ops stay the symmetric merge cost.
-        a_concat, b_concat = b_concat, a_concat
-        a_xadj, b_xadj = b_xadj, a_xadj
-    counts = _active_backend().count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
-    return BatchIntersections(counts, ops)
+    return BatchIntersections(_active_backend().count(*sides, vertex_bound), ops)
 
 
 def batch_intersect_elements(
@@ -274,25 +293,10 @@ def batch_intersect_elements(
         *enumeration* and the per-vertex Δ counters of the LCC
         extension, where the identity of the closing vertex matters.
     """
-    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
-    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
-    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
-    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
-    if a_xadj.size != b_xadj.size:
-        raise ValueError("A and B sides must have the same pair count")
-    ops = merge_cost(a_concat.size, b_concat.size)
-    if a_xadj.size - 1 == 0 or a_concat.size == 0 or b_concat.size == 0:
+    sides, _, ops = _conditioned(a_concat, a_xadj, b_concat, b_xadj)
+    if sides is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), ops
-    if a_concat.size > b_concat.size:
-        # Small-into-large, as in batch_intersect_count.  The returned
-        # (pair_idx, elements) stream is identical either way: blocks
-        # are sorted unique, so hits emerge in (pair, element) order
-        # from whichever side is searched.
-        a_concat, b_concat = b_concat, a_concat
-        a_xadj, b_xadj = b_xadj, a_xadj
-    pair_idx, elements = _active_backend().elements(
-        a_concat, a_xadj, b_concat, b_xadj, vertex_bound
-    )
+    pair_idx, elements = _active_backend().elements(*sides, vertex_bound)
     return pair_idx, elements, ops
 
 
@@ -325,30 +329,14 @@ def batch_intersect_count_elements(
     Backends without a fused kernel (``count_elements is None``) run
     their elements kernel and the dispatcher derives the counts.
     """
-    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
-    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
-    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
-    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
-    if a_xadj.size != b_xadj.size:
-        raise ValueError("A and B sides must have the same pair count")
-    k = a_xadj.size - 1
-    ops = merge_cost(a_concat.size, b_concat.size)
-    if k == 0 or a_concat.size == 0 or b_concat.size == 0:
+    sides, k, ops = _conditioned(a_concat, a_xadj, b_concat, b_xadj)
+    if sides is None:
         e = np.empty(0, dtype=np.int64)
         return np.zeros(k, dtype=np.int64), e, e.copy(), ops
-    if a_concat.size > b_concat.size:
-        # Small-into-large, as in the unfused dispatchers; outputs are
-        # side-invariant because blocks are sorted unique.
-        a_concat, b_concat = b_concat, a_concat
-        a_xadj, b_xadj = b_xadj, a_xadj
     backend = _active_backend()
     if backend.count_elements is not None:
-        counts, pair_idx, elements = backend.count_elements(
-            a_concat, a_xadj, b_concat, b_xadj, vertex_bound
-        )
+        counts, pair_idx, elements = backend.count_elements(*sides, vertex_bound)
     else:
-        pair_idx, elements = backend.elements(
-            a_concat, a_xadj, b_concat, b_xadj, vertex_bound
-        )
+        pair_idx, elements = backend.elements(*sides, vertex_bound)
         counts = np.bincount(pair_idx, minlength=k).astype(np.int64)
     return counts, pair_idx, elements, ops

@@ -14,9 +14,10 @@ callers, the TriC baseline) are packed into a frame on entry.
 The ``batch_intersect_*`` calls dispatch to the kernel backend selected
 via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
 ``repro-tc --kernel-backend``): ``numpy`` by default, or the compiled
-``numba`` merge loops when available.  The charged ops are computed by
-the dispatcher before any backend runs, so everything in this module is
-backend-agnostic — see ``docs/KERNELS.md``.
+``native`` (cffi/C) or ``numba`` kernels, or ``auto``.  Counting skips
+the gather when the backend intersects CSR blocks in place (``native``).
+The charged ops are computed before any backend runs, so everything in
+this module is backend-agnostic — see ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from ..net.frames import Record, RecordFrame
 from ..net.machine import PEContext
+from .backends import get_backend
 from .intersect import (
     batch_intersect_count,
     batch_intersect_count_elements,
@@ -71,17 +73,28 @@ def count_csr_pairs(
     """Sum of ``|L_i ∩ R_i|`` over pairs of CSR blocks.
 
     Pair ``i`` intersects block ``left_slots[i]`` of the left CSR with
-    block ``right_slots[i]`` of the right CSR.  Charges merge cost.
+    block ``right_slots[i]`` of the right CSR.  Charges the merge cost,
+    the block sizes of both sides, once per chunk.  A backend with an
+    in-place ``csr_count`` kernel reads the blocks where they are;
+    otherwise they are gathered for :func:`batch_intersect_count`.
     """
     if left_slots.size != right_slots.size:
         raise ValueError("slot arrays must align")
+    csr_count = get_backend().csr_count
     total = 0
     for sl in chunked(left_slots.size):
-        lcat, lx = gather_blocks(left_xadj, left_adj, left_slots[sl])
-        rcat, rx = gather_blocks(right_xadj, right_adj, right_slots[sl])
-        res = batch_intersect_count(lcat, lx, rcat, rx, bound)
-        ctx.charge(res.ops)
-        total += res.total
+        ls, rs = left_slots[sl], right_slots[sl]
+        if csr_count is None:
+            lcat, lx = gather_blocks(left_xadj, left_adj, ls)
+            rcat, rx = gather_blocks(right_xadj, right_adj, rs)
+            res = batch_intersect_count(lcat, lx, rcat, rx, bound)
+            ops, hits = res.ops, res.total
+        else:
+            ops = int(left_xadj[ls + 1].sum() - left_xadj[ls].sum())
+            ops += int(right_xadj[rs + 1].sum() - right_xadj[rs].sum())
+            hits = int(csr_count(left_xadj, left_adj, ls, right_xadj, right_adj, rs).sum())
+        ctx.charge(ops)
+        total += hits
     return total
 
 
@@ -152,17 +165,7 @@ def count_record_pairs(
     """
     frame = as_frame(records)
     rxadj, radj, rec_idx, targets = _expand_record_pairs(ctx, frame, vlo, vhi)
-    if rec_idx.size == 0:
-        return 0
-    total = 0
-    for sl in chunked(rec_idx.size):
-        # Left side: each pair re-reads its record's full array.
-        lcat, lx = gather_blocks(rxadj, radj, rec_idx[sl])
-        rcat, rx = gather_blocks(local_xadj, local_adj, targets[sl] - vlo)
-        res = batch_intersect_count(lcat, lx, rcat, rx, bound)
-        ctx.charge(res.ops)
-        total += res.total
-    return total
+    return count_csr_pairs(ctx, rxadj, radj, rec_idx, local_xadj, local_adj, targets - vlo, bound)
 
 
 def record_pairs_elements(

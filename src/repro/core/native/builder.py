@@ -39,16 +39,13 @@ __all__ = ["build_key", "cache_root", "build_dir", "load_lib", "CDEF"]
 
 #: Declarations mirrored from kernels.c (the cffi cdef).
 CDEF = """
-void repro_batch_count(const int64_t *a_concat, const int64_t *a_xadj,
-                       const int64_t *b_concat, const int64_t *b_xadj,
-                       int64_t k, int64_t *counts);
-int64_t repro_batch_elements(const int64_t *a_concat, const int64_t *a_xadj,
-                             const int64_t *b_concat, const int64_t *b_xadj,
-                             int64_t k, int64_t *pair_out, int64_t *elem_out);
 int64_t repro_batch_count_elements(const int64_t *a_concat, const int64_t *a_xadj,
                                    const int64_t *b_concat, const int64_t *b_xadj,
                                    int64_t k, int64_t *counts,
                                    int64_t *pair_out, int64_t *elem_out);
+void repro_csr_count(const int64_t *a_xadj, const int64_t *a_adj, const int64_t *a_ids,
+                     const int64_t *b_xadj, const int64_t *b_adj, const int64_t *b_ids,
+                     int64_t k, int64_t *counts);
 """
 
 ENV_BUILD_DIR = "REPRO_NATIVE_BUILD_DIR"

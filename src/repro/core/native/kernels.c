@@ -9,6 +9,10 @@
  * for skewed |A_i| << |B_i| (or |B_i| << |A_i|) pairs, where the merge
  * would touch every element of the big side.
  *
+ * repro_csr_count reads each pair's blocks in place from two CSR arrays
+ * (a gathered batch is the case a_ids = b_ids = 0..k-1), so counting
+ * needs no copy and no side swap.
+ *
  * Charged ops (|A| + |B| per pair) are accounted by the Python
  * dispatcher before this code runs; nothing here feeds the cost model.
  */
@@ -110,36 +114,9 @@ static i64 pair_intersect(const i64 *a, i64 an, const i64 *b, i64 bn,
     return out - start;
 }
 
-/* counts[i] = |A_i ∩ B_i| for all k pairs. */
-void repro_batch_count(const i64 *a_concat, const i64 *a_xadj,
-                       const i64 *b_concat, const i64 *b_xadj,
-                       i64 k, i64 *counts)
-{
-    i64 i;
-    for (i = 0; i < k; i++) {
-        counts[i] = pair_intersect(a_concat + a_xadj[i], a_xadj[i + 1] - a_xadj[i],
-                                   b_concat + b_xadj[i], b_xadj[i + 1] - b_xadj[i],
-                                   i, 0, 0, 0);
-    }
-}
-
-/* Hit streams in (pair, ascending element) order; returns the total.
- * Output capacity: sum_i min(|A_i|, |B_i|) <= |a_concat| suffices. */
-i64 repro_batch_elements(const i64 *a_concat, const i64 *a_xadj,
-                         const i64 *b_concat, const i64 *b_xadj,
-                         i64 k, i64 *pair_out, i64 *elem_out)
-{
-    i64 i, out = 0;
-    for (i = 0; i < k; i++) {
-        out += pair_intersect(a_concat + a_xadj[i], a_xadj[i + 1] - a_xadj[i],
-                              b_concat + b_xadj[i], b_xadj[i + 1] - b_xadj[i],
-                              i, pair_out, elem_out, out);
-    }
-    return out;
-}
-
-/* Fused pass: per-pair counts and the hit streams from one traversal
- * of the concatenations. */
+/* Fused pass: per-pair counts and the hit streams, in (pair, ascending
+ * element) order, from one traversal of the concatenations; returns the
+ * total.  Output capacity: sum_i min(|A_i|, |B_i|) <= |a_concat|. */
 i64 repro_batch_count_elements(const i64 *a_concat, const i64 *a_xadj,
                                const i64 *b_concat, const i64 *b_xadj,
                                i64 k, i64 *counts, i64 *pair_out, i64 *elem_out)
@@ -152,4 +129,19 @@ i64 repro_batch_count_elements(const i64 *a_concat, const i64 *a_xadj,
         out += counts[i];
     }
     return out;
+}
+
+/* counts[i] = |A(a_ids[i]) ∩ B(b_ids[i])| where X(j) is the CSR block
+ * x_adj[x_xadj[j] : x_xadj[j + 1]]; ids index blocks, not elements. */
+void repro_csr_count(const i64 *a_xadj, const i64 *a_adj, const i64 *a_ids,
+                     const i64 *b_xadj, const i64 *b_adj, const i64 *b_ids,
+                     i64 k, i64 *counts)
+{
+    i64 i;
+    for (i = 0; i < k; i++) {
+        i64 a = a_ids[i], b = b_ids[i];
+        counts[i] = pair_intersect(a_adj + a_xadj[a], a_xadj[a + 1] - a_xadj[a],
+                                   b_adj + b_xadj[b], b_xadj[b + 1] - b_xadj[b],
+                                   i, 0, 0, 0);
+    }
 }

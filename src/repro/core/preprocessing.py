@@ -35,6 +35,7 @@ from .intersect import concat_xadj
 
 __all__ = [
     "exchange_ghost_degrees",
+    "first_of_runs",
     "OrientedLocalGraph",
     "build_oriented",
     "DEGREE_XCHG_PHASE",
@@ -42,6 +43,18 @@ __all__ = [
 
 #: Phase label under which degree-exchange time is accounted.
 DEGREE_XCHG_PHASE = "preprocessing"
+
+
+def first_of_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal ``(a[i], b[i])`` pairs.
+
+    Cut arcs come grouped by source vertex with neighbours ascending and
+    the 1D ID partition makes the owning rank monotone in the id, so
+    each ``(vertex, destination PE)`` pair is one run (Section IV-D).
+    """
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return first
 
 
 def exchange_ghost_degrees(
@@ -62,18 +75,20 @@ def exchange_ghost_degrees(
     """
     if mode not in ("dense", "sparse"):
         raise ValueError("mode must be 'dense' or 'sparse'")
-    part = lg.partition
     cut = lg.cut_edges()
-    # Who needs which of my vertices: unique (target rank, v) pairs.
+    # Who needs which of my vertices: the first arc of each (v, rank)
+    # run, as in the surrogate filter; v stays ascending per rank.
     payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
     if cut.size:
-        tgt_ranks = part.rank_of(cut[:, 1])
-        pairs = np.unique(np.column_stack([tgt_ranks, cut[:, 0]]), axis=0)
+        src, ranks = cut[:, 0], lg.partition.rank_of(cut[:, 1])
+        kept = np.flatnonzero(first_of_runs(src, ranks))
+        kept = kept[np.argsort(ranks[kept], kind="stable")]
         ctx.charge(cut.shape[0])  # scanning cut arcs to build send lists
-        for rank in np.unique(pairs[:, 0]):
-            ids = pairs[pairs[:, 0] == rank, 1]
-            degs = lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
-            payloads[int(rank)] = ((ids, degs), 2 * ids.size)
+        ids, ranks = src[kept], ranks[kept]
+        splits = np.flatnonzero(np.diff(ranks)) + 1
+        degs = np.split(lg.degrees[ids - lg.vlo], splits)
+        for rank, rank_ids, rank_degs in zip(ranks[np.r_[0, splits]], np.split(ids, splits), degs):
+            payloads[int(rank)] = ((rank_ids, rank_degs), 2 * rank_ids.size)
     if mode == "dense":
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label="deg-xchg")
     else:

@@ -22,20 +22,25 @@ need an unavailable toolchain (numba wheel, C compiler) drop out of the
 matrix rather than failing it.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
+import os
 
 import numpy as np
 import pytest
 from backend_utils import register_pymerge
 
-from repro.core.backends import set_backend, use_backend
+from repro.core import backends
+from repro.core.backends import resolve_backend, set_backend, use_backend
 from repro.core.engine import EngineConfig, counting_program
 from repro.core.enumerate import enumerate_program, gather_all_triangles
+from repro.core.kernels import count_record_pairs
 from repro.core.native import native_available
 from repro.graphs import distribute
 from repro.graphs import generators as gen
 from repro.net import Machine
+from repro.net.frames import RecordFrame
 from repro.net.parallel import ProcessMachine
 
 P = 3
@@ -184,3 +189,72 @@ def test_transports_agree_on_enumeration_sha(gen_name):
         }.items()
     }
     assert len(set(shas.values())) == 1, shas
+
+
+@pytest.fixture
+def csr_spy(tmp_path, monkeypatch):
+    """Spy on the native in-place kernel, inside forked workers too.
+
+    The registry's cached native backend is swapped for one whose
+    ``csr_count`` appends ``pid writeable k`` per call to a file (forked
+    workers inherit the swap).  Returns a reader of the logged calls.
+    """
+    if not native_available():
+        pytest.skip("native backend unavailable")
+    native = resolve_backend("native")
+    calls = tmp_path / "csr_calls"
+    calls.touch()
+
+    def spy(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {int(a_adj.flags.writeable)} {len(a_ids)}\n")
+        return native.csr_count(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids)
+
+    monkeypatch.setitem(
+        backends._BACKENDS, "native", dataclasses.replace(native, csr_count=spy)
+    )
+    return lambda: [tuple(map(int, line.split())) for line in calls.read_text().splitlines()]
+
+
+def test_process_machine_native_counts_in_place(csr_spy):
+    """A native ``ProcessMachine`` run intersects in place in its workers
+    and matches ``Machine`` + numpy on every pinned observable."""
+    dist = _dist("rmat", SEEDS[0])
+    cfg = EngineConfig(contraction=True)
+    with use_backend("numpy"):
+        ref = Machine(P).run(counting_program, dist, cfg)
+    assert csr_spy() == []
+    with use_backend("native"):
+        par = ProcessMachine(P, shm=True, start_method="fork").run(
+            counting_program, dist, cfg
+        )
+    assert _transport_observables(par) == _transport_observables(ref)
+    assert par.metrics.total_shm_frames > 0
+    calls = csr_spy()
+    assert calls and all(pid != os.getpid() for pid, _, _ in calls)
+
+
+def _raw_frame_program(ctx, dist):
+    """Ship the owned neighbourhoods to the next PE as one frame and
+    count the received frame as it arrived, without merging it."""
+    lg = dist.view(ctx.rank)
+    broadcast = np.full(lg.num_local_vertices, -1, dtype=np.int64)
+    frame = RecordFrame(lg.owned_vertices(), broadcast, lg.xadj, lg.adjncy)
+    ctx.send((ctx.rank + 1) % ctx.num_pes, "raw-frame", frame, frame.words)
+    msg = yield from ctx.recv("raw-frame")
+    return count_record_pairs(
+        ctx, msg.payload, lg.xadj, lg.adjncy, lg.vlo, lg.vhi, dist.num_vertices + 1
+    ), not msg.payload.neighbors.flags.writeable
+
+
+def test_in_place_kernel_reads_received_shm_frames(csr_spy):
+    """Received shm frames are read-only views; the in-place kernel
+    takes them as they are (no copy) and counts what numpy counts."""
+    dist = _dist("rmat", SEEDS[0])
+    with use_backend("numpy"):
+        ref = Machine(P).run(_raw_frame_program, dist)
+    with use_backend("native"):
+        par = ProcessMachine(P, shm=True, start_method="fork").run(_raw_frame_program, dist)
+    assert [count for count, _ in par.values] == [count for count, _ in ref.values]
+    assert all(readonly for _, readonly in par.values)
+    assert any(writeable == 0 and k > 0 for _, writeable, k in csr_spy())

@@ -13,13 +13,15 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import backends
+from repro.core import backends, kernels
 from repro.core.backends import resolve_backend, set_backend, use_backend
 from repro.core.intersect import (
     batch_intersect_count,
     batch_intersect_count_elements,
     batch_intersect_elements,
     concat_xadj,
+    gather_blocks,
+    merge_cost,
 )
 from repro.core.native import build_key, builder, native_available
 
@@ -126,6 +128,124 @@ def test_native_handles_duplicate_hits_across_pairs():
     np.testing.assert_array_equal(counts, [3, 3, 3, 3])
     np.testing.assert_array_equal(pair, np.repeat(np.arange(4), 3))
     np.testing.assert_array_equal(elem, np.tile(blk, 4))
+
+
+# ---------------------------------------------------------------------------
+# In-place CSR-pair kernel vs the gathered path
+# ---------------------------------------------------------------------------
+
+
+class _ChargeLog:
+    """Stands in for a PEContext: records every ``charge``."""
+
+    def __init__(self):
+        self.charges = []
+
+    def charge(self, ops):
+        self.charges.append(ops)
+
+
+def _csr(rng, num_blocks, bound, min_len, max_len, empty_frac=0.3):
+    """Random CSR of sorted unique blocks, about ``empty_frac`` of them empty."""
+    blocks = [
+        np.unique(rng.integers(0, bound, size=rng.integers(min_len, max_len + 1)))
+        if rng.random() >= empty_frac
+        else np.empty(0, dtype=np.int64)
+        for _ in range(num_blocks)
+    ]
+    adj = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return concat_xadj([b.size for b in blocks]), adj.astype(np.int64)
+
+
+def _csr_cases():
+    rng = np.random.default_rng(21)
+    a_x, a_adj = _csr(rng, 40, 500, 0, 30)
+    b_x, b_adj = _csr(rng, 30, 500, 0, 30)
+
+    def ids(num_blocks, k):  # drawn with replacement: ids repeat
+        return rng.integers(0, num_blocks, size=k)
+
+    big_x, big_adj = _csr(rng, 20, 5000, 400, 800, empty_frac=0.0)
+    # Each small block shares two elements with its big block, so the
+    # gallop branch (one side >= 16x the other) has hits to find.
+    small = [
+        np.unique(
+            np.concatenate(
+                [rng.choice(big_adj[big_x[j] : big_x[j + 1]], 2), rng.integers(0, 5000, 3)]
+            )
+        )
+        for j in range(20)
+    ]
+    small_x, small_adj = concat_xadj([b.size for b in small]), np.concatenate(small)
+    empty_x, empty_adj = np.zeros(11, dtype=np.int64), np.empty(0, dtype=np.int64)
+    skew = ids(20, 200)
+    return {
+        "random-repeated-ids": (a_x, a_adj, ids(40, 500), b_x, b_adj, ids(30, 500)),
+        "k=0": (a_x, a_adj, ids(40, 0), b_x, b_adj, ids(30, 0)),
+        "one-side-all-empty": (a_x, a_adj, ids(40, 50), empty_x, empty_adj, ids(10, 50)),
+        "skewed-small-first": (small_x, small_adj, skew, big_x, big_adj, skew),
+        "skewed-big-first": (big_x, big_adj, skew, small_x, small_adj, skew),
+    }
+
+
+def _gathered_counts(a_x, a_adj, a_ids, b_x, b_adj, b_ids, bound):
+    lcat, lx = gather_blocks(a_x, a_adj, a_ids)
+    rcat, rx = gather_blocks(b_x, b_adj, b_ids)
+    return batch_intersect_count(lcat, lx, rcat, rx, bound).counts, merge_cost(lcat.size, rcat.size)
+
+
+@needs_native
+@pytest.mark.parametrize("readonly", [False, True])
+@pytest.mark.parametrize("case", sorted(_csr_cases()))
+def test_csr_count_matches_gathered_path(case, readonly):
+    arrays = _csr_cases()[case]
+    if readonly:  # received shm frames are read-only views
+        for arr in arrays:
+            arr.setflags(write=False)
+    ref_counts, gathered_cost = _gathered_counts(*arrays, 5001)
+    np.testing.assert_array_equal(resolve_backend("native").csr_count(*arrays), ref_counts)
+    log = _ChargeLog()
+    with use_backend("native"):
+        total = kernels.count_csr_pairs(log, *arrays, 5001)
+    assert total == int(ref_counts.sum())
+    # Degree-sum ops charged in place == merge_cost of the gathered sizes.
+    assert sum(log.charges) == gathered_cost
+
+
+@needs_native
+@pytest.mark.parametrize("case", sorted(_csr_cases()))
+def test_count_csr_pairs_charges_identically_per_chunk(case, monkeypatch):
+    """The in-place and gathered paths charge the same ops chunk by chunk."""
+    real_chunked = kernels.chunked
+    monkeypatch.setattr(kernels, "chunked", lambda total: real_chunked(total, 37))
+    arrays = _csr_cases()[case]
+    runs = {}
+    for name in ("numpy", "native"):
+        log = _ChargeLog()
+        with use_backend(name):
+            total = kernels.count_csr_pairs(log, *arrays, 5001)
+        runs[name] = (total, log.charges)
+    assert runs["native"] == runs["numpy"]
+    assert len(runs["native"][1]) == -(-arrays[2].size // 37)
+
+
+@needs_native
+def test_csr_count_rejects_out_of_range_blocks():
+    x, adj = np.array([0, 2, 3]), np.array([1, 4, 2])
+    csr_count = resolve_backend("native").csr_count
+    with pytest.raises(IndexError):
+        csr_count(x, adj, np.array([2]), x, adj, np.array([0]))
+    with pytest.raises(IndexError):
+        csr_count(x, adj, np.array([0]), x, adj, np.array([-1]))
+    with pytest.raises(IndexError):
+        csr_count(x, adj[:2], np.array([0]), x, adj, np.array([0]))
+    with pytest.raises(ValueError):
+        csr_count(x, adj, np.array([0, 1]), x, adj, np.array([0]))
+
+
+def test_only_native_ships_the_in_place_kernel():
+    for name in ("numpy", "auto"):
+        assert resolve_backend(name).csr_count is None
 
 
 # ---------------------------------------------------------------------------

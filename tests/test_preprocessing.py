@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import preprocessing
 from repro.core.orientation import orient_by_degree
 from repro.core.preprocessing import build_oriented, exchange_ghost_degrees
 from repro.graphs import distribute
@@ -26,6 +27,71 @@ def test_ghost_degrees_correct(mode, p, random_graph):
         lg = dist.view(rank)
         expected = g.degrees[lg.ghost_vertices]
         assert np.array_equal(degs, expected), (rank, mode)
+        assert lg.ghost_degrees is degs
+
+
+def _reference_send_lists(lg):
+    """The send lists as a lexicographic 2-D unique over (rank, v) pairs."""
+    cut = lg.cut_edges()
+    payloads = {}
+    if cut.size:
+        tgt_ranks = lg.partition.rank_of(cut[:, 1])
+        pairs = np.unique(np.column_stack([tgt_ranks, cut[:, 0]]), axis=0)
+        for rank in np.unique(pairs[:, 0]):
+            ids = pairs[pairs[:, 0] == rank, 1]
+            degs = lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
+            payloads[int(rank)] = ((ids, degs), 2 * ids.size)
+    return payloads
+
+
+SEND_LIST_GRAPHS = {
+    "rmat": lambda: gen.rmat(7, 8, seed=3),
+    "gnm": lambda: gen.gnm(90, 500, seed=5),
+    "star": lambda: gen.star(40),
+}
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+@pytest.mark.parametrize("p", [1, 3, 16, "n+3"])
+@pytest.mark.parametrize("graph", sorted(SEND_LIST_GRAPHS))
+def test_send_lists_match_unique_reference(graph, p, mode, monkeypatch):
+    """Per-rank payloads equal the 2-D unique formulation: same ranks in
+    the same order, same ids/degree arrays and dtypes, same words."""
+    g = SEND_LIST_GRAPHS[graph]()
+    if p == "n+3":  # more PEs than vertices: some PEs own nothing
+        p = g.num_vertices + 3
+    dist = distribute(g, num_pes=p)
+    sent = {}
+
+    def spy(original, to_dict):
+        def wrapper(ctx, payloads, **kwargs):
+            sent[ctx.rank] = to_dict(payloads)
+            return (yield from original(ctx, payloads, **kwargs))
+
+        return wrapper
+
+    monkeypatch.setattr(
+        preprocessing, "alltoallv_dense", spy(preprocessing.alltoallv_dense, dict)
+    )
+    monkeypatch.setattr(
+        preprocessing,
+        "sparse_alltoall",
+        spy(preprocessing.sparse_alltoall, lambda triples: {d: (pl, w) for d, pl, w in triples}),
+    )
+    res = Machine(p).run(_exchange_prog, dist, mode)
+    assert sorted(sent) == list(range(p))
+    for rank, degs in enumerate(res.values):
+        lg = dist.view(rank)
+        ref = _reference_send_lists(lg)
+        got = sent[rank]
+        assert list(got) == list(ref), rank
+        for dest, ((ids, ds), words) in ref.items():
+            (got_ids, got_ds), got_words = got[dest]
+            assert got_words == words
+            for a, b in ((got_ids, ids), (got_ds, ds)):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        assert np.array_equal(lg.ghost_degrees, g.degrees[lg.ghost_vertices])
         assert lg.ghost_degrees is degs
 
 
