@@ -344,45 +344,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from .core import autotune, backends
-
-    if args.action == "tune":
-        seed = args.seed if args.seed is not None else autotune.TUNE_SEED
-        autotune.invalidate()
-        winners = autotune.tune(seed=seed)
-        autotune._persist(winners)
-        autotune._WINNERS = winners
-        print(f"tuned (seed={seed}); winners written to "
-              f"{autotune.tuner_cache_path()}")
-        for regime in autotune.REGIMES:
-            print(f"  {regime:<10s} -> {winners[regime]}")
-        return 0
+    from .core import backends
 
     active = backends.get_backend()
     explicit = backends._ACTIVE or os.environ.get(backends.ENV_BACKEND, "").strip()
     via = (
         "set_backend()" if backends._ACTIVE
-        else f"{backends.ENV_BACKEND}" if os.environ.get(backends.ENV_BACKEND, "").strip()
-        else "default"
+        else backends.ENV_BACKEND if explicit
+        else "default: native if it loads, else numpy"
     )
     print(f"{'backend':<10s} {'status':<44s} {'fused':<6s}")
     for name, status in backends.backend_status().items():
         backend = backends._BACKENDS.get(name)
         fused = "yes" if backend is not None and backend.count_elements else "-"
-        marker = " *" if name == (explicit or "numpy") else ""
+        marker = " *" if name == (explicit or active.name) else ""
         print(f"{name:<10s} {status:<44s} {fused:<6s}{marker}")
     print(f"\nactive: {active.name} (via {via})")
     if explicit and active.name != explicit:
         print(f"  note: {explicit!r} selected but unavailable; warn-once "
               f"fallback to numpy is in effect")
-    winners = autotune.cached_winners()
-    if winners is None:
-        print("auto tuner: not tuned (runs at first 'auto' dispatch, or "
-              "'repro-tc backends tune')")
-    else:
-        print(f"auto tuner winners ({autotune.tuner_cache_path()}):")
-        for regime in autotune.REGIMES:
-            print(f"  {regime:<10s} -> {winners[regime]}")
     return 0
 
 
@@ -410,11 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-backend",
         default="",
         metavar="NAME",
-        help="intersection kernel backend for this run (numpy, numba, "
-        "native, auto, or a registered extra backend; see docs/KERNELS.md "
-        "and 'repro-tc backends').  Equivalent to setting "
-        "REPRO_KERNEL_BACKEND; unavailable backends log one warning and "
-        "fall back to numpy.  Simulated costs are identical either way.",
+        help="intersection kernel backend for this run (numpy, native, "
+        "or a registered extra backend; see docs/KERNELS.md and "
+        "'repro-tc backends').  Equivalent to setting "
+        "REPRO_KERNEL_BACKEND.  Default: native if it loads, else numpy; "
+        "an unavailable selection logs one warning and falls back to "
+        "numpy.  Simulated costs are identical either way.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -461,22 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser(
         "backends",
-        help="list kernel backends (availability, fallback, tuner winners) "
-        "or run the auto tuner ('backends tune'); see docs/KERNELS.md",
-    )
-    be.add_argument(
-        "action",
-        nargs="?",
-        default="list",
-        choices=("list", "tune"),
-        help="'list' (default) prints the backend table; 'tune' runs the "
-        "seeded microbenchmark and persists per-regime winners",
-    )
-    be.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="tuner microbenchmark seed (default: the built-in fixed seed)",
+        help="list kernel backends (availability, fallback, active "
+        "selection); see docs/KERNELS.md",
     )
     be.set_defaults(func=_cmd_backends)
 

@@ -19,27 +19,16 @@ keeping their *accounting* fixed:
   ``(pair_idx, elements)`` hit streams in (pair, ascending element)
   order — the canonical order both shipped backends emit naturally.
 
-Four backends ship:
+Two backends ship:
 
-``numpy`` (default, always available)
+``numpy`` (always available)
     The offset-keyed global ``searchsorted`` formulation that has been
     the hot path since the frame PR.
-``numba``
-    Per-pair compiled merge loops (``@njit(cache=True)``), matching the
-    paper's cache-friendly merge kernels.  Optional: when the ``numba``
-    wheel is not importable the registry logs one warning and falls
-    back to ``numpy`` — selection never raises for a *known* backend.
 ``native``
     The cffi/C extension of :mod:`repro.core.native`: merge loops plus
     a galloping binary-search variant for skewed pairs, compiled on
-    demand at first use and cached.  Degrades exactly like ``numba``
-    when cffi or a C compiler is missing.
-``auto``
-    A per-regime selector (:mod:`repro.core.autotune`): a seeded
-    one-shot microbenchmark at first dispatch (or an explicit
-    ``repro-tc backends tune``) times the concrete backends on
-    representative pair-size regimes and dispatches each batch to the
-    cached winner for its regime.
+    demand at first use and cached.  Optional: when cffi or a C
+    compiler is missing, the load raises ``ImportError``.
 
 Selection (first match wins):
 
@@ -47,14 +36,12 @@ Selection (first match wins):
 2. the ``REPRO_KERNEL_BACKEND`` environment variable (which is how the
    ``repro-tc --kernel-backend`` CLI flag and ``ProcessMachine``
    workers propagate the choice),
-3. the ``numpy`` default.
+3. the default: ``native`` if it loads, else ``numpy``.
 
-``auto`` participates like any other name: it runs only when
-explicitly selected through one of these channels, so the existing
-explicit-selection order always bypasses the tuner.
-
-Registering a fifth backend is two calls — see ``docs/KERNELS.md`` for
-a worked example and the exact kernel contract.
+An explicitly selected backend that cannot load logs one warning and
+degrades to ``numpy``; the default degrades silently.  Registering a
+third backend is two calls — see ``docs/KERNELS.md`` for a worked
+example and the exact kernel contract.
 """
 
 from __future__ import annotations
@@ -67,11 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intersect import (
-    _numpy_batch_count,
-    _numpy_batch_count_elements,
-    _numpy_batch_elements,
-)
+from .intersect import _numpy_batch_count, _numpy_batch_count_elements
 
 __all__ = [
     "KernelBackend",
@@ -127,7 +110,8 @@ _LOADERS: dict[str, Callable[[], KernelBackend]] = {}
 _BACKENDS: dict[str, KernelBackend] = {}
 #: Explicit in-process selection (overrides the environment).
 _ACTIVE: str | None = None
-#: Backends whose load already failed (warn once each).
+#: Backends whose loader raised ``ImportError``, with the reason; a
+#: failed loader is not retried.
 _FAILED: dict[str, str] = {}
 
 
@@ -135,8 +119,8 @@ def register_backend(name: str, loader: Callable[[], KernelBackend]) -> None:
     """Register a backend under ``name``.
 
     ``loader`` is called lazily on first selection and may raise
-    ``ImportError`` — the registry then logs a warning and the
-    dispatcher falls back to ``numpy``.
+    ``ImportError`` — the dispatcher then falls back to ``numpy``
+    (see :func:`resolve_backend`).
     """
     _LOADERS[name] = loader
 
@@ -165,54 +149,53 @@ def _load(name: str) -> KernelBackend:
         raise KeyError(
             f"unknown kernel backend {name!r}; registered: {available_backends()}"
         )
-    backend = _LOADERS[name]()
+    if name in _FAILED:
+        raise ImportError(_FAILED[name])
+    try:
+        backend = _LOADERS[name]()
+    except ImportError as exc:
+        _FAILED[name] = str(exc)
+        raise
     _BACKENDS[name] = backend
     return backend
 
 
-def _fallback_warned(name: str) -> bool:
-    """Whether some process in this tree already warned about ``name``."""
-    return name in os.environ.get(ENV_FALLBACK_WARNED, "").split(",")
+def _warn_fallback(name: str, exc: ImportError) -> None:
+    """Log the fallback for ``name`` once per process tree.
 
-
-def _mark_fallback_warned(name: str) -> None:
-    """Record the warning in the environment for child processes.
-
-    ``ProcessMachine`` workers inherit the environment under both fork
-    and spawn, so once the driver has warned, workers resolving the
-    same unavailable backend stay silent instead of re-warning once
-    per process (see also the eager driver-side resolve in
-    ``ProcessMachine.run``).
+    The warned names are recorded in the environment, which
+    ``ProcessMachine`` workers inherit under both fork and spawn, so
+    once the parent process has warned, workers resolving the same
+    unavailable backend stay silent instead of re-warning once per
+    process (see also the eager resolve in ``ProcessMachine.run``
+    before any worker starts).
     """
     warned = [n for n in os.environ.get(ENV_FALLBACK_WARNED, "").split(",") if n]
     if name not in warned:
-        warned.append(name)
-        os.environ[ENV_FALLBACK_WARNED] = ",".join(warned)
+        log.warning("kernel backend %r unavailable (%s); falling back to numpy", name, exc)
+        os.environ[ENV_FALLBACK_WARNED] = ",".join(warned + [name])
 
 
 def resolve_backend(name: str | None = None) -> KernelBackend:
     """Resolve ``name`` (or the current selection) to a loaded backend.
 
-    Unknown names raise ``KeyError``.  Known-but-unloadable backends
-    (e.g. ``numba`` without the wheel) log one warning and degrade to
-    ``numpy`` — runs never fail because an accelerator is missing.
+    Unknown names raise ``KeyError``.  A selected backend that cannot
+    load (e.g. ``native`` without a C compiler) logs one warning and
+    degrades to ``numpy`` — runs never fail because an accelerator is
+    missing.  With nothing selected the default is ``native`` if it
+    loads, else ``numpy``, without a warning.
     """
     if name is None:
-        name = _ACTIVE or os.environ.get(ENV_BACKEND, "").strip() or "numpy"
+        name = _ACTIVE or os.environ.get(ENV_BACKEND, "").strip()
+    if not name:
+        try:
+            return _load("native")
+        except ImportError:
+            return _load("numpy")
     try:
         return _load(name)
-    except KeyError:
-        raise
     except ImportError as exc:
-        if name not in _FAILED:
-            _FAILED[name] = str(exc)
-            if not _fallback_warned(name):
-                log.warning(
-                    "kernel backend %r unavailable (%s); falling back to numpy",
-                    name,
-                    exc,
-                )
-                _mark_fallback_warned(name)
+        _warn_fallback(name, exc)
         return _load("numpy")
 
 
@@ -251,96 +234,14 @@ def use_backend(name: str | None):
 
 
 def _load_numpy() -> KernelBackend:
-    return KernelBackend(
-        "numpy",
-        _numpy_batch_count,
-        _numpy_batch_elements,
-        _numpy_batch_count_elements,
-    )
+    def elements(*args):
+        # One keyed search feeds both outputs; the counts are one bincount.
+        return _numpy_batch_count_elements(*args)[1:]
+
+    return KernelBackend("numpy", _numpy_batch_count, elements, _numpy_batch_count_elements)
 
 
 register_backend("numpy", _load_numpy)
-
-
-# ---------------------------------------------------------------------------
-# numba backend (optional)
-# ---------------------------------------------------------------------------
-
-
-def _load_numba() -> KernelBackend:
-    import numba  # noqa: F401  (ImportError -> logged numpy fallback)
-    from numba import njit
-
-    @njit(cache=True)
-    def _count(a_concat, a_xadj, b_concat, b_xadj, counts):  # pragma: no cover
-        for i in range(counts.size):
-            ai, ae = a_xadj[i], a_xadj[i + 1]
-            bi, be = b_xadj[i], b_xadj[i + 1]
-            c = 0
-            while ai < ae and bi < be:
-                av = a_concat[ai]
-                bv = b_concat[bi]
-                if av == bv:
-                    c += 1
-                    ai += 1
-                    bi += 1
-                elif av < bv:
-                    ai += 1
-                else:
-                    bi += 1
-            counts[i] = c
-
-    def count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-        counts = np.empty(a_xadj.size - 1, dtype=np.int64)
-        _count(a_concat, a_xadj, b_concat, b_xadj, counts)
-        return counts
-
-    @njit(cache=True)
-    def _count_elements(  # pragma: no cover
-        a_concat, a_xadj, b_concat, b_xadj, counts, pair_out, elem_out
-    ):
-        out = 0
-        for i in range(counts.size):
-            ai, ae = a_xadj[i], a_xadj[i + 1]
-            bi, be = b_xadj[i], b_xadj[i + 1]
-            c = 0
-            while ai < ae and bi < be:
-                av = a_concat[ai]
-                bv = b_concat[bi]
-                if av == bv:
-                    pair_out[out] = i
-                    elem_out[out] = av
-                    out += 1
-                    c += 1
-                    ai += 1
-                    bi += 1
-                elif av < bv:
-                    ai += 1
-                else:
-                    bi += 1
-            counts[i] = c
-        return out
-
-    def count_elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-        counts = np.empty(a_xadj.size - 1, dtype=np.int64)
-        # Hits per pair are bounded by the smaller block, and the
-        # dispatcher guarantees A is the smaller side overall, so
-        # |a_concat| bounds the total output.
-        pair_out = np.empty(a_concat.size, dtype=np.int64)
-        elem_out = np.empty(a_concat.size, dtype=np.int64)
-        n = _count_elements(
-            a_concat, a_xadj, b_concat, b_xadj, counts, pair_out, elem_out
-        )
-        return counts, pair_out[:n], elem_out[:n]
-
-    def elements(*args):
-        # The fused pass costs only the k extra counts over a hits-only one.
-        return count_elements(*args)[1:]
-
-    return KernelBackend("numba", count, elements, count_elements)
-
-
-register_backend("numba", _load_numba)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +251,7 @@ register_backend("numba", _load_numba)
 
 def _load_native() -> KernelBackend:
     # Builds the extension at first use; any failure (no cffi wheel,
-    # no compiler) surfaces as ImportError -> logged numpy fallback.
+    # no compiler) surfaces as ImportError -> numpy fallback.
     from .native import load_native_kernels
 
     return KernelBackend("native", *load_native_kernels())
@@ -358,16 +259,3 @@ def _load_native() -> KernelBackend:
 
 register_backend("native", _load_native)
 
-
-# ---------------------------------------------------------------------------
-# auto backend (per-regime winner dispatch; always loadable)
-# ---------------------------------------------------------------------------
-
-
-def _load_auto() -> KernelBackend:
-    from .autotune import make_auto_backend
-
-    return make_auto_backend()
-
-
-register_backend("auto", _load_auto)

@@ -22,6 +22,7 @@ import numpy as np
 from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce, alltoallv_dense
 from ..net.machine import PEContext
+from .preprocessing import ghost_send_lists
 
 __all__ = ["PEComponents", "components_program"]
 
@@ -47,14 +48,7 @@ def components_program(
     labels = lg.owned_vertices().astype(np.int64).copy()
     ghost_labels = ghosts.copy() if ghosts.size else np.empty(0, dtype=np.int64)
 
-    cut = lg.cut_edges()
-    send_plan: list[tuple[int, np.ndarray]] = []
-    if cut.size:
-        tgt = lg.partition.rank_of(cut[:, 1])
-        pairs = np.unique(np.column_stack([tgt, cut[:, 0]]), axis=0)
-        for rank in np.unique(pairs[:, 0]):
-            send_plan.append((int(rank), pairs[pairs[:, 0] == rank, 1]))
-        ctx.charge(cut.shape[0])
+    send_plan = ghost_send_lists(ctx, lg)
 
     rounds = 0
     while True:

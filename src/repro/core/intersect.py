@@ -10,8 +10,8 @@ Per the HPC-Python guides, hot paths must not loop per edge in Python.
 The numpy kernels here vectorize *across pairs*: all needle arrays are
 concatenated, offset-keyed so each pair's haystack occupies a disjoint
 key range, and one global :func:`numpy.searchsorted` resolves every
-membership test at once.  The compiled backends loop per pair in C
-(``native``) or numba instead.  Work is *accounted* in the merge model
+membership test at once.  The ``native`` backend loops per pair in C
+instead.  Work is *accounted* in the merge model
 (``|a| + |b|`` per pair), independent of how the kernel executes it, so
 the simulated cost model matches the paper's analysis rather than
 Python's constant factors.
@@ -20,11 +20,10 @@ Python's constant factors.
 ``batch_intersect_count_elements`` are *dispatchers*: they own
 validation, the ops accounting, the empty fast path and the
 small-into-large side swap, then hand the pre-conditioned arrays to
-the kernel backend selected via :mod:`repro.core.backends` (``numpy``
-by default; ``REPRO_KERNEL_BACKEND=native`` / ``numba`` /
-``repro-tc --kernel-backend ...`` selects the cffi/C or numba
-merge-loop backend when available, ``auto`` the per-regime tuned
-winner).  The counting helpers of :mod:`repro.core.kernels` bypass
+the kernel backend selected via :mod:`repro.core.backends` (the
+cffi/C ``native`` merge loops when they load, else ``numpy``;
+``REPRO_KERNEL_BACKEND`` / ``repro-tc --kernel-backend ...`` picks one
+explicitly).  The counting helpers of :mod:`repro.core.kernels` bypass
 :func:`gather_blocks` and this dispatcher when the backend has an
 in-place CSR kernel (``native``), charging the same ops.  The
 fused variant returns per-pair counts *and* the hit streams from one
@@ -176,18 +175,6 @@ def _numpy_batch_count(
     """Raw numpy count kernel (dispatcher preconditions apply)."""
     pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
     return np.bincount(pair_a[hit], minlength=a_xadj.size - 1).astype(np.int64)
-
-
-def _numpy_batch_elements(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw numpy elements kernel (dispatcher preconditions apply)."""
-    pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
-    return pair_a[hit], a_concat[hit]
 
 
 def _numpy_batch_count_elements(

@@ -30,6 +30,7 @@ import numpy as np
 from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce, alltoallv_dense
 from ..net.machine import PEContext
+from .preprocessing import ghost_send_lists
 
 __all__ = ["PECores", "kcore_program", "h_index"]
 
@@ -69,16 +70,9 @@ def kcore_program(ctx: PEContext, dist: DistGraph) -> Generator[None, None, PECo
     est_local = lg.degrees.astype(np.int64).copy()
     est_ghost = np.zeros(ghosts.size, dtype=np.int64)
 
-    # Who needs which of my vertices' estimates (same pattern as the
-    # ghost-degree exchange).
-    cut = lg.cut_edges()
-    send_plan: list[tuple[int, np.ndarray]] = []
-    if cut.size:
-        tgt = lg.partition.rank_of(cut[:, 1])
-        pairs = np.unique(np.column_stack([tgt, cut[:, 0]]), axis=0)
-        for rank in np.unique(pairs[:, 0]):
-            send_plan.append((int(rank), pairs[pairs[:, 0] == rank, 1]))
-        ctx.charge(cut.shape[0])
+    # Who needs which of my vertices' estimates: the ghost-degree
+    # exchange's send lists.
+    send_plan = ghost_send_lists(ctx, lg)
 
     rounds = 0
     while True:

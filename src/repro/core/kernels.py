@@ -13,8 +13,8 @@ callers, the TriC baseline) are packed into a frame on entry.
 
 The ``batch_intersect_*`` calls dispatch to the kernel backend selected
 via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
-``repro-tc --kernel-backend``): ``numpy`` by default, or the compiled
-``native`` (cffi/C) or ``numba`` kernels, or ``auto``.  Counting skips
+``repro-tc --kernel-backend``): the compiled ``native`` (cffi/C)
+kernels when they load, else ``numpy``.  Counting skips
 the gather when the backend intersects CSR blocks in place (``native``).
 The charged ops are computed before any backend runs, so everything in
 this module is backend-agnostic — see ``docs/KERNELS.md``.

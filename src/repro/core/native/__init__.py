@@ -8,7 +8,7 @@ on blocks read in place from two CSR arrays.  The extension is
 compiled on demand at first use and cached (see :mod:`.builder` for
 the cache location and rebuild knobs); environments without cffi or a
 C compiler degrade to the ``numpy`` backend through the registry's
-warn-once fallback.
+fallback.
 
 Wrappers here only allocate output arrays (and bounds-check the block
 ids of ``csr_count``) and hand zero-copy buffer views to the C
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .builder import build_dir, build_key, cache_root, load_lib
+from .builder import build_dir, build_key, load_lib
 
 __all__ = [
     "load_native_kernels",
     "native_available",
     "build_dir",
     "build_key",
-    "cache_root",
 ]
 
 

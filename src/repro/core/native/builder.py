@@ -16,7 +16,9 @@ The artifact is cached so every later process — including
 * **Failure**: *every* failure mode — no cffi wheel, no C compiler, a
   broken toolchain — is re-raised as ``ImportError``, which is exactly
   what :func:`repro.core.backends.resolve_backend` turns into the
-  warn-once numpy fallback.  Selecting ``native`` never crashes a run.
+  numpy fallback (warn-once when ``native`` was selected explicitly,
+  silent when it was only the default).  Selecting ``native`` never
+  crashes a run.
 
 Concurrent builders (e.g. spawn-started workers racing the driver) are
 safe: each compiles in a private temp dir and installs the artifact
@@ -35,7 +37,7 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-__all__ = ["build_key", "cache_root", "build_dir", "load_lib", "CDEF"]
+__all__ = ["build_key", "build_dir", "load_lib", "CDEF"]
 
 #: Declarations mirrored from kernels.c (the cffi cdef).
 CDEF = """
@@ -74,8 +76,8 @@ def build_key() -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def cache_root() -> Path:
-    """Root directory for native-backend state (builds, tuner cache)."""
+def build_dir() -> Path:
+    """Directory holding the compiled artifacts."""
     override = os.environ.get(ENV_BUILD_DIR, "").strip()
     if override:
         return Path(override)
@@ -90,11 +92,6 @@ def cache_root() -> Path:
         xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
         base = Path(xdg) if xdg else Path.home() / ".cache"
         return base / "repro" / "native"
-
-
-def build_dir() -> Path:
-    """Directory holding the compiled artifact for the current key."""
-    return cache_root()
 
 
 def _module_name() -> str:

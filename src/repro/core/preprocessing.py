@@ -35,6 +35,7 @@ from .intersect import concat_xadj
 
 __all__ = [
     "exchange_ghost_degrees",
+    "ghost_send_lists",
     "first_of_runs",
     "OrientedLocalGraph",
     "build_oriented",
@@ -57,6 +58,26 @@ def first_of_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return first
 
 
+def ghost_send_lists(ctx: PEContext, lg: LocalGraph) -> list[tuple[int, np.ndarray]]:
+    """``[(rank, ids)]``: which owned vertices each other PE holds as ghosts.
+
+    ``v`` goes to every PE that owns a neighbour of ``v``.  Keeps the
+    first cut arc of each ``(v, rank)`` run and sorts stably by rank, so
+    ranks ascend and ``v`` ascends within a rank.  Charges one operation
+    per cut arc scanned.
+    """
+    cut = lg.cut_edges()
+    if not cut.size:
+        return []
+    src, ranks = cut[:, 0], lg.partition.rank_of(cut[:, 1])
+    kept = np.flatnonzero(first_of_runs(src, ranks))
+    kept = kept[np.argsort(ranks[kept], kind="stable")]
+    ctx.charge(cut.shape[0])
+    ids, ranks = src[kept], ranks[kept]
+    splits = np.flatnonzero(np.diff(ranks)) + 1
+    return list(zip(ranks[np.r_[0, splits]].tolist(), np.split(ids, splits)))
+
+
 def exchange_ghost_degrees(
     ctx: PEContext,
     lg: LocalGraph,
@@ -75,20 +96,10 @@ def exchange_ghost_degrees(
     """
     if mode not in ("dense", "sparse"):
         raise ValueError("mode must be 'dense' or 'sparse'")
-    cut = lg.cut_edges()
-    # Who needs which of my vertices: the first arc of each (v, rank)
-    # run, as in the surrogate filter; v stays ascending per rank.
-    payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
-    if cut.size:
-        src, ranks = cut[:, 0], lg.partition.rank_of(cut[:, 1])
-        kept = np.flatnonzero(first_of_runs(src, ranks))
-        kept = kept[np.argsort(ranks[kept], kind="stable")]
-        ctx.charge(cut.shape[0])  # scanning cut arcs to build send lists
-        ids, ranks = src[kept], ranks[kept]
-        splits = np.flatnonzero(np.diff(ranks)) + 1
-        degs = np.split(lg.degrees[ids - lg.vlo], splits)
-        for rank, rank_ids, rank_degs in zip(ranks[np.r_[0, splits]], np.split(ids, splits), degs):
-            payloads[int(rank)] = ((rank_ids, rank_degs), 2 * rank_ids.size)
+    payloads = {
+        rank: ((ids, lg.degrees[ids - lg.vlo]), 2 * ids.size)
+        for rank, ids in ghost_send_lists(ctx, lg)
+    }
     if mode == "dense":
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label="deg-xchg")
     else:

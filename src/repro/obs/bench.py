@@ -104,8 +104,7 @@ class BenchRecord:
             bottleneck_volume=data.get("bottleneck_volume"),
             max_messages=data.get("max_messages"),
             peak_words=data.get("peak_words"),
-            # Legacy files (pre-rename) wrote "wall_time".
-            wall_seconds=data.get("wall_seconds", data.get("wall_time")),
+            wall_seconds=data.get("wall_seconds"),
             triangles=data.get("triangles"),
         )
 

@@ -1,11 +1,12 @@
 """Test helper: a pure-Python reference kernel backend.
 
-The numba wheel is optional, so CI cannot rely on it for cross-backend
-equivalence testing.  This module registers ``pymerge`` — per-pair
-Python merge loops, the textbook COMPACT-FORWARD intersection — which
-is slow but obviously correct and exercises exactly the contract a
-compiled backend must satisfy (including the (pair, ascending element)
-hit order).  Tests select it via ``use_backend("pymerge")``.
+The ``native`` backend needs cffi and a C compiler, so CI cannot rely on
+a second shipped backend for cross-backend equivalence testing.  This
+module registers ``pymerge`` — per-pair Python merge loops, the textbook
+COMPACT-FORWARD intersection — which is slow but obviously correct and
+exercises exactly the contract a compiled backend must satisfy
+(including the (pair, ascending element) hit order).  Tests select it
+via ``use_backend("pymerge")``.
 """
 
 import numpy as np

@@ -2,9 +2,8 @@
 
 The bit-identity contract pinned end to end:
 
-* **Kernel backends** (numpy, the reference ``pymerge`` merge loops,
-  the cffi/C ``native`` kernels and the tuner-driven ``auto`` selector,
-  plus numba when installed) must leave *every* simulated observable
+* **Kernel backends** (numpy, the reference ``pymerge`` merge loops
+  and the cffi/C ``native`` kernels) must leave *every* simulated observable
   unchanged — counts, clocks, message/word totals, per-PE counters —
   because the dispatcher (including the fused
   ``batch_intersect_count_elements`` entry the enumeration/LCC paths
@@ -17,14 +16,12 @@ The bit-identity contract pinned end to end:
   delivery interleavings shift the last few per-message α charges — a
   caveat documented in ``net/parallel.py`` since the backend landed.
 
-Matrix: 2 generators × 3 seeds, as required by ISSUE 9; backends that
-need an unavailable toolchain (numba wheel, C compiler) drop out of the
-matrix rather than failing it.
+Matrix: 2 generators × 3 seeds; ``native`` drops out of the matrix
+rather than failing it where cffi or a C compiler is missing.
 """
 
 import dataclasses
 import hashlib
-import importlib.util
 import os
 
 import numpy as np
@@ -53,17 +50,10 @@ CASES = [(g, s) for g in GENERATORS for s in SEEDS]
 
 
 def _backend_matrix():
-    """Every backend loadable in this environment, ``numpy`` first.
-
-    ``auto`` is always present (it delegates to loadable backends), so
-    the tuner-driven selection path is pinned even on numpy-only CI.
-    """
+    """Every backend loadable in this environment, ``numpy`` first."""
     names = ["numpy", register_pymerge()]
-    if importlib.util.find_spec("numba") is not None:
-        names.append("numba")
     if native_available():
         names.append("native")
-    names.append("auto")
     return names
 
 
@@ -154,6 +144,27 @@ def test_backends_bit_identical_on_lcc(gen_name):
         if baseline is None:
             baseline = observed
         assert observed == baseline, f"backend {name} diverged on LCC"
+
+
+@pytest.mark.parametrize("gen_name", list(GENERATORS))
+def test_backends_bit_identical_on_process_machine(gen_name):
+    """Every backend under ``ProcessMachine`` matches ``Machine`` + numpy
+    on counts, accounting and the enumeration sha (forked workers inherit
+    the selection)."""
+    dist = _dist(gen_name, SEEDS[0])
+    cfg = EngineConfig(contraction=True)
+
+    def observe(machine):
+        return (
+            _transport_observables(machine.run(counting_program, dist, cfg)),
+            _enum_sha(machine.run(enumerate_program, dist, EngineConfig())),
+        )
+
+    with use_backend("numpy"):
+        ref = observe(Machine(P))
+    for name in _backend_matrix():
+        with use_backend(name):
+            assert observe(ProcessMachine(P, start_method="fork")) == ref, name
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 The ``batch_intersect_*`` dispatcher owns validation, the side swap and
 the charged ops; a backend only produces counts / hit streams.  These
-tests pin the registry semantics (env/explicit selection, logged
-fallback to numpy, third-party registration) and the contract itself —
+tests pin the registry semantics (env/explicit selection, the
+native-if-loadable default, logged fallback to numpy, third-party
+registration) and the contract itself —
 every loadable backend must return byte-identical results on the same
 pre-conditioned inputs.
 """
 
-import importlib.util
 import logging
 import os
 
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from backend_utils import register_pymerge
 
-from repro.core import autotune, backends
+from repro.core import backends
 from repro.core.backends import (
     available_backends,
     backend_status,
@@ -33,7 +33,6 @@ from repro.core.intersect import (
 )
 from repro.core.native import native_available
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 HAVE_NATIVE = native_available()
 
 
@@ -65,22 +64,71 @@ def _random_batch(rng, k, bound, max_len):
 # ---------------------------------------------------------------------------
 
 
+def _unloadable(name, monkeypatch):
+    """Register ``name`` with a loader that raises ``ImportError``.
+
+    Returns the list the loader appends to on every call.
+    """
+    calls = []
+
+    def loader():
+        calls.append(1)
+        raise ImportError("toolchain missing")
+
+    monkeypatch.setitem(backends._LOADERS, name, loader)
+    monkeypatch.delitem(backends._BACKENDS, name, raising=False)
+    monkeypatch.setattr(backends, "_FAILED", {})  # the memoized failure dies with the test
+    monkeypatch.delenv(backends.ENV_FALLBACK_WARNED, raising=False)
+    return calls
+
+
 def test_registry_lists_shipped_backends():
     names = available_backends()
-    for shipped in ("numpy", "numba", "native", "auto"):
+    for shipped in ("numpy", "native"):
         assert shipped in names
     assert backend_status()["numpy"] == "ok"
 
 
-def test_default_backend_is_numpy():
-    assert get_backend().name == "numpy"
+@pytest.mark.skipif(not HAVE_NATIVE, reason="native backend unavailable")
+def test_default_backend_is_native_when_it_loads(monkeypatch):
+    monkeypatch.delenv(backends.ENV_BACKEND, raising=False)
+    assert get_backend().name == "native"
+
+
+def test_default_falls_back_to_numpy_silently(caplog, monkeypatch):
+    """An unloadable ``native`` default degrades without a warning."""
+    monkeypatch.delenv(backends.ENV_BACKEND, raising=False)
+    calls = _unloadable("native", monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="repro.kernels"):
+        assert get_backend().name == "numpy"
+        assert get_backend().name == "numpy"
+    assert not caplog.records
+    assert backends.ENV_FALLBACK_WARNED not in os.environ
+    assert len(calls) == 1, "a failed load must not be retried per dispatch"
+
+
+def test_explicit_selection_bypasses_default(monkeypatch):
+    """An explicit selection never loads ``native`` to find the default."""
+    calls = []
+    monkeypatch.setitem(
+        backends._LOADERS, "native", lambda: calls.append(1) or resolve_backend("numpy")
+    )
+    monkeypatch.delitem(backends._BACKENDS, "native", raising=False)
+    rng = np.random.default_rng(3)
+    a, ax, b, bx = _random_batch(rng, 10, 100, 8)
+    with use_backend("numpy"):
+        batch_intersect_count(a, ax, b, bx, 100)
+    monkeypatch.setenv(backends.ENV_BACKEND, "numpy")
+    batch_intersect_count(a, ax, b, bx, 100)
+    assert not calls
 
 
 def test_unknown_backend_raises():
+    default = get_backend().name
     with pytest.raises(KeyError, match="unknown kernel backend"):
         set_backend("no-such-backend")
     # and the selection was not clobbered by the failed attempt
-    assert get_backend().name == "numpy"
+    assert get_backend().name == default
 
 
 def test_env_selection(monkeypatch):
@@ -97,24 +145,26 @@ def test_explicit_selection_beats_env(monkeypatch):
 
 
 def test_use_backend_restores_previous():
+    default = get_backend().name
     name = register_pymerge()
     with use_backend(name):
         assert get_backend().name == name
-    assert get_backend().name == "numpy"
+    assert get_backend().name == default
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: fallback never triggers")
-def test_missing_numba_falls_back_with_logged_warning(caplog, monkeypatch):
-    backends._FAILED.pop("numba", None)  # warn-once: reset for this test
-    monkeypatch.delenv(backends.ENV_FALLBACK_WARNED, raising=False)
+def test_missing_backend_falls_back_with_logged_warning(caplog, monkeypatch):
+    name = "missing-accel"
+    _unloadable(name, monkeypatch)
     with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-        backend = resolve_backend("numba")
+        backend = resolve_backend(name)
+        assert resolve_backend(name).name == "numpy"
     assert backend.name == "numpy"
-    assert any("falling back to numpy" in r.message for r in caplog.records)
+    warnings = [r for r in caplog.records if "falling back to numpy" in r.message]
+    assert len(warnings) == 1, "warn-once violated"
     # the warning is recorded in the environment for child processes
-    assert "numba" in os.environ[backends.ENV_FALLBACK_WARNED].split(",")
+    assert name in os.environ[backends.ENV_FALLBACK_WARNED].split(",")
     # selecting it process-wide degrades the same way instead of raising
-    set_backend("numba")
+    set_backend(name)
     assert get_backend().name == "numpy"
 
 
@@ -155,8 +205,6 @@ def test_third_backend_registration_and_dispatch():
 
 def _loadable_backends():
     names = ["numpy", register_pymerge()]
-    if HAVE_NUMBA:
-        names.append("numba")
     if HAVE_NATIVE:
         names.append("native")
     return names
@@ -209,13 +257,6 @@ def test_empty_and_degenerate_batches_never_reach_backends():
             assert pair.size == 0 and elem.size == 0 and ops == 0
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba wheel not installed (numpy-only environment)"
-)
-def test_numba_backend_loads():
-    assert resolve_backend("numba").name == "numba"
-
-
 # ---------------------------------------------------------------------------
 # Fused count+elements dispatcher
 # ---------------------------------------------------------------------------
@@ -233,7 +274,7 @@ def test_fused_dispatcher_consistent_with_unfused(seed):
     a, ax, b, bx = _random_batch(rng, 40, 1000, 30)
     ref_cnt = batch_intersect_count(a, ax, b, bx, 1000)
     ref_pair, ref_elem, ref_ops = batch_intersect_elements(a, ax, b, bx, 1000)
-    for name in _loadable_backends() + ["auto"]:
+    for name in _loadable_backends():
         with use_backend(name):
             counts, pair, elem, ops = batch_intersect_count_elements(
                 a, ax, b, bx, 1000
@@ -264,86 +305,3 @@ def test_fused_dispatcher_side_swap_invariant():
     for got, ref in zip(rev, fwd):
         np.testing.assert_array_equal(got, ref)
 
-
-# ---------------------------------------------------------------------------
-# Auto backend / tuner
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def _tuner_cache(tmp_path, monkeypatch):
-    """Isolate the tuner cache file and in-process winners per test."""
-    path = tmp_path / "kernel_tuner.json"
-    monkeypatch.setenv(autotune.ENV_TUNER_CACHE, str(path))
-    autotune.invalidate()
-    yield path
-    autotune.invalidate()
-
-
-def test_classify_regime():
-    assert autotune.classify_regime(10, 20, 4) == "tiny"
-    assert autotune.classify_regime(100, 100_000, 64) == "skewed"
-    assert autotune.classify_regime(40_000, 50_000, 1000) == "balanced"
-
-
-def test_auto_backend_dispatches_and_persists(_tuner_cache):
-    rng = np.random.default_rng(11)
-    a, ax, b, bx = _random_batch(rng, 30, 500, 20)
-    ref = batch_intersect_count(a, ax, b, bx, 500)
-    assert not _tuner_cache.exists()
-    with use_backend("auto"):
-        got = batch_intersect_count(a, ax, b, bx, 500)
-    np.testing.assert_array_equal(got.counts, ref.counts)
-    assert got.ops == ref.ops
-    # first dispatch ran the one-shot tuner and persisted the winners
-    assert _tuner_cache.exists()
-    winners = autotune.cached_winners()
-    assert set(winners) == set(autotune.REGIMES)
-    # winners are concrete loadable backends, never "auto" itself
-    for winner in winners.values():
-        assert winner != "auto"
-        assert resolve_backend(winner).name == winner
-
-
-def test_tuner_cache_reused_not_retimed(_tuner_cache, monkeypatch):
-    _tuner_cache.write_text("")  # invalid json: ignored, then overwritten
-    autotune.load_or_tune()
-    stamp = _tuner_cache.read_text()
-    autotune.invalidate()  # new process simulation: file survives
-    calls = []
-    monkeypatch.setattr(
-        autotune, "tune", lambda *a, **k: calls.append(1) or {}
-    )
-    autotune.load_or_tune()
-    assert not calls, "cached winners must bypass the microbenchmark"
-    assert _tuner_cache.read_text() == stamp
-
-
-def test_tuner_cache_invalidated_by_key_change(_tuner_cache, monkeypatch):
-    autotune.load_or_tune()
-    assert autotune.cached_winners() is not None
-    # a different platform fingerprint must ignore the stale entry
-    monkeypatch.setattr(autotune, "cache_key", lambda: "other-platform")
-    assert autotune.cached_winners() is None
-
-
-def test_explicit_selection_bypasses_auto(_tuner_cache, monkeypatch):
-    """set_backend / env selection never consults the tuner."""
-    calls = []
-    monkeypatch.setattr(
-        autotune, "load_or_tune", lambda *a, **k: calls.append(1) or {}
-    )
-    rng = np.random.default_rng(3)
-    a, ax, b, bx = _random_batch(rng, 10, 100, 8)
-    with use_backend("numpy"):
-        batch_intersect_count(a, ax, b, bx, 100)
-    monkeypatch.setenv(backends.ENV_BACKEND, "numpy")
-    batch_intersect_count(a, ax, b, bx, 100)
-    assert not calls
-
-
-def test_tune_reports_concrete_winners(_tuner_cache):
-    winners = autotune.tune(repeats=1)
-    assert set(winners) == set(autotune.REGIMES)
-    for winner in winners.values():
-        assert winner in available_backends() and winner != "auto"

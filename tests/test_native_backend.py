@@ -244,8 +244,7 @@ def test_csr_count_rejects_out_of_range_blocks():
 
 
 def test_only_native_ships_the_in_place_kernel():
-    for name in ("numpy", "auto"):
-        assert resolve_backend(name).csr_count is None
+    assert resolve_backend("numpy").csr_count is None
 
 
 # ---------------------------------------------------------------------------

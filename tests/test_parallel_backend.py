@@ -165,13 +165,13 @@ def test_unavailable_backend_warns_once_across_workers(monkeypatch, capfd):
     from repro.core import backends
 
     monkeypatch.delenv(backends.ENV_FALLBACK_WARNED, raising=False)
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba-definitely-missing")
-    # an unloadable registered backend, mimicking numba-without-wheel
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "accel-definitely-missing")
+    # an unloadable registered backend, mimicking a missing toolchain
     backends.register_backend(
-        "numba-definitely-missing",
+        "accel-definitely-missing",
         lambda: (_ for _ in ()).throw(ImportError("wheel not installed")),
     )
-    backends._FAILED.pop("numba-definitely-missing", None)
+    backends._FAILED.pop("accel-definitely-missing", None)
     # warnings from worker processes land on stderr, not in caplog;
     # make the driver's logger emit there too so one capture sees both
     handler = logging.StreamHandler()
@@ -185,5 +185,5 @@ def test_unavailable_backend_warns_once_across_workers(monkeypatch, capfd):
         assert err.count("falling back to numpy") == 1
     finally:
         logging.getLogger("repro.kernels").removeHandler(handler)
-        backends._LOADERS.pop("numba-definitely-missing", None)
-        backends._FAILED.pop("numba-definitely-missing", None)
+        backends._LOADERS.pop("accel-definitely-missing", None)
+        backends._FAILED.pop("accel-definitely-missing", None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import preprocessing
+from repro.core import components, kcore, preprocessing
 from repro.core.orientation import orient_by_degree
 from repro.core.preprocessing import build_oriented, exchange_ghost_degrees
 from repro.graphs import distribute
@@ -33,15 +33,23 @@ def test_ghost_degrees_correct(mode, p, random_graph):
 def _reference_send_lists(lg):
     """The send lists as a lexicographic 2-D unique over (rank, v) pairs."""
     cut = lg.cut_edges()
-    payloads = {}
+    lists = {}
     if cut.size:
         tgt_ranks = lg.partition.rank_of(cut[:, 1])
         pairs = np.unique(np.column_stack([tgt_ranks, cut[:, 0]]), axis=0)
         for rank in np.unique(pairs[:, 0]):
-            ids = pairs[pairs[:, 0] == rank, 1]
-            degs = lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
-            payloads[int(rank)] = ((ids, degs), 2 * ids.size)
-    return payloads
+            lists[int(rank)] = pairs[pairs[:, 0] == rank, 1]
+    return lists
+
+
+def _reference_plan(ctx, lg):
+    """The 2-D unique send lists, charged one operation per cut arc."""
+    ctx.charge(lg.cut_edges().shape[0])
+    return list(_reference_send_lists(lg).items())
+
+
+def _degrees_of(lg, ids):
+    return lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
 
 
 SEND_LIST_GRAPHS = {
@@ -50,49 +58,66 @@ SEND_LIST_GRAPHS = {
     "star": lambda: gen.star(40),
 }
 
+#: mode -> (module whose exchange is spied, program arguments, values
+#: sent along the ids in the first exchange).  k-core sends its initial
+#: estimates (the degrees), components its initial labels (the ids).
+SEND_LIST_SITES = {
+    "dense": (preprocessing, (_exchange_prog, "dense"), _degrees_of),
+    "sparse": (preprocessing, (_exchange_prog, "sparse"), _degrees_of),
+    "kcore": (kcore, (kcore.kcore_program,), _degrees_of),
+    "components": (components, (components.components_program,), lambda lg, ids: ids),
+}
 
-@pytest.mark.parametrize("mode", ["dense", "sparse"])
+
+@pytest.mark.parametrize("mode", ["dense", "sparse", "kcore", "components"])
 @pytest.mark.parametrize("p", [1, 3, 16, "n+3"])
 @pytest.mark.parametrize("graph", sorted(SEND_LIST_GRAPHS))
 def test_send_lists_match_unique_reference(graph, p, mode, monkeypatch):
-    """Per-rank payloads equal the 2-D unique formulation: same ranks in
-    the same order, same ids/degree arrays and dtypes, same words."""
+    """Per-rank payloads of the first exchange equal the 2-D unique
+    formulation: same ranks in the same order, same ids/value arrays and
+    dtypes, same words; and the run's simulated metrics (time, ops,
+    messages, words) equal a run on the 2-D unique send lists."""
     g = SEND_LIST_GRAPHS[graph]()
     if p == "n+3":  # more PEs than vertices: some PEs own nothing
         p = g.num_vertices + 3
     dist = distribute(g, num_pes=p)
+    module, (program, *args), values_of = SEND_LIST_SITES[mode]
+    with monkeypatch.context() as m:
+        m.setattr(module, "ghost_send_lists", _reference_plan)
+        expected = Machine(p).run(program, dist, *args).metrics.summary()
     sent = {}
 
     def spy(original, to_dict):
         def wrapper(ctx, payloads, **kwargs):
-            sent[ctx.rank] = to_dict(payloads)
+            sent.setdefault(ctx.rank, to_dict(payloads))
             return (yield from original(ctx, payloads, **kwargs))
 
         return wrapper
 
-    monkeypatch.setattr(
-        preprocessing, "alltoallv_dense", spy(preprocessing.alltoallv_dense, dict)
-    )
-    monkeypatch.setattr(
-        preprocessing,
-        "sparse_alltoall",
-        spy(preprocessing.sparse_alltoall, lambda triples: {d: (pl, w) for d, pl, w in triples}),
-    )
-    res = Machine(p).run(_exchange_prog, dist, mode)
+    monkeypatch.setattr(module, "alltoallv_dense", spy(module.alltoallv_dense, dict))
+    if module is preprocessing:
+        monkeypatch.setattr(
+            preprocessing,
+            "sparse_alltoall",
+            spy(preprocessing.sparse_alltoall, lambda triples: {d: (pl, w) for d, pl, w in triples}),
+        )
+    res = Machine(p).run(program, dist, *args)
+    assert res.metrics.summary() == expected
     assert sorted(sent) == list(range(p))
-    for rank, degs in enumerate(res.values):
+    for rank, out in enumerate(res.values):
         lg = dist.view(rank)
         ref = _reference_send_lists(lg)
         got = sent[rank]
         assert list(got) == list(ref), rank
-        for dest, ((ids, ds), words) in ref.items():
-            (got_ids, got_ds), got_words = got[dest]
-            assert got_words == words
-            for a, b in ((got_ids, ids), (got_ds, ds)):
+        for dest, ids in ref.items():
+            (got_ids, got_vals), got_words = got[dest]
+            assert got_words == 2 * ids.size
+            for a, b in ((got_ids, ids), (got_vals, values_of(lg, ids))):
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
-        assert np.array_equal(lg.ghost_degrees, g.degrees[lg.ghost_vertices])
-        assert lg.ghost_degrees is degs
+        if module is preprocessing:
+            assert np.array_equal(lg.ghost_degrees, g.degrees[lg.ghost_vertices])
+            assert lg.ghost_degrees is out
 
 
 def test_exchange_rejects_bad_mode():
