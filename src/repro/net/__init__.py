@@ -21,7 +21,7 @@
   pickling (``REPRO_SHM_FRAMES``, see ``docs/PERFORMANCE.md``).
 """
 
-from .aggregation import BufferedMessageQueue, unpack_records
+from .aggregation import BufferedMessageQueue
 from .frames import (
     ForwardFrame,
     FrameBuilder,
@@ -86,7 +86,6 @@ __all__ = [
     "FrameBuilder",
     "merge_frames",
     "flatten_records",
-    "unpack_records",
     "allreduce",
     "alltoallv_dense",
     "barrier",

@@ -27,8 +27,9 @@ Wire format
 Buffered :class:`~repro.net.frames.Record` posts are packed into one
 :class:`~repro.net.frames.RecordFrame` per destination at flush time,
 and the vectorized :meth:`BufferedMessageQueue.post_many` appends whole
-array chunks without ever materializing per-record objects.  Flush
-boundaries are computed from the per-record cumulative word counts, so
+array slices without ever materializing per-record objects.  It plans
+all flush points of a call from the per-record cumulative word counts,
+then sorts and gathers the batch once by (segment, destination), so
 message counts, sizes, and the buffer high-water mark are bit-identical
 to posting the same records one at a time (see ``docs/PERFORMANCE.md``).
 Opaque payloads with a ``words`` attribute (``AmqRecord``,
@@ -51,9 +52,9 @@ from .frames import (
     merge_frames,
 )
 from .machine import PEContext
-from .messages import Message, Tag
+from .messages import Tag
 
-__all__ = ["Record", "RecordFrame", "BufferedMessageQueue", "unpack_records"]
+__all__ = ["Record", "RecordFrame", "BufferedMessageQueue"]
 
 
 def _all_frameable(parts) -> bool:
@@ -147,10 +148,10 @@ class BufferedMessageQueue:
         Equivalent to posting the records one at a time in batch order —
         same flush boundaries, per-destination record order, buffer
         high-water marks, and wire words — without a Python loop over
-        records.  Flush boundaries are found by ``searchsorted`` on the
-        cumulative word counts; each threshold-crossing record closes a
-        segment whose per-destination slices are appended to the frame
-        builders in one gather.
+        records.  Flush points are found by ``searchsorted`` on the
+        cumulative word counts (each threshold-crossing record closes a
+        segment); one stable sort by (segment, destination) and one
+        gather then make every group a slice appended to its builder.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         k = int(dest_ranks.size)
@@ -184,64 +185,47 @@ class BufferedMessageQueue:
         if final_dests is not None:
             rw = rw + 1  # ForwardRecord routing word
         cw = np.cumsum(rw)
-        fd = final_dests[ridx] if final_dests is not None else None
 
-        start = 0
-        prev = 0  # cumulative words consumed by earlier segments
-        base = self._total_words
-        while start < n:
-            # First record whose cumulative total strictly exceeds the
-            # threshold closes the segment (the legacy per-post rule).
-            end = int(np.searchsorted(cw, self.threshold_words - base + prev, "right"))
-            crosses = end < n
-            stop = end + 1 if crosses else n
-            self._append_segment(frame, ridx[start:stop], dests[start:stop],
-                                 rw[start:stop], fd[start:stop] if fd is not None else None)
-            self._total_words = base + int(cw[stop - 1]) - prev
-            # Running totals rise monotonically within a segment, so one
-            # high-water sample at the segment end equals per-post sampling.
-            self.ctx.metrics.note_buffer(self._total_words)
-            if not crosses:
-                break
-            self.flush()
-            base = 0
-            prev = int(cw[end])
-            start = stop
+        # Plan the flush points: the first record whose cumulative total
+        # strictly exceeds the threshold closes a segment (the legacy
+        # per-post rule), and the buffer restarts empty after it.
+        stops: list[int] = []
+        base, prev = self._total_words, 0
+        while (end := int(np.searchsorted(cw, self.threshold_words - base + prev, "right"))) < n:
+            stops.append(end + 1)
+            base, prev = 0, int(cw[end])
 
-    def _append_segment(self, frame, idx, dests, rw, fd) -> None:
-        """Append one flush segment's records to per-destination builders."""
-        order = np.argsort(dests, kind="stable")
-        sub = frame.select(idx[order])
-        d_sorted = dests[order]
-        rw_sorted = rw[order]
-        fd_sorted = fd[order] if fd is not None else None
+        # One stable sort by (segment, dest) and one gather make every
+        # (segment, dest) group a contiguous slice in batch order.
+        seg = np.searchsorted(np.asarray(stops, dtype=np.int64), np.arange(n), "right")
+        key = seg * self.ctx.num_pes + dests
+        order = np.argsort(key, kind="stable")
+        sub = frame.select(ridx[order])
+        fd = final_dests[ridx[order]] if final_dests is not None else None
         sizes = np.diff(sub.xadj)
-        bounds = np.flatnonzero(np.diff(d_sorted)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [d_sorted.size]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            dest = int(d_sorted[s])
-            builder = self._builders.setdefault(dest, FrameBuilder())
-            builder.append_chunk(
-                sub.vertices[s:e],
-                sub.targets[s:e],
-                sizes[s:e],
-                sub.neighbors[int(sub.xadj[s]) : int(sub.xadj[e])],
-                final_dests=fd_sorted[s:e] if fd_sorted is not None else None,
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(key[order])) + 1, [n]))
+        group_dests = dests[order][starts[:-1]].tolist()
+        group_words = np.add.reduceat(rw[order], starts[:-1]).tolist()
+        offsets = sub.xadj[starts].tolist()
+        starts = starts.tolist()
+        flush_after = set(stops)
+        for g, (dest, words) in enumerate(zip(group_dests, group_words)):
+            lo, hi = starts[g], starts[g + 1]
+            self._builders.setdefault(dest, FrameBuilder()).append_chunk(
+                sub.vertices[lo:hi],
+                sub.targets[lo:hi],
+                sizes[lo:hi],
+                sub.neighbors[offsets[g] : offsets[g + 1]],
+                final_dests=fd[lo:hi] if fd is not None else None,
             )
-            self._buffer_words[dest] = self._buffer_words.get(dest, 0) + int(
-                rw_sorted[s:e].sum()
-            )
-
-    def post_items(self, dest_ranks, records) -> None:
-        """Post pre-built record objects, one per destination entry.
-
-        Convenience for callers whose payloads are opaque objects
-        (e.g. ``AmqRecord``) that cannot be framed; plain
-        :class:`Record` batches should use :meth:`post_many`.
-        """
-        for dest, record in zip(dest_ranks, records):
-            self.post(int(dest), record)
+            self._buffer_words[dest] = self._buffer_words.get(dest, 0) + words
+            self._total_words += words
+            if hi in flush_after:
+                # Running totals rise monotonically within a segment, so
+                # one high-water sample at its end equals per-post sampling.
+                self.ctx.metrics.note_buffer(self._total_words)
+                self.flush()
+        self.ctx.metrics.note_buffer(self._total_words)
 
     def flush(self) -> None:
         """Send every non-empty buffer as one aggregated message.
@@ -300,11 +284,3 @@ class BufferedMessageQueue:
             return merge_frames(parts)
         return flatten_records(parts)
 
-
-def unpack_records(messages: list[Message]) -> list:
-    """Flatten aggregated messages back into their records.
-
-    Frames are expanded into their constituent :class:`Record` objects;
-    opaque payloads are passed through unchanged.
-    """
-    return flatten_records([msg.payload for msg in messages])

@@ -214,17 +214,18 @@ class ForwardFrame:
         return self.frame.words + int(self.final_dests.size)
 
 
-def merge_frames(parts: Iterable) -> RecordFrame:
+def merge_frames(parts: Iterable) -> RecordFrame | ForwardFrame:
     """Concatenate frames and records (in order) into one frame.
 
     Accepts any mix of :class:`RecordFrame`, :class:`Record`, and
     (nested) lists of either — the payload shapes the aggregation queue
     produces — and returns a single frame covering every record in
-    encounter order.
+    encounter order.  Grid row-hop :class:`ForwardFrame` parts merge
+    into one ``ForwardFrame`` and must not be mixed with plain parts.
     """
     builder = FrameBuilder()
     for part in _iter_parts(parts):
-        if isinstance(part, RecordFrame):
+        if isinstance(part, (RecordFrame, ForwardFrame)):
             builder.append_frame(part)
         else:
             builder.append_record(part)
@@ -305,10 +306,17 @@ class FrameBuilder:
             raise ValueError("cannot mix forward and plain chunks")
         self._num_records += int(vertices.size)
 
-    def append_frame(self, frame: RecordFrame) -> None:
-        """Append all records of an existing frame."""
+    def append_frame(self, frame: RecordFrame | ForwardFrame) -> None:
+        """Append all records of an existing frame (with its routing words)."""
+        final_dests = None
+        if isinstance(frame, ForwardFrame):
+            frame, final_dests = frame.frame, frame.final_dests
         self.append_chunk(
-            frame.vertices, frame.targets, np.diff(frame.xadj), frame.neighbors
+            frame.vertices,
+            frame.targets,
+            np.diff(frame.xadj),
+            frame.neighbors,
+            final_dests=final_dests,
         )
 
     def append_record(self, record: Record) -> None:

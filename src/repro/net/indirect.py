@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Generator
 
 import numpy as np
 
 from .aggregation import BufferedMessageQueue, Record
-from .frames import ForwardFrame, RecordFrame
+from .frames import ForwardFrame, RecordFrame, merge_frames
 from .machine import PEContext
 from .messages import Tag
 
@@ -200,45 +201,56 @@ class GridRouter:
                 final_dests=dest_ranks[idx],
             )
 
-    def post_items(self, dest_ranks, records) -> None:
-        """Route pre-built record objects, one per destination entry."""
-        for dest, record in zip(dest_ranks, records):
-            self.post(int(dest), record)
-
     def _repost(self, fwd: ForwardFrame) -> None:
         """Proxy step: re-post a forwarded frame toward final destinations."""
-        final = fwd.final_dests
-        mine = np.flatnonzero(final == self.ctx.rank)
-        if mine.size:
+        final, frame = fwd.final_dests, fwd.frame
+        mine = final == self.ctx.rank
+        if mine.any():
             # Already at the destination: hand back locally at zero
             # wire cost (the frame analogue of appending fwd.record).
-            self._col_queue._local.append(fwd.frame.select(mine))
-        rest = np.flatnonzero(final != self.ctx.rank)
-        if rest.size:
-            sub = fwd.frame.select(rest)
-            self._col_queue.post_many(
-                final[rest], sub.vertices, sub.targets, sub.xadj, sub.neighbors
-            )
+            self._col_queue._local.append(frame.select(np.flatnonzero(mine)))
+            rest = np.flatnonzero(~mine)
+            final, frame = final[rest], frame.select(rest)
+        self._col_queue.post_many(
+            final, frame.vertices, frame.targets, frame.xadj, frame.neighbors
+        )
+
+    def _forward(self, received: RecordFrame | list) -> None:
+        """Proxy step: re-post every row-hop payload toward its destination.
+
+        Each maximal run of consecutive :class:`ForwardFrame` payloads
+        is concatenated and re-posted with one ``post_many``.  No yield
+        separates the re-posts and ``post_many`` equals posting its
+        records one at a time, so this is exact.
+        """
+        batches: list = []
+        for is_frame, run in groupby(
+            received, key=lambda part: isinstance(part, ForwardFrame)
+        ):
+            batches.extend([merge_frames(run)] if is_frame else run)
+        if isinstance(received, list):  # a RecordFrame holds no forwards
+            received.clear()  # only the concatenations stay live from here
+        for fwd in batches:
+            if isinstance(fwd, ForwardFrame):
+                self._repost(fwd)
+            elif isinstance(fwd, ForwardRecord):
+                if fwd.final_dest == self.ctx.rank:
+                    self._col_queue._local.append(fwd.record)
+                else:
+                    self._col_queue.post(fwd.final_dest, fwd.record)
+            else:
+                raise TypeError("row hop must carry ForwardRecord")
 
     def finalize(self) -> Generator[None, None, RecordFrame | list]:
         """Flush, forward at proxies, and return records for this PE.
 
         Collective.  Two aggregation rounds: row flush + barrier, then
         each PE re-posts the row records it proxied to their final
-        destinations, column flush + barrier, and a final drain.
+        destinations in one batch per run of received frames (see
+        :meth:`_forward`), column flush + barrier, and a final drain.
         """
         with self.ctx.span("grid-row-hop"):
-            row_records = yield from self._row_queue.finalize()
-            for fwd in row_records:
-                if isinstance(fwd, ForwardFrame):
-                    self._repost(fwd)
-                elif isinstance(fwd, ForwardRecord):
-                    if fwd.final_dest == self.ctx.rank:
-                        self._col_queue._local.append(fwd.record)
-                    else:
-                        self._col_queue.post(fwd.final_dest, fwd.record)
-                else:
-                    raise TypeError("row hop must carry ForwardRecord")
+            self._forward((yield from self._row_queue.finalize()))
         with self.ctx.span("grid-col-hop"):
             records = yield from self._col_queue.finalize()
         return records

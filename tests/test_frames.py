@@ -8,12 +8,15 @@ kernel totals — on the simulated :class:`Machine` and on the real
 process backend :class:`ProcessMachine`.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.net import (
     HEADER_WORDS,
     BufferedMessageQueue,
+    GridRouter,
     Machine,
     Record,
     RecordFrame,
@@ -125,21 +128,51 @@ def test_builder_matches_from_records():
 THRESHOLDS = [0, 25, 10_000]
 
 
-def exchange_program(ctx, seed, threshold, mode, n=60):
-    """Post a pseudo-random batch, legacy- or frame-style, and drain."""
-    rng = np.random.default_rng(seed * 1000 + ctx.rank)
-    dests, vertices, targets, xadj, neighbors = _random_batch(
-        rng, ctx.num_pes, n
-    )
-    q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
+def _post_batch(queue, mode, calls, dests, vertices, targets, xadj, neighbors):
+    """Post a batch via ``calls`` consecutive ``post_many`` calls or per record.
+
+    Splitting the batch makes later calls start with records carried
+    over in the builders from earlier ones.
+    """
     if mode == "frames":
-        q.post_many(dests, vertices, targets, xadj, neighbors)
+        cuts = np.linspace(0, dests.size, calls + 1).astype(np.int64)
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            queue.post_many(
+                dests[lo:hi],
+                vertices[lo:hi],
+                targets[lo:hi],
+                xadj[lo : hi + 1] - xadj[lo],
+                neighbors[xadj[lo] : xadj[hi]],
+            )
     else:
         for dest, rec in _records_of(dests, vertices, targets, xadj, neighbors):
-            q.post(dest, rec)
+            queue.post(dest, rec)
+
+
+def exchange_program(ctx, seed, threshold, mode, n=60, calls=1):
+    """Post a pseudo-random batch, legacy- or frame-style, and drain."""
+    rng = np.random.default_rng(seed * 1000 + ctx.rank)
+    batch = _random_batch(rng, ctx.num_pes, n)
+    q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
+    _post_batch(q, mode, calls, *batch)
     flushes = q.flushes
     received = yield from q.finalize()
     return (flushes, _canon(received), q.records_posted)
+
+
+def grid_exchange_program(ctx, seed, threshold, mode, n=60, calls=1):
+    """The same exchange routed through the two-hop grid router."""
+    rng = np.random.default_rng(seed * 1000 + ctx.rank)
+    batch = _random_batch(rng, ctx.num_pes, n)
+    router = GridRouter(ctx, "t", threshold_words=threshold)
+    _post_batch(router, mode, calls, *batch)
+    received = yield from router.finalize()
+    return (
+        router._row_queue.flushes,
+        router._col_queue.flushes,
+        _canon(received),
+        router.records_posted,
+    )
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)
@@ -156,6 +189,44 @@ def test_machine_frame_path_is_bit_identical_to_legacy(seed, threshold):
         assert fm.messages_sent == lm.messages_sent
         assert fm.peak_buffer_words == lm.peak_buffer_words
     assert frames.time == legacy.time
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_machine_multi_call_frame_path_is_bit_identical_to_legacy(seed, threshold):
+    legacy = Machine(5).run(exchange_program, seed, threshold, "legacy")
+    frames = Machine(5).run(exchange_program, seed, threshold, "frames", 60, 3)
+    assert frames.values == legacy.values
+    for fm, lm in zip(frames.metrics.per_pe, legacy.metrics.per_pe):
+        assert fm.words_sent == lm.words_sent
+        assert fm.messages_sent == lm.messages_sent
+        assert fm.peak_buffer_words == lm.peak_buffer_words
+        assert fm.clock == lm.clock
+    assert frames.time == legacy.time
+
+
+@pytest.mark.parametrize("calls", [1, 3])
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("p", [2, 5, 7, 16, 23])
+def test_grid_router_frame_path_matches_legacy(p, seed, threshold, calls):
+    legacy = Machine(p).run(grid_exchange_program, seed, threshold, "legacy")
+    frames = Machine(p).run(
+        grid_exchange_program, seed, threshold, "frames", 60, calls
+    )
+    # Same received contents in the same order, same row and column
+    # flush counts, same per-record bookkeeping.
+    assert frames.values == legacy.values
+    for fm, lm in zip(frames.metrics.per_pe, legacy.metrics.per_pe):
+        assert fm.words_sent == lm.words_sent
+        assert fm.messages_sent == lm.messages_sent
+        assert fm.peak_buffer_words == lm.peak_buffer_words
+        # The frame path sends all direct column-queue flushes of a
+        # batch before its row-queue flushes, where per-record posting
+        # interleaves them; the same send charges are then summed in a
+        # different order, which can move a clock by its last ulp.
+        assert math.isclose(fm.clock, lm.clock, rel_tol=1e-12)
+    assert math.isclose(frames.time, legacy.time, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -258,3 +329,18 @@ def test_process_machine_frame_path_matches_legacy_words():
     for lm, fm in zip(legacy.metrics.per_pe, frames.metrics.per_pe):
         assert lm.words_sent == fm.words_sent
         assert lm.messages_sent == fm.messages_sent
+
+
+def test_process_machine_grid_router_matches_simulator():
+    # Row frames above the pool's size floor travel through shared
+    # memory, so the proxies merge read-only shm-backed frames.
+    sim = Machine(5).run(grid_exchange_program, 6, 10_000, "frames", 80, 3)
+    par = ProcessMachine(5).run(grid_exchange_program, 6, 10_000, "frames", 80, 3)
+    assert sum(pm.shm_frames for pm in par.metrics.per_pe) > 0
+    for (sr, scol, sc, sp), (pr, pcol, pc, pp) in zip(sim.values, par.values):
+        assert (sr, scol, sp) == (pr, pcol, pp)
+        assert sorted(sc) == sorted(pc)
+    for sm, pm in zip(sim.metrics.per_pe, par.metrics.per_pe):
+        assert sm.words_sent == pm.words_sent
+        assert sm.messages_sent == pm.messages_sent
+        assert sm.peak_buffer_words == pm.peak_buffer_words

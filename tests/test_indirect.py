@@ -1,10 +1,13 @@
 """Tests for grid-based indirect message delivery (Section IV-B)."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from repro.analysis.runner import run_algorithm
+from repro.graphs import generators as gen
 from repro.net import Grid, GridRouter, Machine, Record
 from repro.net.indirect import ForwardRecord
 
@@ -168,3 +171,57 @@ def test_router_records_posted_counter():
 
     res = Machine(4).run(prog)
     assert all(isinstance(v, int) for v in res.values)
+
+
+# ---------------------------------------------------------------- golden
+#: sha256 of every aggregated engine run below, per algorithm, frozen
+#: while proxies still re-posted row-hop frames one at a time and
+#: ``post_many`` gathered each flush segment separately: counts,
+#: simulated makespan and the per-PE clocks, words, messages, charged
+#: ops and buffer high-water marks.  Any change to flush boundaries,
+#: forwarding order or charging moves these digests.
+GOLDEN_FINGERPRINTS = {
+    "naive-aggregated": (
+        "afa50734ca013cd0b14ad2a8ea0f35ae"
+        "58566f07d372ef96c67dd88794e29dd9"
+    ),
+    "ditric": (
+        "3d39413e69fcb2c61b75b4fc72904c8c"
+        "3889bac4eb106cc2cf61b231b9449c2b"
+    ),
+    "ditric2": (
+        "57a07ab36b7c43dcdc998a78d3bee4de"
+        "ec14fcedf4650fccc32e480934fcf5ca"
+    ),
+    "cetric": (
+        "36509b3b6b815e8f6880b72c3d5f38d0"
+        "e50c98c985656a980fe05d157e9416e8"
+    ),
+    "cetric2": (
+        "c77654266dde0efacff3cc3a257af001"
+        "b25b8e6cbde941cbd5748e818ad29d29"
+    ),
+}
+
+FINGERPRINT_PES = (7, 16, 64)
+#: 0 clamps delta to 16 words, so segments flush mid-batch.
+FINGERPRINT_FACTORS = (0.0, 0.05, 1.0)
+
+
+@pytest.mark.parametrize("algorithm", list(GOLDEN_FINGERPRINTS))
+def test_aggregated_runs_match_golden_fingerprint(algorithm):
+    h = hashlib.sha256()
+    for graph in (gen.gnm(160, 720, seed=3), gen.rmat(7, 6, seed=5)):
+        for p in FINGERPRINT_PES:
+            for factor in FINGERPRINT_FACTORS:
+                res = run_algorithm(
+                    graph, algorithm, p,
+                    config_overrides={"threshold_factor": factor},
+                )
+                h.update(f"{res.triangles}|{res.time.hex()}\n".encode())
+                for pe in res.metrics.per_pe:
+                    h.update(
+                        f"{pe.clock.hex()}|{pe.words_sent}|{pe.messages_sent}"
+                        f"|{pe.local_ops}|{pe.peak_buffer_words}\n".encode()
+                    )
+    assert h.hexdigest() == GOLDEN_FINGERPRINTS[algorithm]

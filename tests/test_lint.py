@@ -346,10 +346,10 @@ def prog(ctx):
     yield
 """
     assert lint_source(amq) == []
-    # The net-layer post_items fan-out helper never touches ctx, so it
-    # is outside SPMD scope and R7 does not apply.
+    # A fan-out helper that never touches ctx is outside SPMD scope
+    # and R7 does not apply.
     helper = """
-def post_items(self, dest_ranks, records):
+def post_all(self, dest_ranks, records):
     for dest, record in zip(dest_ranks.tolist(), records):
         self.post(int(dest), record)
 """

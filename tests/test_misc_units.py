@@ -114,17 +114,14 @@ def test_record_is_frozen():
         r.vertex = 2  # type: ignore[misc]
 
 
-def test_unpack_records_mixed_payloads():
-    from repro.net import Message, Record, unpack_records
+def test_flatten_records_mixed_payloads():
+    from repro.net import Record, RecordFrame, flatten_records
 
     single = Record(1, np.arange(2))
     batch = [Record(2, np.arange(1)), Record(3, np.arange(0))]
-    msgs = [
-        Message(0, 1, "t", single, single.words, 0.0),
-        Message(0, 1, "t", batch, sum(r.words for r in batch), 0.0),
-    ]
-    out = unpack_records(msgs)
-    assert [r.vertex for r in out] == [1, 2, 3]
+    frame = RecordFrame.from_records([Record(4, np.arange(3))])
+    out = flatten_records([single, batch, frame])
+    assert [r.vertex for r in out] == [1, 2, 3, 4]
 
 
 # ------------------------------------------------------ error branches
