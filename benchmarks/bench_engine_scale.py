@@ -1,23 +1,21 @@
 """Event-engine scaling: idle PEs must cost (almost) nothing.
 
-The round-robin scheduler polls every live PE once per round, so a
+A polling scheduler resumes every live PE once per round, so a
 mostly-idle machine — two PEs exchanging messages while thousands wait
-in a collective — pays O(rounds * p) generator resumptions.  The event
-engine parks blocked PEs on the tag they wait for and resumes them only
-on delivery, so the same run costs O(rounds + p).
+in a collective — would pay O(rounds * p) generator resumptions.  The
+event engine parks blocked PEs on the tag they wait for and resumes
+them only on delivery, so the same run costs O(rounds + p).
 
 The toy instance makes the gap extreme on purpose: ranks 0 and 1
 ping-pong ``ROUNDS`` messages on per-round tags while every other PE
 sits blocked in a binomial broadcast from rank 0, which only completes
-after the ping-pong.  Both schedulers simulate the identical program on
-the identical alpha-beta network, so modelled results must agree
-exactly while wall time diverges.
+after the ping-pong.
 
-Asserted:
+Asserted (all exact and deterministic — no wall-clock gate):
 
-* event and round-robin schedulers agree exactly (simulated time,
-  events, per-PE clocks) at every p — scale changes speed, not results;
-* at p = 4096 the event engine is >= 10x faster wall-clock;
+* engine resumptions and simulated time equal their golden values at
+  every p, frozen when a strict round-robin loop still ran next to the
+  engine and agreed with it bit for bit;
 * engine resumptions grow sub-linearly in idle PEs: the marginal cost
   of an extra parked PE is a small constant (its broadcast hops), not
   a per-round poll.
@@ -34,8 +32,14 @@ from repro.net.comm import bcast
 
 PE_COUNTS = (256, 1024, 4096)
 ROUNDS = 2000
-SPEEDUP_FLOOR = 10.0
-SPEEDUP_AT_P = 4096
+#: Golden engine resumptions per p.
+GOLDEN_STEPS = {256: 4510, 1024: 6046, 4096: 12190}
+#: Golden simulated makespan per p (``float.hex``).
+GOLDEN_TIME = {
+    256: "0x1.06c09979c250bp-6",
+    1024: "0x1.06e22a28b3b8bp-6",
+    4096: "0x1.0703bad7a520bp-6",
+}
 #: Ceiling on marginal engine resumptions per additional idle PE.  A
 #: parked PE costs its broadcast participation (recv park + resume +
 #: child sends) — a handful of steps, independent of ROUNDS.
@@ -56,31 +60,20 @@ def _ping_pong_fleet(ctx, rounds):
     return result
 
 
-def _run(p, scheduler):
-    machine = Machine(p, scheduler=scheduler, protocol_check=False)
-    t0 = time.perf_counter()
-    result = machine.run(_ping_pong_fleet, ROUNDS)
-    wall = time.perf_counter() - t0
-    return result, wall
-
-
 def _experiment():
     rows = []
     for p in PE_COUNTS:
-        ev, ev_wall = _run(p, "event")
-        rr, rr_wall = _run(p, "round-robin")
+        machine = Machine(p, protocol_check=False)
+        t0 = time.perf_counter()
+        res = machine.run(_ping_pong_fleet, ROUNDS)
+        wall = time.perf_counter() - t0
         rows.append(
             {
                 "p": p,
-                "event wall s": ev_wall,
-                "round-robin wall s": rr_wall,
-                "speedup": rr_wall / ev_wall,
-                "engine steps": ev.engine.steps,
-                "steps/PE": ev.engine.steps / p,
-                "simulated time": ev.time,
-                "times equal": ev.time == rr.time and ev.events == rr.events,
-                "clocks equal": [m.clock for m in ev.metrics.per_pe]
-                == [m.clock for m in rr.metrics.per_pe],
+                "wall s": wall,
+                "engine steps": res.engine.steps,
+                "steps/PE": res.engine.steps / p,
+                "simulated time": res.time,
             }
         )
     return rows
@@ -89,50 +82,27 @@ def _experiment():
 def test_engine_scale_idle_pes_are_cheap(benchmark, results_dir):
     rows = run_once(benchmark, _experiment)
     text = format_table(
-        rows,
-        [
-            "p",
-            "event wall s",
-            "round-robin wall s",
-            "speedup",
-            "engine steps",
-            "steps/PE",
-            "simulated time",
-        ],
+        rows, ["p", "wall s", "engine steps", "steps/PE", "simulated time"]
     )
     save_artifact(results_dir, "engine_scale.txt", text)
     for row in rows:
         harness.emit(
             "engine_scale",
             simulated_time=row["simulated time"],
-            wall_seconds=row["event wall s"],
+            wall_seconds=row["wall s"],
             p=row["p"],
-            scheduler="event",
-            rounds=ROUNDS,
-        )
-        harness.emit(
-            "engine_scale",
-            simulated_time=row["simulated time"],
-            wall_seconds=row["round-robin wall s"],
-            p=row["p"],
-            scheduler="round-robin",
             rounds=ROUNDS,
         )
 
-    # Scale must change speed only — modelled results stay bit-identical.
     for row in rows:
-        assert row["times equal"], f"schedulers diverged at p={row['p']}"
-        assert row["clocks equal"], f"per-PE clocks diverged at p={row['p']}"
-
-    by_p = {row["p"]: row for row in rows}
-    big = by_p[SPEEDUP_AT_P]
-    assert big["speedup"] >= SPEEDUP_FLOOR, (
-        f"event engine only {big['speedup']:.1f}x faster than round-robin "
-        f"at p={SPEEDUP_AT_P} (floor {SPEEDUP_FLOOR:.0f}x)"
-    )
+        p = row["p"]
+        assert row["engine steps"] == GOLDEN_STEPS[p], f"engine steps moved at p={p}"
+        assert row["simulated time"].hex() == GOLDEN_TIME[p], (
+            f"simulated time moved at p={p}"
+        )
 
     # Marginal resumptions per extra idle PE: a constant, not ~ROUNDS.
-    lo, hi = by_p[PE_COUNTS[0]], by_p[PE_COUNTS[-1]]
+    lo, hi = rows[0], rows[-1]
     marginal = (hi["engine steps"] - lo["engine steps"]) / (hi["p"] - lo["p"])
     assert marginal <= MARGINAL_STEPS_CEILING, (
         f"{marginal:.1f} engine steps per additional idle PE — idle PEs "

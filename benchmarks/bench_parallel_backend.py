@@ -4,8 +4,8 @@ Not a paper figure — engineering benchmarks for this repository's
 execution backends and transports.
 
 ``test_backend_agreement`` measures actual wall time of the same
-CETRIC program on the deterministic simulator (single process,
-round-robin) and on the process-parallel backend (one OS process per
+CETRIC program on the deterministic simulator (single process, event
+engine) and on the process-parallel backend (one OS process per
 PE), and verifies the two agree on every application-level metric.
 The parallel backend's purpose is fidelity (real messages between
 real processes); at these graph sizes Python process startup dominates

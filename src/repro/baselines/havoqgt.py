@@ -123,7 +123,7 @@ def havoqgt_program(
     lg = dist.view(ctx.rank)
     bound = dist.num_vertices + 1
 
-    with ctx.phase("preprocessing"):
+    with ctx.span("preprocessing"):
         yield from exchange_ghost_degrees(ctx, lg, mode="dense")
         og = build_oriented(ctx, lg, with_ghosts=False)
         # Ingestion + delegate partitioning of hub neighborhoods:
@@ -149,7 +149,7 @@ def havoqgt_program(
     count = 0
     outgoing: dict[int, list[np.ndarray]] = {}
 
-    with ctx.phase("count"):
+    with ctx.span("count"):
         # Generate wedges in bounded chunks of arcs.
         for sl in chunked(og.oadjncy.size, 1 << 16):
             u, w = _wedge_pairs(og.oxadj, og.oadjncy, sl)

@@ -76,11 +76,11 @@ def tric_program(
     vlo, vhi = lg.vlo, lg.vhi
     bound = dist.num_vertices + 1
 
-    with ctx.phase("preprocessing"):
+    with ctx.span("preprocessing"):
         oxadj, oadjncy = _id_oriented(lg)
         ctx.charge(lg.adjncy.size)
 
-    with ctx.phase("local"):
+    with ctx.span("local"):
         nloc = lg.num_local_vertices
         src_slots = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(oxadj))
         dst_local = lg.is_local(oadjncy)
@@ -96,7 +96,7 @@ def tric_program(
         )
         yield
 
-    with ctx.phase("global"):
+    with ctx.span("global"):
         # Stage *everything* up front (static aggregation).
         c_src = src_slots[~dst_local]
         c_dst = oadjncy[~dst_local]

@@ -134,19 +134,19 @@ def amq_cetric_program(
     lg = dist.view(ctx.rank)
     vlo, vhi = lg.vlo, lg.vhi
 
-    with ctx.phase("preprocessing"):
+    with ctx.span("preprocessing"):
         yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
         og = build_oriented(ctx, lg, with_ghosts=True)
 
-    with ctx.phase("local"):
+    with ctx.span("local"):
         exact_local = _local_phase_pairs(ctx, og, expanded=True)
         yield
 
-    with ctx.phase("contraction"):
+    with ctx.span("contraction"):
         send_xadj, send_adj = og.contracted()
         ctx.charge(og.oadjncy.size)
 
-    with ctx.phase("global"):
+    with ctx.span("global"):
         threshold = config.threshold_words(lg.num_local_arcs)
         router = (
             GridRouter(ctx, "amq-nbh", threshold)
@@ -248,7 +248,7 @@ def amq_lcc_program(
     vlo, vhi = lg.vlo, lg.vhi
     ghosts = lg.ghost_vertices
 
-    with ctx.phase("preprocessing"):
+    with ctx.span("preprocessing"):
         yield from exchange_ghost_degrees(ctx, lg)
         og = build_oriented(ctx, lg, with_ghosts=True)
 
@@ -263,17 +263,17 @@ def amq_lcc_program(
             np.add.at(delta_ghost, slots, np.broadcast_to(weight, vertices.shape)[~owned])
         ctx.charge(vertices.size)
 
-    with ctx.phase("local"):
+    with ctx.span("local"):
         a, b, c = _triangles_elements_local(ctx, og, expanded=True)
         for corners in (a, b, c):
             credit(corners, 1.0)
         yield
 
-    with ctx.phase("contraction"):
+    with ctx.span("contraction"):
         send_xadj, send_adj = og.contracted()
         ctx.charge(og.oadjncy.size)
 
-    with ctx.phase("global"):
+    with ctx.span("global"):
         threshold = EngineConfig().threshold_words(lg.num_local_arcs)
         router = BufferedMessageQueue(ctx, "amq-lcc", threshold)
         nloc = lg.num_local_vertices
@@ -324,7 +324,7 @@ def amq_lcc_program(
                 credit(a_u[positive], weight)
         yield
 
-    with ctx.phase("delta-exchange"):
+    with ctx.span("delta-exchange"):
         payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
         if ghosts.size:
             nz = delta_ghost > 0

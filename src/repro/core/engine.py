@@ -206,11 +206,11 @@ def counting_program(
 
     snap = ctx.restore("local")
     if snap is None:  # noqa: R8 -- restore() replays a globally consistent snapshot: the machine checkpoints all PEs at the same barrier, so every rank sees the same None-or-snapshot and takes the same arm
-        with ctx.phase("preprocessing"):
+        with ctx.span("preprocessing"):
             yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
             og = build_oriented(ctx, lg, with_ghosts=config.contraction)
 
-        with ctx.phase("local"):
+        with ctx.span("local"):
             local_count = _local_phase_pairs(ctx, og, expanded=config.contraction)
             yield
 
@@ -246,7 +246,7 @@ def counting_program(
     if config.contraction:
         csnap = ctx.restore("contraction")
         if csnap is None:
-            with ctx.phase("contraction"):
+            with ctx.span("contraction"):
                 send_xadj, send_adj = og.contracted()
                 ctx.charge(og.oadjncy.size)  # one pass to drop non-cut arcs
             ctx.checkpoint(
@@ -258,7 +258,7 @@ def counting_program(
     else:
         send_xadj, send_adj = og.oxadj, og.oadjncy
 
-    with ctx.phase("global"):
+    with ctx.span("global"):
         threshold = config.threshold_words(lg.num_local_arcs)
         tag = "nbh"
         router = (

@@ -60,25 +60,25 @@ def enumerate_program(
     vlo, vhi = lg.vlo, lg.vhi
     bound = dist.num_vertices + 1
 
-    with ctx.phase("preprocessing"):
+    with ctx.span("preprocessing"):
         yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
         og = build_oriented(ctx, lg, with_ghosts=config.contraction)
 
     parts: list[np.ndarray] = []
-    with ctx.phase("local"):
+    with ctx.span("local"):
         a, b, c = _triangles_elements_local(ctx, og, expanded=config.contraction)
         if a.size:
             parts.append(_rows(a, b, c))
         yield
 
     if config.contraction:
-        with ctx.phase("contraction"):
+        with ctx.span("contraction"):
             send_xadj, send_adj = og.contracted()
             ctx.charge(og.oadjncy.size)
     else:
         send_xadj, send_adj = og.oxadj, og.oadjncy
 
-    with ctx.phase("global"):
+    with ctx.span("global"):
         threshold = config.threshold_words(lg.num_local_arcs)
         router = (
             GridRouter(ctx, "enum-nbh", threshold)

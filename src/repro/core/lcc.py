@@ -138,7 +138,7 @@ def lcc_program(
     bound = dist.num_vertices + 1
     ghosts = lg.ghost_vertices
 
-    with ctx.phase("preprocessing"):
+    with ctx.span("preprocessing"):
         yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
         og = build_oriented(ctx, lg, with_ghosts=config.contraction)
 
@@ -154,20 +154,20 @@ def lcc_program(
             np.add.at(delta_ghost, slots, 1)
         ctx.charge(vertices.size)
 
-    with ctx.phase("local"):
+    with ctx.span("local"):
         a, b, c = _triangles_elements_local(ctx, og, expanded=config.contraction)
         for corners in (a, b, c):
             credit(corners)
         yield
 
     if config.contraction:
-        with ctx.phase("contraction"):
+        with ctx.span("contraction"):
             send_xadj, send_adj = og.contracted()
             ctx.charge(og.oadjncy.size)
     else:
         send_xadj, send_adj = og.oxadj, og.oadjncy
 
-    with ctx.phase("global"):
+    with ctx.span("global"):
         threshold = config.threshold_words(lg.num_local_arcs)
         router = (
             GridRouter(ctx, "lcc-nbh", threshold)
@@ -200,7 +200,7 @@ def lcc_program(
             credit(corners)
         yield
 
-    with ctx.phase("delta-exchange"):
+    with ctx.span("delta-exchange"):
         # Push ghost-Δ values back to their owners (Section IV-E).
         payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
         if ghosts.size:

@@ -10,9 +10,9 @@ Determinism
 All probabilistic decisions are drawn from one ``numpy`` generator
 seeded at construction.  The event engine of :mod:`repro.sim` executes
 deterministically and consults the plan in a deterministic event order
-(on the alpha-beta network, the *same* order as the legacy round-robin
-scheduler — drops, delays, and crash coordinates are bit-identical
-between schedulers, pinned by ``tests/test_faults.py``), so a run is a
+(on the alpha-beta network, the order of a strict round-robin polling
+schedule — drops, delays, and crash coordinates are pinned by golden
+fingerprints in ``tests/test_faults.py``), so a run is a
 pure function of ``(program, inputs, spec, FaultPlan seed)`` — the
 same guarantee the fault-free machine gives, extended to faulty runs.
 Under the contended model, delays defer the message's injection event

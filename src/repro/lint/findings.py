@@ -31,7 +31,7 @@ RULES: dict[str, str] = {
         "transport can sequence and retransmit it"
     ),
     "R6": (
-        "ctx.span/ctx.phase misuse — the call must be entered via a "
+        "ctx.span misuse — the call must be entered via a "
         "'with' statement and carry a string-literal (rank-invariant) "
         "label, or the observability layer records nothing mergeable"
     ),

@@ -33,9 +33,9 @@ R5
     and collectives already ride the machine's transport).  A direct
     ``ctx.send`` in such a program bypasses the runtime guard.
 R6
-    ``ctx.span(...)`` / ``ctx.phase(...)`` open a timed region that the
-    observability layer (:mod:`repro.obs`) attributes and merges across
-    PEs.  Two things go wrong syntactically: calling it outside a
+    ``ctx.span(...)`` opens a timed region that the observability
+    layer (:mod:`repro.obs`) attributes and merges across PEs.  Two
+    things go wrong syntactically: calling it outside a
     ``with`` statement builds the context manager and never enters it
     (no span is recorded), and computing the label from rank-dependent
     state gives every PE a different span name, which breaks cross-PE
@@ -706,11 +706,11 @@ class _Checker(ast.NodeVisitor):
         func = node.func
         if not (
             isinstance(func, ast.Attribute)
-            and func.attr in ("span", "phase")
+            and func.attr == "span"
             and _is_ctx_expr(func.value)
         ):
             return
-        what = f"ctx.{func.attr}"
+        what = "ctx.span"
         parent = getattr(node, "_repro_parent", None)
         entered = isinstance(parent, ast.withitem) and parent.context_expr is node
         if not entered:

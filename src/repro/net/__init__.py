@@ -1,8 +1,7 @@
 """Simulated distributed-memory machine with the paper's cost model.
 
 * :class:`~repro.net.machine.Machine` — SPMD generator programs
-  scheduled by the event engine of :mod:`repro.sim` (legacy
-  round-robin scheduler available as ``scheduler="round-robin"``);
+  scheduled by the event engine of :mod:`repro.sim`;
 * :class:`~repro.sim.network.Network` — message arrival model
   (``"alpha-beta"`` flat compatibility model or ``"contended"``
   link-level hierarchy), re-exported here for convenience;

@@ -8,9 +8,8 @@ the paper's "each PE continuously polls for incoming messages").  The
 :mod:`repro.sim`: PE generators are resumed by *events* (message
 delivery, timer expiry, send completion), so a PE blocked on an empty
 inbox costs nothing and runs with thousands of mostly-idle PEs stay
-fast.  ``Machine(scheduler="round-robin")`` keeps the original strict
-round-robin loop as a reference; the default event scheduler replays
-it bit-identically under the (default) alpha-beta network model — see
+fast.  Under the (default) alpha-beta network model the engine replays
+a strict round-robin polling schedule bit-identically — see
 ``docs/SIMULATION.md``.
 
 Time is *modelled*, not measured: each PE owns a simulated clock that
@@ -211,10 +210,6 @@ class PEContext:
             if tracer is not None:
                 tracer.phase(self.rank, name, start, end)
 
-    def phase(self, name: str):
-        """Alias of :meth:`span` (the original phase-attribution API)."""
-        return self.span(name)
-
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
@@ -308,8 +303,7 @@ class PEContext:
         :mod:`repro.net.comm` and the aggregation queues call this
         automatically.  Under instant delivery (the alpha-beta model,
         ``ProcessMachine``, MPI shims) there is nothing in flight and
-        this yields zero times — bit-identity with the legacy
-        scheduler is preserved.
+        this yields zero times and adds no scheduling step.
         """
         machine = self._machine
         while True:
@@ -337,10 +331,6 @@ class PEContext:
         if note is not None:
             note(self.rank, self._collective_seq, label)
         return self._collective_seq
-
-    def new_collective_id(self) -> int:
-        """Back-compat alias for :meth:`enter_collective` (unlabelled)."""
-        return self.enter_collective()
 
     # ------------------------------------------------------------------
     # Checkpoint / restart (coordinated, phase-boundary)
@@ -425,8 +415,9 @@ class MachineResult:
     #: schedules (a fault-free dry run measures it, then a crash can
     #: be planted at any fraction of the run).
     events: int = 0
-    #: Scheduler-work accounting from the event engine (``None`` under
-    #: the legacy round-robin scheduler).
+    #: Scheduler-work accounting from the event engine (always set by
+    #: :class:`Machine`; ``None`` from ``ProcessMachine``, which runs
+    #: no engine).
     engine: EngineStats | None = None
     #: Link occupancy totals (``None`` under the flat alpha-beta model,
     #: which has no links to contend for).
@@ -455,13 +446,7 @@ class Machine:
         :class:`repro.sim.network.Network` deciding message arrival
         times.  Defaults to ``Network(model="alpha-beta")`` — the flat
         uncontended compatibility model this repo has always used.
-        ``Network(model="contended")`` adds link-level queueing and
-        requires the (default) event scheduler.
-    scheduler:
-        ``"event"`` (default — the engine in :mod:`repro.sim.engine`;
-        idle PEs cost zero) or ``"round-robin"`` (the legacy strict
-        polling loop, kept as the bit-identity reference and for
-        scheduler-comparison benchmarks).
+        ``Network(model="contended")`` adds link-level queueing.
     tracer:
         Optional :class:`repro.net.trace.Tracer` receiving all events.
     protocol_check:
@@ -516,7 +501,6 @@ class Machine:
         spec: MachineSpec = DEFAULT_SPEC,
         *,
         network: Network | None = None,
-        scheduler: str = "event",
         tracer=None,
         protocol_check: bool | None = None,
         fault_plan=None,
@@ -531,17 +515,6 @@ class Machine:
         self.num_pes = num_pes
         self.spec = spec
         self.network = network if network is not None else Network()
-        if scheduler not in ("event", "round-robin"):
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected 'event' or 'round-robin'"
-            )
-        if scheduler == "round-robin" and self.network.model != "alpha-beta":
-            raise ValueError(
-                "the round-robin scheduler only supports the alpha-beta "
-                "network model; contended (delayed) delivery needs the "
-                "event scheduler"
-            )
-        self.scheduler = scheduler
         #: Optional :class:`repro.net.trace.Tracer` receiving all events.
         self.tracer = tracer
         if protocol_check is None:
@@ -562,12 +535,11 @@ class Machine:
         if (
             fault_plan is not None
             and getattr(fault_plan, "crash_at_time", ())
-            and (scheduler != "event" or self.network.model != "contended")
+            and self.network.model != "contended"
         ):
             raise ValueError(
                 "crash_at_time schedules fire as simulated-time engine "
-                "events; they need the event scheduler and the contended "
-                "network model"
+                "events; they need the contended network model"
             )
         if transport is None:
             transport = (
@@ -892,24 +864,19 @@ class Machine:
         values: list[Any] = [None] * self.num_pes
         live = set(range(self.num_pes))
 
-        engine_stats: EngineStats | None = None
-        if self.scheduler == "event":
-            engine = SimEngine(self)
-            self._engine = engine
-            try:
-                engine.run(gens, live, values)
-            finally:
-                self._engine = None
-            engine_stats = engine.stats
-        else:
-            self._run_round_robin(gens, live, values)
+        engine = SimEngine(self)
+        self._engine = engine
+        try:
+            engine.run(gens, live, values)
+        finally:
+            self._engine = None
         if self.protocol_check:
             self._check_teardown()
         return MachineResult(
             values=values,
             metrics=RunMetrics(per_pe=[c.metrics for c in self._contexts]),
             events=self._progress,
-            engine=engine_stats,
+            engine=engine.stats,
             network=self.network.stats() if self.network.model == "contended" else None,
             recovery=(
                 self._recovery_manager.report
@@ -917,45 +884,3 @@ class Machine:
                 else None
             ),
         )
-
-    def _run_round_robin(self, gens, live: set[int], values: list[Any]) -> None:
-        """The legacy strict polling scheduler (``scheduler="round-robin"``).
-
-        Every round resumes every live PE — including PEs blocked on an
-        empty inbox, whose resumption is a pure no-op.  Kept as the
-        reference the event engine's compat disciplines are verified
-        against (``tests/test_sim.py``) and as the slow side of the
-        scale benchmark; new code should use the default scheduler.
-        """
-        plan = self.fault_plan
-        idle_rounds = 0
-        while live:
-            before = self._progress
-            finished: list[int] = []
-            for rank in sorted(live):
-                if plan is not None and plan.crash_due(rank, self._progress):
-                    raise PECrashError(rank, self._progress)
-                try:
-                    next(gens[rank])
-                except StopIteration as stop:
-                    values[rank] = stop.value
-                    finished.append(rank)
-                    self._note_progress()
-            live.difference_update(finished)
-            if self._progress == before:
-                # A courtesy ``yield`` produces one idle round; genuine
-                # deadlock (everyone polling an empty inbox) produces
-                # idle rounds forever.  A small grace period separates
-                # the two without masking real livelocks.  (The event
-                # scheduler needs no grace period: it detects the empty
-                # event queue exactly.)
-                idle_rounds += 1
-                if live and idle_rounds >= 5:
-                    raise DeadlockError(
-                        self._deadlock_diagnostic(
-                            live,
-                            f"no progress in {idle_rounds} consecutive rounds",
-                        )
-                    )
-            else:
-                idle_rounds = 0

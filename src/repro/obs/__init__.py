@@ -22,9 +22,9 @@ Spans are produced by SPMD programs via ``with ctx.span("label")``
 (see :meth:`repro.net.machine.PEContext.span`); lint rule R6 enforces
 context-manager usage and rank-invariant literal labels.  All event
 streams carry *simulated* timestamps owned by the event engine of
-:mod:`repro.sim`, so traces are byte-identical across reruns and
-across schedulers (event vs legacy round-robin) — pinned by
-``tests/test_machine.py`` / ``tests/test_faults.py``.  Usage guide:
+:mod:`repro.sim`, so traces are byte-identical across reruns —
+pinned by ``tests/test_machine.py`` / ``tests/test_faults.py``.  Usage
+guide:
 ``docs/OBSERVABILITY.md``.
 """
 

@@ -14,10 +14,10 @@ time proportional to the *work*, not to ``rounds * p``.
 
 Scheduling disciplines
 ----------------------
-The engine picks one of three disciplines per run:
+The engine picks one of two disciplines per run:
 
 ``compat-heap`` (default: ``Network(model="alpha-beta")``)
-    Emulates the legacy round-robin schedule *exactly* while skipping
+    Emulates a strict round-robin schedule *exactly* while skipping
     the no-op polls.  The key observation: resuming a PE that is
     suspended inside ``ctx.recv`` with an empty inbox for its tag is a
     pure no-op — no clock, metric, RNG, or progress-counter change —
@@ -32,15 +32,15 @@ The engine picks one of three disciplines per run:
     and for the next round otherwise — exactly where round-robin would
     have next given it a non-noop resumption.
 
-``compat-fullpoll`` (alpha-beta model + a fault plan with crashes)
-    Crash events are keyed by the machine's event counter and the
-    round-robin scheduler checks them at *every* rank visit, including
-    no-op polls.  To keep crash coordinates bit-identical the engine
-    falls back to full scheduling rounds — it still skips the no-op
-    generator resumptions (they cannot fire a crash check's RNG; the
-    check itself is replayed for every rank) but visits every live
-    rank per round.  Crash campaigns run at small p, where this costs
-    nothing.
+    Crash events of a :class:`~repro.faults.plan.FaultPlan` are keyed
+    by the machine's event counter, and round-robin consults them at
+    *every* rank visit, no-op polls included.  Every rank named by a
+    ``CrashEvent`` is therefore *watched*: it is never parked, it is
+    visited every round in rank order with its crash schedule checked
+    before the step, and only the no-op poll itself is skipped.
+    Watched ranks keep the heap non-empty, so a round without progress
+    in which every live PE is blocked on an empty inbox raises the
+    exact deadlock instead.  Fault-free runs watch nothing.
 
 ``des`` (``Network(model="contended")``)
     True discrete-event simulation in *time* order: each runnable PE
@@ -56,14 +56,14 @@ The engine picks one of three disciplines per run:
 
 Deadlock and livelock
 ---------------------
-All three disciplines detect true deadlock *exactly*: every live PE is
+Both disciplines detect true deadlock *exactly*: every live PE is
 parked on a blocking receive (or on ``sync_sends``) and the event
 queue holds nothing that could wake one — then ``DeadlockError`` is
 raised immediately with the machine's full per-PE forensics.  A
 separate bounded guard catches *livelock* (PEs spinning on bare
 ``yield``\\ s forever, which no scheduler can distinguish from a long
-courtesy-yield sequence): consecutive zero-progress rounds (compat
-disciplines, same 5-round bound the round-robin scheduler used) or
+courtesy-yield sequence): consecutive zero-progress rounds (``compat-heap``,
+the same 5-round bound round-robin polling used) or
 consecutive zero-progress events (``des``).
 """
 
@@ -83,7 +83,7 @@ from .events import (
 __all__ = ["EngineStats", "SimEngine", "LIVELOCK_ROUNDS"]
 
 #: Consecutive zero-progress scheduling rounds tolerated before the
-#: livelock guard trips (compat disciplines).  True deadlock never
+#: livelock guard trips (``compat-heap``).  True deadlock never
 #: consumes this budget — it is detected exactly, in zero rounds.
 LIVELOCK_ROUNDS = 5
 
@@ -92,7 +92,7 @@ LIVELOCK_ROUNDS = 5
 class EngineStats:
     """What one engine run cost, in scheduler work (not simulated time)."""
 
-    #: Discipline used: ``compat-heap``, ``compat-fullpoll``, or ``des``.
+    #: Discipline used: ``compat-heap`` or ``des``.
     discipline: str
     #: Generator resumptions performed (the dominant scheduler cost).
     steps: int = 0
@@ -104,11 +104,6 @@ class EngineStats:
     #: recovery; always zero under global restart).
     respawns: int = 0
 
-    @property
-    def steps_per_pe(self) -> float:
-        """Filled in by the machine: steps / num_pes."""
-        return float(self.steps)
-
 
 class SimEngine:
     """One run's event engine; constructed fresh by ``Machine.run``."""
@@ -117,12 +112,7 @@ class SimEngine:
         self.machine = machine
         self.queue = EventQueue()
         p = machine.num_pes
-        if machine.network.model == "contended":
-            discipline = "des"
-        elif machine.fault_plan is not None and machine.fault_plan.crashes:
-            discipline = "compat-fullpoll"
-        else:
-            discipline = "compat-heap"
+        discipline = "des" if machine.network.model == "contended" else "compat-heap"
         self.discipline = discipline
         self.stats = EngineStats(discipline=discipline)
         #: compat-heap scheduling state.
@@ -147,8 +137,6 @@ class SimEngine:
         self._values = values
         if self.discipline == "des":
             self._run_des()
-        elif self.discipline == "compat-fullpoll":
-            self._run_compat_fullpoll()
         else:
             self._run_compat_heap()
 
@@ -183,7 +171,7 @@ class SimEngine:
         """Crash-stop ``rank`` in place (localized recovery, ``des``).
 
         The generator is closed — ``GeneratorExit`` unwinds its open
-        ``ctx.phase`` blocks, recording truncated spans at the
+        ``ctx.span`` blocks, recording truncated spans at the
         crash-time clock — and the rank leaves the live set.  Deliveries
         addressed to it still land in its inbox (cleared at respawn;
         the transport's send logs cover re-delivery), but it is never
@@ -214,13 +202,19 @@ class SimEngine:
     # compat-heap: round-robin emulation without the no-op polls
     # ------------------------------------------------------------------
     def _run_compat_heap(self) -> None:
-        from ..net.machine import DeadlockError
+        from ..net.machine import DeadlockError, PECrashError
 
         machine = self.machine
         contexts = machine._contexts
         live = self._live
         gens = self._gens
         values = self._values
+        plan = machine.fault_plan
+        # Ranks with a scheduled crash are *watched*: round-robin
+        # consulted the crash schedule at every rank visit, no-op polls
+        # included, so these ranks are never parked and are visited
+        # every round.  Empty on fault-free runs.
+        watched = {c.rank for c in plan.crashes} if plan is not None else set()
         # Round 0 starts with every PE runnable, in rank order — the
         # list is already a valid heap.
         heap: list[tuple[int, int]] = [(0, r) for r in range(machine.num_pes)]
@@ -236,6 +230,14 @@ class SimEngine:
                 # livelock accounting (parked polls contribute no
                 # progress there either, so the counts agree).
                 if machine._progress == round_progress:
+                    if watched and all(self._blocked(r) for r in live):
+                        # Watched ranks keep the heap non-empty, so the
+                        # exact-deadlock test below never runs for them.
+                        raise DeadlockError(
+                            machine._deadlock_diagnostic(
+                                live, self._deadlock_reason(live)
+                            )
+                        )
                     idle_rounds += 1
                     if idle_rounds >= LIVELOCK_ROUNDS:
                         raise DeadlockError(
@@ -249,6 +251,12 @@ class SimEngine:
                 round_progress = machine._progress
             if rank not in live:
                 continue
+            if rank in watched:
+                if plan.crash_due(rank, machine._progress):
+                    raise PECrashError(rank, machine._progress)
+                if self._blocked(rank):
+                    heappush(heap, (rnd + 1, rank))
+                    continue
             self._cur_rank = rank
             self.stats.steps += 1
             try:
@@ -260,7 +268,7 @@ class SimEngine:
                 continue
             ctx = contexts[rank]
             tag = ctx._blocked_tag
-            if tag is not None and not ctx._inbox.get(tag):
+            if tag is not None and not ctx._inbox.get(tag) and rank not in watched:
                 # Resuming this PE again would be a no-op poll: park it
                 # until a message for its tag arrives.
                 parked[rank] = True
@@ -275,6 +283,12 @@ class SimEngine:
                 machine._deadlock_diagnostic(live, self._deadlock_reason(live))
             )
 
+    def _blocked(self, rank: int) -> bool:
+        """``rank`` waits in ``recv`` on a tag its inbox does not hold."""
+        ctx = self.machine._contexts[rank]
+        tag = ctx._blocked_tag
+        return tag is not None and not ctx._inbox.get(tag)
+
     def _wake_compat(self, dest: int, tag) -> None:
         if not self._parked_compat[dest]:
             return
@@ -287,67 +301,6 @@ class SimEngine:
         # PE's, the woken PE's turn in the current round is still ahead.
         rnd = self._round if dest > self._cur_rank else self._round + 1
         heappush(self._heap, (rnd, dest))
-
-    # ------------------------------------------------------------------
-    # compat-fullpoll: exact crash coordinates under event-indexed plans
-    # ------------------------------------------------------------------
-    def _run_compat_fullpoll(self) -> None:
-        from ..net.machine import DeadlockError, PECrashError
-
-        machine = self.machine
-        plan = machine.fault_plan
-        contexts = machine._contexts
-        live = self._live
-        gens = self._gens
-        values = self._values
-
-        def is_parked(rank: int) -> bool:
-            ctx = contexts[rank]
-            tag = ctx._blocked_tag
-            return tag is not None and not ctx._inbox.get(tag)
-
-        idle_rounds = 0
-        while live:
-            before = machine._progress
-            finished: list[int] = []
-            for rank in sorted(live):
-                # The round-robin scheduler consults the crash schedule
-                # at every rank visit — parked or not — so this check
-                # stays outside the no-op-poll skip.
-                if plan.crash_due(rank, machine._progress):
-                    raise PECrashError(rank, machine._progress)
-                if is_parked(rank):
-                    continue
-                self.stats.steps += 1
-                self.stats.events += 1
-                try:
-                    next(gens[rank])
-                except StopIteration as stop:
-                    values[rank] = stop.value
-                    finished.append(rank)
-                    machine._note_progress()
-            live.difference_update(finished)
-            if machine._progress == before:
-                if live and all(is_parked(r) for r in live):
-                    # The event counter is frozen, so one more sweep
-                    # decides every crash the round-robin scheduler
-                    # could still have fired while idling; then the
-                    # deadlock is exact.
-                    for rank in sorted(live):
-                        if plan.crash_due(rank, machine._progress):
-                            raise PECrashError(rank, machine._progress)
-                    raise DeadlockError(
-                        machine._deadlock_diagnostic(live, self._deadlock_reason(live))
-                    )
-                idle_rounds += 1
-                if live and idle_rounds >= LIVELOCK_ROUNDS:
-                    raise DeadlockError(
-                        machine._deadlock_diagnostic(
-                            live, self._livelock_reason(idle_rounds)
-                        )
-                    )
-            else:
-                idle_rounds = 0
 
     # ------------------------------------------------------------------
     # des: time-ordered discrete-event execution (contended network)

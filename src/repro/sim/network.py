@@ -8,8 +8,8 @@ injected.  Two models are supported:
     has always used: the wire itself is infinitely capacious, both
     endpoints pay ``alpha + beta * l``, and a message becomes visible
     at the sender's post-send clock.  Simulated times under this model
-    are bit-identical to the legacy round-robin scheduler (the
-    fingerprint test in ``tests/test_sim.py`` checks all eight
+    replay a strict round-robin polling schedule bit-identically (the
+    golden fingerprints in ``tests/test_sim.py`` cover all eight
     algorithm variants), so the committed BENCH baseline migrates
     unchanged.
 

@@ -9,6 +9,7 @@ recovery re-runs only the lost phase.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -25,9 +26,10 @@ from repro.faults import (
     run_campaign,
     run_chaos_case,
 )
-from repro.faults.chaos import default_chaos_graph
+from repro.faults.chaos import CHAOS_ALGORITHMS, default_chaos_graph
 from repro.graphs.distributed import distribute
 from repro.net import (
+    DeadlockError,
     Machine,
     PECrashError,
     ProtocolError,
@@ -487,39 +489,159 @@ def test_event_engine_fault_traces_byte_identical_including_lossy():
         assert r1.events == r2.events, transport
 
 
+#: sha256 digests frozen from the strict round-robin polling loop (every
+#: live PE resumed, and its crash schedule consulted, once per round)
+#: that compat-heap replaced.  Faulty runs must keep its fault-decision
+#: stream, repair costs and crash coordinates exactly.  The stuck-program
+#: digests also pin the event engine's own verdict text (exact deadlock
+#: or livelock guard), which the round-robin loop never reported.
+GOLDEN_FAULTY_RUN = "c601ed777ea239ea4a0a2958267cdc500c2297decb72dc1d8fb6e8f72e116e1f"
+GOLDEN_CRASH_GRID = {
+    ("ditric", 3, "clean"): "48e442ef39057e9107db2a8ab5e90a018ebd266b633a1b2f9ec68e54a1fe6b3e",
+    ("ditric", 3, "lossy"): "37e3b197746a28a4b9b3b1e9707e36e8bb43781b1969116d8800dc59087a9607",
+    ("ditric", 7, "clean"): "7e38268bf9bef5441f406581bfb73fbaa73848169af993e6c3af51f1b554e1cb",
+    ("ditric", 7, "lossy"): "1140a58bf7a94f6c7bd955cd91ee61b5f4374b73fb51528bbc766c7743831295",
+    ("cetric", 3, "clean"): "3829e132a5b170f68df955281136e3a08a9dafaba89463f762c1796d917ebef7",
+    ("cetric", 3, "lossy"): "1a3a63a76dcda9c63966e24bbeeefd07531ffb2377767528096900ccae892b88",
+    ("cetric", 7, "clean"): "05948a76e21b2b24296aae6a29b7e21b5c0f9231bb34db1e3dda96bb20af7b02",
+    ("cetric", 7, "lossy"): "a7ce0e8019c720f7d812018c96ec9b4def8c4d02b16c4f34106179c4c4d423a2",
+}
+GOLDEN_STUCK_CRASH_PLANS = {
+    "waits-forever": "f087df23976febd067112e3ae7209e8db4aae9854e01bcbca0d5e5dc7f4fa50f",
+    "ring-then-stuck": "34a07dd2a09d91c74b20992be5839234d494b8ca1bb4b011601919ad20a371dc",
+    "spinner": "92246dd41fb157e0f5fa837faf48d4e1833aa90bb27b365cb7697284b85014b7",
+    "late-sender": "f948802e8587bb8929a9656bcd82a3f430fb7b785e8fe18c4718ce2187fbe045",
+}
+
+
 def test_fault_injection_bit_identical_between_schedulers():
-    """Compat guarantee extends to faulty runs: the event engine and the
-    round-robin scheduler draw the same fault decisions and charge the
-    same repair costs."""
+    """The event engine draws the round-robin loop's fault decisions
+    and charges the same repair costs."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=3)
-
-    def one_run(scheduler):
-        plan = FaultPlan(31, drop_rate=0.08, duplicate_rate=0.04, delay_rate=0.03)
-        machine = Machine(3, fault_plan=plan, transport="reliable", scheduler=scheduler)
-        return machine.run(counting_program, dist, DITRIC_CONFIG)
-
-    ev = one_run("event")
-    rr = one_run("round-robin")
-    assert ev.values[0].triangles_total == rr.values[0].triangles_total
-    assert ev.time == rr.time
-    assert ev.events == rr.events
-    assert ev.metrics.total_retransmits == rr.metrics.total_retransmits
-    assert ev.metrics.summary() == rr.metrics.summary()
+    plan = FaultPlan(31, drop_rate=0.08, duplicate_rate=0.04, delay_rate=0.03)
+    res = Machine(3, fault_plan=plan, transport="reliable").run(
+        counting_program, dist, DITRIC_CONFIG
+    )
+    assert res.values[0].triangles_total == edge_iterator(graph).triangles
+    assert res.metrics.total_retransmits > 0
+    h = hashlib.sha256(
+        f"{res.values!r}|{res.time.hex()}|{res.events}"
+        f"|{res.metrics.summary()!r}\n".encode()
+    )
+    for pe in res.metrics.per_pe:
+        h.update(f"{pe.clock.hex()}|{pe.words_sent}|{pe.messages_sent}\n".encode())
+    assert h.hexdigest() == GOLDEN_FAULTY_RUN
 
 
 def test_crash_coordinates_bit_identical_between_schedulers():
-    """The full-poll compat discipline replays crash-stop coordinates."""
+    """A crash fires at exactly the planned machine event."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=3)
     dry = Machine(3).run(counting_program, dist, DITRIC_CONFIG)
     at_event = dry.events // 2
+    plan = FaultPlan(5, crashes=[CrashEvent(rank=1, at_event=at_event)])
+    with pytest.raises(PECrashError) as err:
+        Machine(3, fault_plan=plan).run(counting_program, dist, DITRIC_CONFIG)
+    assert (err.value.rank, err.value.event) == (1, at_event)
 
-    def crash_run(scheduler):
-        plan = FaultPlan(5, crashes=[CrashEvent(rank=1, at_event=at_event)])
-        machine = Machine(3, fault_plan=plan, scheduler=scheduler)
-        with pytest.raises(PECrashError) as err:
-            machine.run(counting_program, dist, DITRIC_CONFIG)
-        return err.value.rank, err.value.event
 
-    assert crash_run("event") == crash_run("round-robin") == (1, at_event)
+def _crash_outcome(machine, program, *args):
+    """``crash|rank|event``, ``deadlock|<first line>`` or the finished run."""
+    try:
+        res = machine.run(program, *args)
+    except PECrashError as err:
+        return f"crash|{err.rank}|{err.event}"
+    except DeadlockError as err:
+        return f"deadlock|{str(err).splitlines()[0]}"
+    clocks = ",".join(pe.clock.hex() for pe in res.metrics.per_pe)
+    return f"done|{res.values!r}|{res.time.hex()}|{res.events}|{clocks}"
+
+
+#: Crash points as fractions of the fault-free run's event count; 1.5
+#: lies past the end of a fault-free run.
+CRASH_FRACTIONS = (0.0, 0.13, 0.5, 0.87, 0.999, 1.5)
+
+
+@pytest.mark.parametrize("faults", ["clean", "lossy"])
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("algorithm", ["ditric", "cetric"])
+def test_crash_grid_matches_golden_fingerprint(algorithm, p, faults):
+    config = CHAOS_ALGORITHMS[algorithm]
+    dist = distribute(default_chaos_graph(), num_pes=p)
+    dry = Machine(p).run(counting_program, dist, config).events
+    rates = {"drop_rate": 0.05, "duplicate_rate": 0.02} if faults == "lossy" else {}
+    h = hashlib.sha256()
+    for fraction in CRASH_FRACTIONS:
+        for rank in sorted({0, p // 2, p - 1}):
+            crashes = [CrashEvent(rank, int(dry * fraction))]
+            if fraction == 0.5:
+                # A second, earlier crash on the next rank.
+                crashes.append(CrashEvent((rank + 1) % p, int(dry * 0.3)))
+            machine = Machine(p, fault_plan=FaultPlan(11, crashes=crashes, **rates))
+            outcome = _crash_outcome(machine, counting_program, dist, config)
+            h.update(f"{fraction}|{rank}|{outcome}\n".encode())
+    assert h.hexdigest() == GOLDEN_CRASH_GRID[algorithm, p, faults]
+
+
+def _waits_forever(ctx):
+    """Some work, then rank 0 blocks on a tag nobody sends."""
+    for _ in range(3):
+        ctx.charge(1)
+        yield
+    if ctx.rank == 0:
+        yield from ctx.recv("never")
+    return ctx.rank
+
+
+def _ring_then_stuck(ctx):
+    """One ring exchange, then every PE blocks on a tag nobody sends."""
+    ctx.send((ctx.rank + 1) % ctx.num_pes, "ring", None, 1)
+    yield from ctx.recv("ring")
+    yield from ctx.recv("never")
+
+
+def _spinner(ctx):
+    """Rank 0 spins on bare yields forever; the others block."""
+    ctx.charge(1)
+    if ctx.rank == 0:
+        while True:
+            yield
+    yield from ctx.recv("never")
+
+
+def _late_sender(ctx):
+    """Rank 0 courtesy-yields before sending; the last rank waits."""
+    last = ctx.num_pes - 1
+    if ctx.rank == 0:
+        for _ in range(3):
+            yield
+        ctx.send(last, "late", "x", 1)
+    if ctx.rank == last:
+        msg = yield from ctx.recv("late")
+        return msg.payload
+    return None
+
+
+STUCK_PROGRAMS = {
+    "waits-forever": _waits_forever,
+    "ring-then-stuck": _ring_then_stuck,
+    "spinner": _spinner,
+    "late-sender": _late_sender,
+}
+
+
+@pytest.mark.parametrize("name", list(STUCK_PROGRAMS))
+def test_stuck_programs_under_crash_plans_match_golden(name):
+    """Deadlock, livelock and crash verdicts when crash plans watch
+    blocked or spinning PEs: which fires first, and where."""
+    h = hashlib.sha256()
+    for p in (2, 3, 4):
+        for rank in (0, p - 1):
+            for at_event in (0, 3, 10**6):
+                plan = FaultPlan(crashes=[CrashEvent(rank, at_event)])
+                outcome = _crash_outcome(
+                    Machine(p, fault_plan=plan), STUCK_PROGRAMS[name]
+                )
+                h.update(f"{p}|{rank}|{at_event}|{outcome}\n".encode())
+    assert h.hexdigest() == GOLDEN_STUCK_CRASH_PLANS[name]

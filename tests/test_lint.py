@@ -257,7 +257,7 @@ def prog(ctx):
 def test_r6_flags_span_assigned_instead_of_entered():
     src = """
 def prog(ctx):
-    s = ctx.phase("local")
+    s = ctx.span("local")
     yield
 """
     findings = lint_source(src)

@@ -163,9 +163,9 @@ def test_phase_attribution():
     spec = MachineSpec(alpha=0, beta=0, flop_time=1.0)
 
     def prog(ctx):
-        with ctx.phase("a"):
+        with ctx.span("a"):
             ctx.charge(10)
-        with ctx.phase("b"):
+        with ctx.span("b"):
             ctx.charge(5)
         return None
         yield  # pragma: no cover

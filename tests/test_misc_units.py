@@ -75,9 +75,9 @@ def test_nested_phases_attribute_to_innermost():
     spec = MachineSpec(alpha=0, beta=0, flop_time=1.0)
 
     def prog(ctx):
-        with ctx.phase("outer"):
+        with ctx.span("outer"):
             ctx.charge(5)
-            with ctx.phase("inner"):
+            with ctx.span("inner"):
                 ctx.charge(3)
             ctx.charge(2)
         return None
@@ -96,7 +96,7 @@ def test_repeated_phase_accumulates():
 
     def prog(ctx):
         for _ in range(3):
-            with ctx.phase("work"):
+            with ctx.span("work"):
                 ctx.charge(2)
         return None
         yield  # pragma: no cover

@@ -2,7 +2,7 @@
 
 The contract under test (docs/OBSERVABILITY.md, docs/BENCHMARKS.md):
 
-* every ``ctx.span``/``ctx.phase`` region of a run becomes a
+* every ``ctx.span`` region of a run becomes a
   :class:`~repro.net.trace.SpanRecord` with nesting depth and a
   compute/comm/wait/retransmit decomposition;
 * the Chrome-trace exporter emits schema-valid, deterministic JSON;

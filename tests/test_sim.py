@@ -3,11 +3,11 @@
 Three contracts under test:
 
 1. **Compat bit-identity** (the migration guarantee): under the default
-   ``Network(model="alpha-beta")``, the event scheduler replays the
-   legacy round-robin scheduler bit-identically — same values, same
+   ``Network(model="alpha-beta")``, the event scheduler replays strict
+   round-robin polling bit-identically — same values, same
    ``simulated_time``, same per-PE message/word counters, same event
-   counter — across all eight algorithm variants (fingerprint in the
-   style of ``tests/test_frames.py``).
+   counter — across all eight algorithm variants (golden sha256
+   fingerprints frozen from the retired round-robin loop).
 2. **Exact deadlock detection**: an all-blocked machine raises
    :class:`DeadlockError` from the empty event queue immediately, with
    the full per-PE forensics; courtesy yields never trip it.
@@ -15,6 +15,8 @@ Three contracts under test:
    busy links (arrival later than alpha-beta), bypasses links within a
    node, and stays deterministic.
 """
+
+import hashlib
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.core.edge_iterator import edge_iterator
 from repro.core.engine import counting_program
 from repro.graphs import distribute
 from repro.graphs import generators as gen
-from repro.net import DeadlockError, Machine, Network
+from repro.net import DeadlockError, Machine, Network, ProcessMachine
 from repro.net.comm import barrier, sparse_alltoall
 from repro.sim import (
     PRIORITY_DELIVERY,
@@ -141,18 +143,8 @@ def test_bind_rederives_constants_and_resets_links():
 
 
 # ---------------------------------------------------------------------------
-# Machine facade / scheduler selection
+# Machine facade
 # ---------------------------------------------------------------------------
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="scheduler"):
-        Machine(2, scheduler="fifo")
-
-
-def test_round_robin_refuses_contended_network():
-    with pytest.raises(ValueError, match="round-robin"):
-        Machine(2, network=Network(model="contended"), scheduler="round-robin")
 
 
 def test_engine_stats_reported_only_by_event_scheduler():
@@ -161,12 +153,12 @@ def test_engine_stats_reported_only_by_event_scheduler():
         return ctx.rank
 
     ev = Machine(4).run(prog)
-    rr = Machine(4, scheduler="round-robin").run(prog)
     assert ev.engine is not None and ev.engine.discipline == "compat-heap"
     assert ev.engine.steps > 0 and ev.engine.wakeups > 0
-    assert rr.engine is None
     # alpha-beta runs carry no link stats (nothing to contend for).
     assert ev.network is None
+    # The process backend runs no event engine.
+    assert ProcessMachine(2).run(prog).engine is None
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +166,20 @@ def test_engine_stats_reported_only_by_event_scheduler():
 # ---------------------------------------------------------------------------
 
 ALGOS = (*_ENGINE_CONFIGS, "tric", "havoqgt")
+
+#: sha256 over all eight variants per (generator, seed): per-PE return
+#: values, makespan and event counter, per-PE clocks and message/word
+#: counters.  Frozen from the strict round-robin polling loop (every
+#: live PE resumed once per round) that compat-heap replaced; any change
+#: to scheduling order or charging moves these digests.
+GOLDEN_SCHEDULE = {
+    ("rmat", 101): "a5dd110d8aaa3d433953a028ae46e1e1f2d5c0f800c69ea5e573a4257360e1c5",
+    ("rmat", 102): "14642e5e9aa696a760fd0451f089ac31838818e8ffb021d5e4c8cc21496ea737",
+    ("rmat", 103): "cf31529a1b626243580a9c24fffb2e8ed063eb0ffe85133a795120d5a6bb3cd6",
+    ("rgg3d", 101): "23662354ff583cef5cb5ad78c56c56fb03fb4a022bb5d828c375fe6d9f8e4513",
+    ("rgg3d", 102): "f6afc4ae66da87ec02c23a9ed6785f0225c94b831dc52d69d81717b3b254d0bb",
+    ("rgg3d", 103): "5aaf7988ef950544688a3bbd04d203e6838813163793e300e0d9f8d200e366cc",
+}
 
 
 def _program_of(algorithm, dist):
@@ -194,29 +200,28 @@ def _triangles_of(value):
     return getattr(value, "triangles_total", None) or getattr(value, "triangles", value)
 
 
+def _hash_run(h, res):
+    h.update(f"{res.values!r}|{res.time.hex()}|{res.events}\n".encode())
+    for pe in res.metrics.per_pe:
+        h.update(
+            f"{pe.clock.hex()}|{pe.messages_sent}|{pe.words_sent}"
+            f"|{pe.messages_received}|{pe.words_received}\n".encode()
+        )
+
+
 @pytest.mark.parametrize("seed", [101, 102, 103])
 @pytest.mark.parametrize("generator", ["rmat", "rgg3d"])
 def test_event_scheduler_is_bit_identical_to_round_robin(generator, seed):
     graph = _graph(generator, seed)
     truth = edge_iterator(graph).triangles
     dist = distribute(graph, num_pes=4)
+    h = hashlib.sha256()
     for algorithm in ALGOS:
         program, args = _program_of(algorithm, dist)
-        ev = Machine(4).run(program, *args)
-        rr = Machine(4, scheduler="round-robin").run(program, *args)
-        label = f"{algorithm}/{generator}/{seed}"
-        # Same answer, and the right one.
-        assert _triangles_of(ev.values[0]) == truth, label
-        # Bit-identical simulated time and event counter.
-        assert ev.time == rr.time, label
-        assert ev.events == rr.events, label
-        # Bit-identical per-PE communication accounting.
-        for em, rm in zip(ev.metrics.per_pe, rr.metrics.per_pe):
-            assert em.clock == rm.clock, label
-            assert em.messages_sent == rm.messages_sent, label
-            assert em.words_sent == rm.words_sent, label
-            assert em.messages_received == rm.messages_received, label
-            assert em.words_received == rm.words_received, label
+        res = Machine(4).run(program, *args)
+        assert _triangles_of(res.values[0]) == truth, algorithm
+        _hash_run(h, res)
+    assert h.hexdigest() == GOLDEN_SCHEDULE[generator, seed]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +268,10 @@ def test_livelock_guard_catches_infinite_spinner():
 
 
 def test_wakeup_mid_round_matches_round_robin_order():
-    """A message sent by a lower rank wakes a higher rank in-round."""
+    """A message sent by a lower rank wakes a higher rank in-round.
+
+    The expected time and event count are the round-robin loop's.
+    """
 
     def prog(ctx):
         if ctx.rank == 0:
@@ -276,10 +284,8 @@ def test_wakeup_mid_round_matches_round_robin_order():
         yield  # pragma: no cover
 
     ev = Machine(3).run(prog)
-    rr = Machine(3, scheduler="round-robin").run(prog)
-    assert ev.values == rr.values == [None, None, "x"]
-    assert ev.time == rr.time
-    assert ev.events == rr.events
+    assert ev.values == [None, None, "x"]
+    assert (ev.time.hex(), ev.events) == ("0x1.0d31440251d69p-18", 6)
 
 
 # ---------------------------------------------------------------------------
