@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graphs.builders import sorted_unique
 from .hashing import hash_to_range
 
 __all__ = ["SingleShotBloomFilter", "rice_encoded_bits", "optimal_rice_parameter"]
@@ -95,7 +96,7 @@ class SingleShotBloomFilter:
         if keys.size == 0:
             return
         pos = hash_to_range(keys, 1, self.num_cells, self.seed)[0]
-        self._positions = np.unique(np.concatenate([self._positions, pos]))
+        self._positions = sorted_unique(np.concatenate([self._positions, pos]))
         self._count += int(keys.size)
 
     def query(self, keys: np.ndarray) -> np.ndarray:

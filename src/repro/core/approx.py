@@ -34,7 +34,7 @@ import numpy as np
 
 from ..amq.bloom import BloomFilter
 from ..amq.ssbf import SingleShotBloomFilter
-from ..graphs.builders import from_edges
+from ..graphs.builders import from_edges, sorted_unique
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
@@ -331,7 +331,7 @@ def amq_lcc_program(
             gids = ghosts[nz]
             gvals = delta_ghost[nz]
             owner = lg.partition.rank_of(gids) if gids.size else gids
-            for rank in np.unique(owner):
+            for rank in sorted_unique(owner):
                 sel = owner == rank
                 payloads[int(rank)] = ((gids[sel], gvals[sel]), 2 * int(sel.sum()))
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label="amq-delta")

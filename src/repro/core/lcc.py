@@ -20,6 +20,7 @@ from typing import Generator
 
 import numpy as np
 
+from ..graphs.builders import sorted_unique
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
@@ -208,7 +209,7 @@ def lcc_program(
             gids = ghosts[nz]
             gvals = delta_ghost[nz]
             owner = lg.partition.rank_of(gids) if gids.size else gids
-            for rank in np.unique(owner):
+            for rank in sorted_unique(owner):
                 sel = owner == rank
                 payloads[int(rank)] = ((gids[sel], gvals[sel]), 2 * int(sel.sum()))
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label="delta-xchg")

@@ -24,7 +24,65 @@ __all__ = [
     "relabel",
     "induced_subgraph",
     "canonical_edges",
+    "sorted_unique",
+    "unique_of_sorted",
+    "MAX_KEYED_VERTICES",
 ]
+
+
+#: Largest vertex-id bound ``n`` for which the edge key ``u * n + v``
+#: cannot overflow int64 (``n * n <= 2**63 - 1``).
+MAX_KEYED_VERTICES = 3_037_000_499
+
+
+def unique_of_sorted(values: np.ndarray) -> np.ndarray:
+    """Drop repeats from a non-decreasing 1-D array."""
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def sorted_unique(values) -> np.ndarray:
+    """Sorted distinct values of ``values`` (flattened), like ``np.unique``.
+
+    One ``np.sort`` and a neighbour-inequality mask.  NumPy's own
+    ``np.unique`` takes a hash path for integers that is tens of times
+    slower on the id arrays this package deduplicates.
+    """
+    return unique_of_sorted(np.sort(values, axis=None))
+
+
+def _edge_keys(edges: np.ndarray, drop_self_loops: bool) -> tuple[np.ndarray, int]:
+    """Sorted distinct keys ``lo * n + hi`` of the canonical edges, and ``n``.
+
+    ``n`` is one more than the largest endpoint (1 for no edges).
+    Raises ``ValueError`` for a negative endpoint or an ``n`` whose key
+    could overflow.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        return np.empty(0, dtype=np.int64), 1
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError("edges must have shape (k, 2)")
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    if lo.min() < 0:
+        row = int(np.argmax(lo < 0))
+        u, v = (int(x) for x in edges[row])
+        raise ValueError(
+            f"negative vertex id in edge {row} ({u}, {v}); vertex ids must be >= 0"
+        )
+    n = int(hi.max()) + 1
+    if n > MAX_KEYED_VERTICES:
+        raise ValueError(
+            f"vertex id {n - 1} is too large: ids must be below "
+            f"{MAX_KEYED_VERTICES} so that the int64 edge key fits"
+        )
+    if drop_self_loops:
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+    return sorted_unique(lo * n + hi), n
 
 
 def canonical_edges(edges: np.ndarray, *, drop_self_loops: bool = True) -> np.ndarray:
@@ -35,24 +93,16 @@ def canonical_edges(edges: np.ndarray, *, drop_self_loops: bool = True) -> np.nd
     edges:
         ``(k, 2)`` integer array; rows may appear in either orientation
         and multiple times (multi-edges collapse to simple edges, as
-        the paper does for its directed web crawls).
+        the paper does for its directed web crawls).  Vertex ids must
+        be non-negative and below :data:`MAX_KEYED_VERTICES`.
     drop_self_loops:
         Remove rows with ``u == v`` (triangle counting is defined on
         simple graphs).
+
+    Rows come out sorted by ``(u, v)``.
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError("edges must have shape (k, 2)")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if drop_self_loops:
-        keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-    if lo.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(np.column_stack([lo, hi]), axis=0)
+    keys, n = _edge_keys(edges, drop_self_loops)
+    return np.column_stack(np.divmod(keys, n))
 
 
 def from_edges(
@@ -67,21 +117,21 @@ def from_edges(
     they are canonicalized first.  ``num_vertices`` defaults to
     ``max(edges) + 1`` (0 for an empty list).
     """
-    canon = canonical_edges(edges)
+    keys, n = _edge_keys(edges, drop_self_loops=True)
+    lo, hi = np.divmod(keys, n)
+    max_id = int(hi.max()) if hi.size else -1
     if num_vertices is None:
-        num_vertices = int(canon.max()) + 1 if canon.size else 0
-    elif canon.size and int(canon.max()) >= num_vertices:
+        num_vertices = max_id + 1
+    elif max_id >= num_vertices:
         raise ValueError("edge endpoint exceeds num_vertices")
-    # Symmetrize: every undirected edge becomes two arcs.
-    src = np.concatenate([canon[:, 0], canon[:, 1]])
-    dst = np.concatenate([canon[:, 1], canon[:, 0]])
-    # Sort by (src, dst) so neighborhoods come out sorted.
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=num_vertices)
+    # Symmetrize: every undirected edge becomes the arcs (lo, hi) and
+    # (hi, lo).  One sort of the arc keys orders the CSR by (src, dst).
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
+    counts = np.bincount(lo, minlength=num_vertices)
+    counts += np.bincount(hi, minlength=num_vertices)
     xadj = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=xadj[1:])
-    return CSRGraph(xadj, dst, oriented=False, sorted_neighborhoods=True, name=name)
+    return CSRGraph(xadj, arcs % n, oriented=False, sorted_neighborhoods=True, name=name)
 
 
 def from_neighborhoods(neighborhoods, *, name: str = "") -> CSRGraph:
@@ -172,7 +222,7 @@ def induced_subgraph(g: CSRGraph, vertices: np.ndarray) -> tuple[CSRGraph, np.nd
     Returns the subgraph and the sorted original ids (new id ``i``
     corresponds to original ``ids[i]``).
     """
-    ids = np.unique(np.asarray(vertices, dtype=np.int64))
+    ids = sorted_unique(np.asarray(vertices, dtype=np.int64))
     if ids.size and (ids[0] < 0 or ids[-1] >= g.num_vertices):
         raise ValueError("vertex id out of range")
     new_of_old = np.full(g.num_vertices, -1, dtype=np.int64)

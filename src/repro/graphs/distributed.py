@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .builders import sorted_unique, unique_of_sorted
 from .csr import CSRGraph
 from .partition import Partition, partition_by_vertices
 
@@ -125,7 +126,7 @@ class LocalGraph:
         """Sorted global ids of ghost vertices ``\\partial V_i`` (cached)."""
         if self._ghosts is None:
             nonlocal_mask = ~self.is_local(self.adjncy)
-            self._ghosts = np.unique(self.adjncy[nonlocal_mask])
+            self._ghosts = sorted_unique(self.adjncy[nonlocal_mask])
         return self._ghosts
 
     @property
@@ -151,7 +152,7 @@ class LocalGraph:
         """Global ids of owned vertices adjacent to at least one ghost."""
         nonlocal_mask = ~self.is_local(self.adjncy)
         src = np.repeat(self.owned_vertices(), self.degrees)
-        return np.unique(src[nonlocal_mask])
+        return unique_of_sorted(src[nonlocal_mask])
 
     def cut_edges(self) -> np.ndarray:
         """All cut edges with the local endpoint first, one row per arc.
@@ -175,7 +176,8 @@ class LocalGraph:
 
     def neighbor_pes(self) -> np.ndarray:
         """Sorted ranks of PEs owning at least one ghost of this PE."""
-        return np.unique(self.ghost_ranks())
+        # Ghosts are sorted and ranks own ascending id ranges.
+        return unique_of_sorted(self.ghost_ranks())
 
     # ------------------------------------------------------------------
     # CETRIC support: the expanded local graph
@@ -199,7 +201,9 @@ class LocalGraph:
         if cut.size == 0:
             return np.zeros(ghosts.size + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
         slots = np.searchsorted(ghosts, cut[:, 1])
-        order = np.lexsort((cut[:, 0], slots))
+        # cut[:, 0] is already sorted, so a stable sort by slot keeps
+        # each ghost's local neighbours ascending.
+        order = np.argsort(slots, kind="stable")
         slots_sorted = slots[order]
         locals_sorted = cut[:, 0][order]
         counts = np.bincount(slots_sorted, minlength=ghosts.size)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..builders import from_edges
+from ..builders import from_edges, sorted_unique
 from ..csr import CSRGraph
 
 __all__ = ["gnm", "random_edge_sample"]
@@ -69,7 +69,7 @@ def random_edge_sample(
     need = m
     while need > 0:
         draw = rng.integers(0, total, size=int(need * 1.2) + 8)
-        chosen = np.unique(np.concatenate([chosen, draw]))
+        chosen = sorted_unique(np.concatenate([chosen, draw]))
         need = m - chosen.size
     if chosen.size > m:
         chosen = rng.choice(chosen, size=m, replace=False)

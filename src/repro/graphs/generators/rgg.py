@@ -9,7 +9,8 @@ have tiny cuts, which is the regime where CETRIC's contraction shines.
 
 The implementation uses a uniform grid of cell width ``r`` so candidate
 pairs are only generated between neighboring cells — ``O(n + m)``
-expected work, fully vectorized per cell-pair batch.
+expected work, fully vectorized: one batch per neighbour-cell offset
+covers every cell at once.
 
 Vertex ids are assigned by sorting points along a space-filling-ish
 order (cell-major) so that, as with KaGen's output, nearby vertices get
@@ -17,6 +18,8 @@ nearby ids and ID-based 1D partitioning inherits spatial locality.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -50,25 +53,71 @@ def radius_for_expected_edges_3d(n: int, m: int) -> float:
     return float((m / (pairs * 4.0 / 3.0 * np.pi)) ** (1.0 / 3.0))
 
 
-def _cell_edges(
-    pts: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
-    r2: float,
-    *,
-    same_cell: bool,
-) -> np.ndarray:
-    """All pairs (a, b) with ``|pts[a] - pts[b]|^2 <= r2`` between two cells."""
-    if idx_a.size == 0 or idx_b.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    a = np.repeat(idx_a, idx_b.size)
-    b = np.tile(idx_b, idx_a.size)
-    if same_cell:
-        keep = a < b
-        a, b = a[keep], b[keep]
-    d = pts[a] - pts[b]
-    close = (d * d).sum(axis=1) <= r2
-    return np.column_stack([a[close], b[close]])
+def _close_pairs(pts: np.ndarray, cell_id: np.ndarray, cells: int, r2: float) -> np.ndarray:
+    """All pairs ``(a, b)`` with ``|pts[a] - pts[b]|^2 <= r2``.
+
+    ``pts`` (shape ``(n, dim)``) lies in a grid of ``cells`` cells per
+    side, each of side at least ``sqrt(r2)``, so only neighbouring cells
+    can hold close pairs.  ``cell_id`` is each point's row-major cell
+    and must be non-decreasing.  Every cell is paired with itself and
+    with the lexicographically positive half of its neighbourhood, so
+    each unordered cell pair is visited once.  Each offset expands all
+    of its (cell, neighbour-cell) candidates at once: candidate ``k`` of
+    a cell pair is point ``k // size_b`` of the first cell and point
+    ``k % size_b`` of the second.
+    """
+    dim = pts.shape[1]
+    shape = (cells,) * dim
+    counts = np.bincount(cell_id, minlength=cells**dim)
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    nonempty = np.flatnonzero(counts)
+    coords = np.column_stack(np.unravel_index(nonempty, shape))
+    chunks: list[np.ndarray] = []
+    for offset in itertools.product((-1, 0, 1), repeat=dim):
+        if offset < (0,) * dim:
+            continue
+        nb = coords + offset
+        inside = np.all((nb >= 0) & (nb < cells), axis=1)
+        cell_a = nonempty[inside]
+        cell_b = np.ravel_multi_index(tuple(nb[inside].T), shape)
+        size_a, size_b = counts[cell_a], counts[cell_b]
+        width = size_a * size_b
+        pair = np.repeat(np.arange(width.size), width)
+        first = np.zeros(width.size, dtype=np.int64)
+        np.cumsum(width[:-1], out=first[1:])
+        k = np.arange(pair.size, dtype=np.int64) - first[pair]
+        i, j = np.divmod(k, size_b[pair])
+        a = starts[cell_a][pair] + i
+        b = starts[cell_b][pair] + j
+        if not any(offset):
+            keep = a < b
+            a, b = a[keep], b[keep]
+        d = pts[a] - pts[b]
+        close = (d * d).sum(axis=1) <= r2
+        chunks.append(np.column_stack([a[close], b[close]]))
+    return np.concatenate(chunks)
+
+
+def _geometric_graph(n: int, dim: int, radius: float, seed: int, label: str) -> CSRGraph:
+    """``n`` uniform points in the unit ``dim``-cube, joined within ``radius``.
+
+    Vertices are relabelled cell-major so ids have spatial locality
+    (KaGen-like).
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, dim))
+    if n == 0 or radius == 0.0:
+        return from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=n, name=label)
+    cells = max(1, int(1.0 / radius))
+    cell_id = np.ravel_multi_index(
+        tuple(np.minimum((pts * cells).astype(np.int64), cells - 1).T), (cells,) * dim
+    )
+    order = np.argsort(cell_id, kind="stable")
+    edges = _close_pairs(pts[order], cell_id[order], cells, radius * radius)
+    return from_edges(edges, num_vertices=n, name=label)
 
 
 def rgg2d(
@@ -90,58 +139,8 @@ def rgg2d(
         raise ValueError("give exactly one of radius / expected_edges")
     if radius is None:
         radius = radius_for_expected_edges(n, int(expected_edges))
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-
     label = name if name is not None else f"rgg2d(n={n},r={radius:.4g},seed={seed})"
-    if n == 0 or radius == 0.0:
-        return from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=n, name=label)
-
-    # Grid of cells of side >= radius; only 8-neighborhood interactions.
-    cells_per_side = max(1, int(1.0 / radius))
-    cell_xy = np.minimum((pts * cells_per_side).astype(np.int64), cells_per_side - 1)
-    cell_id = cell_xy[:, 0] * cells_per_side + cell_xy[:, 1]
-
-    # Relabel vertices cell-major so ids have spatial locality (KaGen-like).
-    order = np.argsort(cell_id, kind="stable")
-    pts = pts[order]
-    cell_id = cell_id[order]
-
-    # Bucket boundaries per cell (cells are contiguous after the sort).
-    num_cells = cells_per_side * cells_per_side
-    counts = np.bincount(cell_id, minlength=num_cells)
-    starts = np.zeros(num_cells + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-
-    r2 = radius * radius
-    chunks: list[np.ndarray] = []
-    # Iterate over non-empty cells only; each iteration does vectorized work
-    # proportional to the candidate pairs of that cell neighborhood.
-    nonempty = np.flatnonzero(counts)
-    for c in nonempty:
-        cx, cy = divmod(int(c), cells_per_side)
-        idx_a = np.arange(starts[c], starts[c + 1], dtype=np.int64)
-        # Same-cell pairs.
-        chunks.append(_cell_edges(pts, idx_a, idx_a, r2, same_cell=True))
-        # Half of the 8-neighborhood to avoid double generation:
-        # (cx, cy+1), (cx+1, cy-1), (cx+1, cy), (cx+1, cy+1).
-        for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            nx, ny = cx + dx, cy + dy
-            if not (0 <= nx < cells_per_side and 0 <= ny < cells_per_side):
-                continue
-            nc = nx * cells_per_side + ny
-            if counts[nc] == 0:
-                continue
-            idx_b = np.arange(starts[nc], starts[nc + 1], dtype=np.int64)
-            chunks.append(_cell_edges(pts, idx_a, idx_b, r2, same_cell=False))
-    edges = (
-        np.concatenate(chunks, axis=0)
-        if chunks
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    return from_edges(edges, num_vertices=n, name=label)
+    return _geometric_graph(n, 2, radius, seed, label)
 
 
 def rgg3d(
@@ -163,59 +162,5 @@ def rgg3d(
         raise ValueError("give exactly one of radius / expected_edges")
     if radius is None:
         radius = radius_for_expected_edges_3d(n, int(expected_edges))
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n, 3))
-
     label = name if name is not None else f"rgg3d(n={n},r={radius:.4g},seed={seed})"
-    if n == 0 or radius == 0.0:
-        return from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=n, name=label)
-
-    cells = max(1, int(1.0 / radius))
-    cell_xyz = np.minimum((pts * cells).astype(np.int64), cells - 1)
-    cell_id = (cell_xyz[:, 0] * cells + cell_xyz[:, 1]) * cells + cell_xyz[:, 2]
-
-    order = np.argsort(cell_id, kind="stable")
-    pts = pts[order]
-    cell_id = cell_id[order]
-
-    num_cells = cells**3
-    counts = np.bincount(cell_id, minlength=num_cells)
-    starts = np.zeros(num_cells + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-
-    # Half of the 26-neighborhood: the 13 lexicographically positive
-    # offsets, so each unordered cell pair is visited exactly once.
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) > (0, 0, 0)
-    ]
-
-    r2 = radius * radius
-    chunks: list[np.ndarray] = []
-    nonempty = np.flatnonzero(counts)
-    for c in nonempty:
-        cz = int(c) % cells
-        cy = (int(c) // cells) % cells
-        cx = int(c) // (cells * cells)
-        idx_a = np.arange(starts[c], starts[c + 1], dtype=np.int64)
-        chunks.append(_cell_edges(pts, idx_a, idx_a, r2, same_cell=True))
-        for dx, dy, dz in offsets:
-            nx, ny, nz = cx + dx, cy + dy, cz + dz
-            if not (0 <= nx < cells and 0 <= ny < cells and 0 <= nz < cells):
-                continue
-            nc = (nx * cells + ny) * cells + nz
-            if counts[nc] == 0:
-                continue
-            idx_b = np.arange(starts[nc], starts[nc + 1], dtype=np.int64)
-            chunks.append(_cell_edges(pts, idx_a, idx_b, r2, same_cell=False))
-    edges = (
-        np.concatenate(chunks, axis=0)
-        if chunks
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    return from_edges(edges, num_vertices=n, name=label)
+    return _geometric_graph(n, 3, radius, seed, label)

@@ -122,13 +122,10 @@ def rhg(
         )
         a, b = np.nonzero(d <= R)
         ia = inner[a]
-        keep = ia < b  # strict order also removes self pairs
-        pairs = np.column_stack([ia[keep], b[keep]])
-        # Drop pairs where both endpoints are inner and counted twice.
-        both_inner = inner_mask[pairs[:, 0]] & inner_mask[pairs[:, 1]]
-        dup = np.column_stack([pairs[both_inner][:, 0], pairs[both_inner][:, 1]])
-        pairs = np.unique(pairs, axis=0) if dup.size else pairs
-        chunks.append(pairs)
+        # ``ia < b`` drops self pairs and keeps one orientation of each
+        # inner-inner pair.
+        keep = ia < b
+        chunks.append(np.column_stack([ia[keep], b[keep]]))
 
     if outer.size > 1:
         r_o = radii[outer]

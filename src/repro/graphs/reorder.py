@@ -70,7 +70,7 @@ def degree_order(graph: CSRGraph) -> np.ndarray:
     After this relabeling the ID order *is* the paper's degree-based
     total order.
     """
-    keys = np.lexsort((np.arange(graph.num_vertices), graph.degrees))
+    keys = np.argsort(graph.degrees, kind="stable")
     perm = np.empty(graph.num_vertices, dtype=np.int64)
     perm[keys] = np.arange(graph.num_vertices, dtype=np.int64)
     return perm

@@ -1,7 +1,12 @@
 """Unit tests for graph construction and cleaning."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.graphs import (
     canonical_edges,
@@ -14,6 +19,7 @@ from repro.graphs import (
     relabel,
     remove_isolated_vertices,
 )
+from repro.graphs.builders import MAX_KEYED_VERTICES, sorted_unique, unique_of_sorted
 from repro.graphs.generators import complete_graph, ring
 
 
@@ -133,3 +139,69 @@ def test_induced_subgraph():
 def test_induced_subgraph_out_of_range():
     with pytest.raises(ValueError):
         induced_subgraph(ring(4), np.array([9]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        np.array([3, 1, 3, 3, 0, 1]),
+        np.arange(12, dtype=np.int32).reshape(3, 4) % 5,
+        np.random.default_rng(0).integers(-50, 50, size=1000),
+        np.array([0.5, -1.0, 0.5, 2.0]),
+    ],
+)
+def test_sorted_unique_equals_np_unique(values):
+    got = sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_unique_of_sorted_drops_repeats():
+    assert unique_of_sorted(np.array([0, 0, 2, 5, 5, 5, 9])).tolist() == [0, 2, 5, 9]
+    assert unique_of_sorted(np.empty(0, dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("build", [canonical_edges, from_edges])
+def test_negative_endpoint_rejected_with_its_edge(build):
+    with pytest.raises(ValueError, match=r"negative vertex id in edge 2 \(4, -2\)"):
+        build(np.array([[0, 1], [1, 2], [4, -2], [-7, 0]]))
+
+
+@pytest.mark.parametrize("build", [canonical_edges, from_edges])
+def test_negative_self_loop_rejected(build):
+    with pytest.raises(ValueError, match="negative vertex id"):
+        build(np.array([[-1, -1]]))
+
+
+@pytest.mark.parametrize("build", [canonical_edges, from_edges])
+def test_id_too_large_for_edge_key_rejected(build):
+    with pytest.raises(ValueError, match="vertex id 3037000499 is too large"):
+        build(np.array([[0, MAX_KEYED_VERTICES]]))
+
+
+def test_largest_keyable_id_is_accepted():
+    big = MAX_KEYED_VERTICES - 1
+    canon = canonical_edges(np.array([[big, 0], [big - 1, big], [0, big]]))
+    assert canon.tolist() == [[0, big], [big - 1, big]]
+
+
+def test_src_has_no_np_unique_outside_sorted_unique():
+    """NumPy's ``np.unique`` takes a slow hash path on integer ids; every
+    deduplication in the package goes through ``sorted_unique``."""
+    src = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+            ):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert offenders == []

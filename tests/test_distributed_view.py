@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import distribute, from_edges, partition_by_vertices
-from repro.graphs.generators import disjoint_cliques, gnm, grid2d, ring
+from repro.graphs.generators import disjoint_cliques, gnm, grid2d, rgg2d, ring, rmat
 
 
 def test_distribute_partitions_all_vertices():
@@ -135,3 +135,32 @@ def test_memory_words_accounts_arrays():
     dist = distribute(g, num_pes=2)
     v = dist.view(0)
     assert v.memory_words() == v.xadj.size + v.adjncy.size
+
+
+# The benchmark's input graphs and PE counts (rmat14 serves both the
+# ditric and the cetric workload).
+_BENCH_GRAPHS = {
+    "rmat14-p16": (lambda: rmat(14, 16, seed=1), 16),
+    "rgg15-p16": (lambda: rgg2d(2**15, expected_edges=2**19, seed=1), 16),
+    "gnm14-p64": (lambda: gnm(2**14, 2**17, seed=1), 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BENCH_GRAPHS))
+def test_id_bookkeeping_matches_unique_and_lexsort(case):
+    """Sort-and-mask ghost/interface/neighbour-PE sets and the ghost CSR
+    equal the plain ``np.unique``/``np.lexsort`` expressions."""
+    make, p = _BENCH_GRAPHS[case]
+    for lg in distribute(make(), num_pes=p).views:
+        nonlocal_mask = ~lg.is_local(lg.adjncy)
+        src = np.repeat(lg.owned_vertices(), lg.degrees)
+        ghosts = np.unique(lg.adjncy[nonlocal_mask])
+        assert np.array_equal(lg.ghost_vertices, ghosts)
+        assert np.array_equal(lg.interface_vertices(), np.unique(src[nonlocal_mask]))
+        assert np.array_equal(lg.neighbor_pes(), np.unique(lg.partition.rank_of(ghosts)))
+        cut = lg.cut_edges()
+        slots = np.searchsorted(ghosts, cut[:, 1])
+        order = np.lexsort((cut[:, 0], slots))
+        gxadj, gadjncy = lg.ghost_local_neighborhoods()
+        assert np.array_equal(gadjncy, cut[order, 0])
+        assert np.array_equal(gxadj[1:], np.cumsum(np.bincount(slots, minlength=ghosts.size)))

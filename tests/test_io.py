@@ -107,3 +107,13 @@ def test_empty_metis_rejected(tmp_path):
     path.write_text("\n%only comment\n")
     with pytest.raises(ValueError):
         read_metis(path)
+
+
+def test_edge_list_negative_id_names_the_edge():
+    with pytest.raises(ValueError, match=r"negative vertex id in edge 1 \(-1, 3\)"):
+        read_edge_list(io.StringIO("0 1\n-1 3\n"))
+
+
+def test_edge_list_id_too_large_for_edge_key():
+    with pytest.raises(ValueError, match="vertex id 3037000499 is too large"):
+        read_edge_list(io.StringIO("0 3037000499\n"))
