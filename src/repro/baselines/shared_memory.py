@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.intersect import batch_intersect_count, gather_blocks
+from ..core.kernels import intersect_csr_pairs
 from ..core.orientation import orient_by_degree
 from ..graphs.csr import CSRGraph
 
@@ -55,12 +55,10 @@ def _count_arc_range(
     og: CSRGraph, src: np.ndarray, lo: int, hi: int
 ) -> tuple[int, int]:
     """Count triangles over the arc range ``[lo, hi)``; returns (count, ops)."""
-    s = src[lo:hi]
-    d = og.adjncy[lo:hi]
-    a_cat, a_x = gather_blocks(og.xadj, og.adjncy, s)
-    b_cat, b_x = gather_blocks(og.xadj, og.adjncy, d)
-    res = batch_intersect_count(a_cat, a_x, b_cat, b_x, og.num_vertices)
-    return res.total, res.ops
+    ops, counts, _ = intersect_csr_pairs(
+        og.xadj, og.adjncy, src[lo:hi], og.xadj, og.adjncy, og.adjncy[lo:hi], og.num_vertices
+    )
+    return int(counts.sum()), ops
 
 
 def _run_chunks(

@@ -25,10 +25,11 @@ Two backends ship:
     The offset-keyed global ``searchsorted`` formulation that has been
     the hot path since the frame PR.
 ``native``
-    The cffi/C extension of :mod:`repro.core.native`: merge loops plus
-    a galloping binary-search variant for skewed pairs, compiled on
-    demand at first use and cached.  Optional: when cffi or a C
-    compiler is missing, the load raises ``ImportError``.
+    The cffi/C extension of :mod:`repro.core.native`: one in-place
+    mark-and-probe entry with a galloping binary-search variant for
+    skewed pairs, compiled on demand at first use and cached.
+    Optional: when cffi or a C compiler is missing, the load raises
+    ``ImportError``.
 
 Selection (first match wins):
 
@@ -91,17 +92,20 @@ class KernelBackend:
     optional — returns ``(counts, pair_idx, elements)`` from one fused
     traversal; when a backend leaves it ``None`` the dispatcher derives
     the counts from the hit stream instead (same outputs either way).
-    ``csr_count(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids)`` — optional
-    — counts pairs of blocks read in place from two CSR arrays; without
-    it :mod:`repro.core.kernels` gathers the blocks for ``count``.  See
-    the module docstring for the preconditions the dispatcher guarantees.
+    ``csr_pairs(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound, *,
+    elements=False)`` — optional — intersects pairs of blocks read in
+    place from two CSR arrays and returns the counts, or with
+    ``elements=True`` ``(counts, pair_idx, elements)``; without it
+    :mod:`repro.core.kernels` gathers the blocks for the dispatcher.
+    See the module docstring for the preconditions the dispatcher
+    guarantees.
     """
 
     name: str
     count: Callable[..., np.ndarray]
     elements: Callable[..., tuple[np.ndarray, np.ndarray]]
     count_elements: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-    csr_count: Callable[..., np.ndarray] | None = None
+    csr_pairs: Callable[..., object] | None = None
 
 
 #: name -> loader returning a KernelBackend (may raise ImportError).

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from .intersect import (
-    batch_intersect_count,
-    batch_intersect_count_elements,
-    batch_intersect_elements,
-    gather_blocks,
-)
+from .kernels import intersect_csr_pairs
 from .orientation import orient_by_degree
 
 __all__ = [
@@ -57,6 +52,22 @@ def _oriented(graph: CSRGraph) -> CSRGraph:
     return graph if graph.oriented else orient_by_degree(graph)
 
 
+def _arc_intersections(graph: CSRGraph, *, elements: bool = False):
+    """``N^+(v) ∩ N^+(u)`` for every oriented arc ``(v, u)``.
+
+    Returns ``(src, dst, ops, counts, closing)`` per arc; ``closing`` as
+    in :func:`~repro.core.kernels.intersect_csr_pairs`.  The sources are
+    grouped, so they are the side an in-place kernel marks once.
+    """
+    og = _oriented(graph)
+    src = np.repeat(og.vertices(), og.degrees)
+    dst = og.adjncy
+    ops, counts, closing = intersect_csr_pairs(
+        og.xadj, og.adjncy, src, og.xadj, og.adjncy, dst, og.num_vertices, elements=elements
+    )
+    return src, dst, ops, counts, closing
+
+
 def edge_iterator(graph: CSRGraph) -> SequentialResult:
     """Count triangles with COMPACT-FORWARD.
 
@@ -65,14 +76,8 @@ def edge_iterator(graph: CSRGraph) -> SequentialResult:
     kernel counts ``|N_v^+ ∩ N_u^+|``; summing over arcs counts every
     triangle exactly once, from its ≺-smallest vertex.
     """
-    og = _oriented(graph)
-    src = np.repeat(og.vertices(), og.degrees)
-    dst = og.adjncy
-    # A side: N^+(dst); B side: N^+(src) — order irrelevant for counts.
-    a_concat, a_xadj = gather_blocks(og.xadj, og.adjncy, dst)
-    b_concat, b_xadj = gather_blocks(og.xadj, og.adjncy, src)
-    res = batch_intersect_count(a_concat, a_xadj, b_concat, b_xadj, og.num_vertices)
-    return SequentialResult(triangles=res.total, intersection_ops=res.ops)
+    _, _, ops, counts, _ = _arc_intersections(graph)
+    return SequentialResult(triangles=int(counts.sum()), intersection_ops=ops)
 
 
 def edge_iterator_per_vertex(graph: CSRGraph) -> tuple[np.ndarray, SequentialResult]:
@@ -82,16 +87,8 @@ def edge_iterator_per_vertex(graph: CSRGraph) -> tuple[np.ndarray, SequentialRes
     smallest vertex ``v`` over arc ``(v, u)`` with closing vertex
     ``w``); Δ is incremented for all three corners.
     """
-    og = _oriented(graph)
-    src = np.repeat(og.vertices(), og.degrees)
-    dst = og.adjncy
-    a_concat, a_xadj = gather_blocks(og.xadj, og.adjncy, dst)
-    b_concat, b_xadj = gather_blocks(og.xadj, og.adjncy, src)
-    counts, _, closing, ops = batch_intersect_count_elements(
-        a_concat, a_xadj, b_concat, b_xadj, og.num_vertices
-    )
-    n = og.num_vertices
-    delta = np.zeros(n, dtype=np.int64)
+    src, dst, ops, counts, closing = _arc_intersections(graph, elements=True)
+    delta = np.zeros(graph.num_vertices, dtype=np.int64)
     # Crediting the arc endpoints per hit is a weighted bincount by the
     # fused per-pair counts; only the closing vertices need the stream.
     np.add.at(delta, src, counts)
@@ -107,15 +104,8 @@ def triangle_edges(graph: CSRGraph) -> np.ndarray:
     "since each triangle is found exactly once, this generalizes to
     triangle enumeration").
     """
-    og = _oriented(graph)
-    src = np.repeat(og.vertices(), og.degrees)
-    dst = og.adjncy
-    a_concat, a_xadj = gather_blocks(og.xadj, og.adjncy, dst)
-    b_concat, b_xadj = gather_blocks(og.xadj, og.adjncy, src)
-    pair_idx, closing, _ = batch_intersect_elements(
-        a_concat, a_xadj, b_concat, b_xadj, og.num_vertices
-    )
-    tri = np.column_stack([src[pair_idx], dst[pair_idx], closing])
+    src, dst, _, counts, closing = _arc_intersections(graph, elements=True)
+    tri = np.column_stack([np.repeat(src, counts), np.repeat(dst, counts), closing])
     tri.sort(axis=1)
     return tri
 

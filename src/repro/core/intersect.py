@@ -10,8 +10,8 @@ Per the HPC-Python guides, hot paths must not loop per edge in Python.
 The numpy kernels here vectorize *across pairs*: all needle arrays are
 concatenated, offset-keyed so each pair's haystack occupies a disjoint
 key range, and one global :func:`numpy.searchsorted` resolves every
-membership test at once.  The ``native`` backend loops per pair in C
-instead.  Work is *accounted* in the merge model
+membership test at once.  The ``native`` backend marks and probes
+per pair in C instead.  Work is *accounted* in the merge model
 (``|a| + |b|`` per pair), independent of how the kernel executes it, so
 the simulated cost model matches the paper's analysis rather than
 Python's constant factors.
@@ -21,9 +21,9 @@ Python's constant factors.
 validation, the ops accounting, the empty fast path and the
 small-into-large side swap, then hand the pre-conditioned arrays to
 the kernel backend selected via :mod:`repro.core.backends` (the
-cffi/C ``native`` merge loops when they load, else ``numpy``;
+cffi/C ``native`` kernel when it loads, else ``numpy``;
 ``REPRO_KERNEL_BACKEND`` / ``repro-tc --kernel-backend ...`` picks one
-explicitly).  The counting helpers of :mod:`repro.core.kernels` bypass
+explicitly).  The helpers of :mod:`repro.core.kernels` bypass
 :func:`gather_blocks` and this dispatcher when the backend has an
 in-place CSR kernel (``native``), charging the same ops.  The
 fused variant returns per-pair counts *and* the hit streams from one

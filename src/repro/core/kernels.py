@@ -14,8 +14,9 @@ callers, the TriC baseline) are packed into a frame on entry.
 The ``batch_intersect_*`` calls dispatch to the kernel backend selected
 via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
 ``repro-tc --kernel-backend``): the compiled ``native`` (cffi/C)
-kernels when they load, else ``numpy``.  Counting skips
-the gather when the backend intersects CSR blocks in place (``native``).
+kernels when they load, else ``numpy``.  Counts and closing elements
+skip the gather when the backend intersects CSR blocks in place
+(``native``).
 The charged ops are computed before any backend runs, so everything in
 this module is backend-agnostic — see ``docs/KERNELS.md``.
 """
@@ -37,7 +38,9 @@ from .intersect import (
 
 __all__ = [
     "as_frame",
+    "intersect_csr_pairs",
     "count_csr_pairs",
+    "csr_pairs_elements",
     "count_record_pairs",
     "record_pairs_elements",
     "chunked",
@@ -47,8 +50,10 @@ __all__ = [
 CHUNK_PAIRS = 1 << 18
 
 
-def chunked(total: int, chunk: int = CHUNK_PAIRS) -> Iterator[slice]:
-    """Yield slices covering ``range(total)`` in ``chunk``-sized pieces."""
+def chunked(total: int, chunk: int | None = None) -> Iterator[slice]:
+    """Yield slices covering ``range(total)`` in pieces of ``chunk``
+    (default :data:`CHUNK_PAIRS`, read at call time)."""
+    chunk = chunk or CHUNK_PAIRS
     for start in range(0, total, chunk):
         yield slice(start, min(start + chunk, total))
 
@@ -58,6 +63,47 @@ def as_frame(records: RecordFrame | list[Record]) -> RecordFrame:
     if isinstance(records, RecordFrame):
         return records
     return RecordFrame.from_records(records)
+
+
+def intersect_csr_pairs(
+    left_xadj: np.ndarray,
+    left_adj: np.ndarray,
+    left_slots: np.ndarray,
+    right_xadj: np.ndarray,
+    right_adj: np.ndarray,
+    right_slots: np.ndarray,
+    bound: int,
+    *,
+    elements: bool = False,
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """``|L_i ∩ R_i|`` for one batch of CSR-block pairs, unchunked.
+
+    Pair ``i`` intersects block ``left_slots[i]`` of the left CSR with
+    block ``right_slots[i]`` of the right CSR; values lie in
+    ``[0, bound)``.  Returns ``(ops, counts, closing)``: the merge cost
+    (the block sizes of both sides), the per-pair counts and, with
+    ``elements``, the closing elements in (pair, ascending element)
+    order (else ``None``).  A backend with an in-place ``csr_pairs``
+    kernel reads the blocks where they are; otherwise they are gathered
+    for the ``batch_intersect_*`` dispatcher.  Runs of equal
+    ``left_slots`` let the in-place kernel mark the shared block once.
+    """
+    csr_pairs = get_backend().csr_pairs
+    if csr_pairs is None:
+        lcat, lx = gather_blocks(left_xadj, left_adj, left_slots)
+        rcat, rx = gather_blocks(right_xadj, right_adj, right_slots)
+        if elements:
+            counts, _, closing, ops = batch_intersect_count_elements(lcat, lx, rcat, rx, bound)
+            return ops, counts, closing
+        res = batch_intersect_count(lcat, lx, rcat, rx, bound)
+        return res.ops, res.counts, None
+    ops = int(left_xadj[left_slots + 1].sum() - left_xadj[left_slots].sum())
+    ops += int(right_xadj[right_slots + 1].sum() - right_xadj[right_slots].sum())
+    pairs = (left_xadj, left_adj, left_slots, right_xadj, right_adj, right_slots, bound)
+    if elements:
+        counts, _, closing = csr_pairs(*pairs, elements=True)
+        return ops, counts, closing
+    return ops, csr_pairs(*pairs), None
 
 
 def count_csr_pairs(
@@ -70,32 +116,49 @@ def count_csr_pairs(
     right_slots: np.ndarray,
     bound: int,
 ) -> int:
-    """Sum of ``|L_i ∩ R_i|`` over pairs of CSR blocks.
+    """Sum of ``|L_i ∩ R_i|`` over the pairs of :func:`intersect_csr_pairs`,
+    charging the merge cost once per :data:`CHUNK_PAIRS` chunk."""
+    if left_slots.size != right_slots.size:
+        raise ValueError("slot arrays must align")
+    total = 0
+    for sl in chunked(left_slots.size):
+        ops, counts, _ = intersect_csr_pairs(
+            left_xadj, left_adj, left_slots[sl], right_xadj, right_adj, right_slots[sl], bound
+        )
+        ctx.charge(ops)
+        total += int(counts.sum())
+    return total
 
-    Pair ``i`` intersects block ``left_slots[i]`` of the left CSR with
-    block ``right_slots[i]`` of the right CSR.  Charges the merge cost,
-    the block sizes of both sides, once per chunk.  A backend with an
-    in-place ``csr_count`` kernel reads the blocks where they are;
-    otherwise they are gathered for :func:`batch_intersect_count`.
+
+def csr_pairs_elements(
+    ctx: PEContext,
+    left_xadj: np.ndarray,
+    left_adj: np.ndarray,
+    left_slots: np.ndarray,
+    right_xadj: np.ndarray,
+    right_adj: np.ndarray,
+    right_slots: np.ndarray,
+    bound: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair counts and closing elements of :func:`count_csr_pairs`'s pairs.
+
+    Returns ``(counts, closing)``; ``closing`` is in (pair, ascending
+    element) order, so ``np.repeat(endpoint, counts)`` gives each
+    closing element its pair's endpoint.  Charges like
+    :func:`count_csr_pairs`.
     """
     if left_slots.size != right_slots.size:
         raise ValueError("slot arrays must align")
-    csr_count = get_backend().csr_count
-    total = 0
+    counts, closing = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for sl in chunked(left_slots.size):
-        ls, rs = left_slots[sl], right_slots[sl]
-        if csr_count is None:
-            lcat, lx = gather_blocks(left_xadj, left_adj, ls)
-            rcat, rx = gather_blocks(right_xadj, right_adj, rs)
-            res = batch_intersect_count(lcat, lx, rcat, rx, bound)
-            ops, hits = res.ops, res.total
-        else:
-            ops = int(left_xadj[ls + 1].sum() - left_xadj[ls].sum())
-            ops += int(right_xadj[rs + 1].sum() - right_xadj[rs].sum())
-            hits = int(csr_count(left_xadj, left_adj, ls, right_xadj, right_adj, rs).sum())
+        ops, c, w = intersect_csr_pairs(
+            left_xadj, left_adj, left_slots[sl], right_xadj, right_adj, right_slots[sl], bound,
+            elements=True,
+        )
         ctx.charge(ops)
-        total += hits
-    return total
+        counts.append(c)
+        closing.append(w)
+    return np.concatenate(counts), np.concatenate(closing)
 
 
 def _expand_record_pairs(
@@ -186,24 +249,7 @@ def record_pairs_elements(
     """
     frame = as_frame(records)
     rxadj, radj, rec_idx, targets = _expand_record_pairs(ctx, frame, vlo, vhi)
-    if rec_idx.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
-    vertices = frame.vertices
-    v_out, u_out, w_out = [], [], []
-    for sl in chunked(rec_idx.size):
-        lcat, lx = gather_blocks(rxadj, radj, rec_idx[sl])
-        rcat, rx = gather_blocks(local_xadj, local_adj, targets[sl] - vlo)
-        counts, _, closing, ops = batch_intersect_count_elements(lcat, lx, rcat, rx, bound)
-        ctx.charge(ops)
-        # The hit stream is in (pair, element) order, so expanding the
-        # per-pair endpoints by the fused counts reproduces the
-        # endpoint-per-hit gather without indexing through pair_idx.
-        v_out.append(np.repeat(vertices[rec_idx[sl]], counts))
-        u_out.append(np.repeat(targets[sl], counts))
-        w_out.append(closing)
-    return (
-        np.concatenate(v_out),
-        np.concatenate(u_out),
-        np.concatenate(w_out),
+    counts, closing = csr_pairs_elements(
+        ctx, rxadj, radj, rec_idx, local_xadj, local_adj, targets - vlo, bound
     )
+    return np.repeat(frame.vertices[rec_idx], counts), np.repeat(targets, counts), closing

@@ -29,8 +29,7 @@ from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator_per_vertex
 from .engine import EngineConfig, _post_cut_neighborhoods, _surrogate_filter
-from .intersect import batch_intersect_count_elements, gather_blocks
-from .kernels import chunked, record_pairs_elements
+from .kernels import csr_pairs_elements, record_pairs_elements
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees
 
 __all__ = ["lcc_from_delta", "lcc_sequential", "lcc_program", "PELcc"]
@@ -81,46 +80,35 @@ def _triangles_elements_local(
     dst_local = lg.is_local(dst)
     ghosts = lg.ghost_vertices
 
-    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    # (left_xadj, left_adj, left_slots, right_xadj, right_adj, right_slots)
-    groups.append(
+    # (left_xadj, left_adj, left_slots, right_xadj, right_adj, right_slots),
+    # then the two known corners of each pair's triangles.
+    groups = [
         (og.oxadj, og.oadjncy, src_slots[dst_local], og.oxadj, og.oadjncy, dst[dst_local] - vlo)
-    )
-    v_ids_of_group = [np.column_stack([src_slots[dst_local] + vlo, dst[dst_local]])]
+    ]
+    corners = [(src_slots[dst_local] + vlo, dst[dst_local])]
     if expanded:
         g_src = src_slots[~dst_local]
         g_dst = dst[~dst_local]
         if g_src.size:
             g_slots = np.searchsorted(ghosts, g_dst)
             groups.append((og.oxadj, og.oadjncy, g_src, og.goxadj, og.goadjncy, g_slots))
-            v_ids_of_group.append(np.column_stack([g_src + vlo, g_dst]))
+            corners.append((g_src + vlo, g_dst))
         if ghosts.size:
             gh_src = np.repeat(np.arange(ghosts.size, dtype=np.int64), np.diff(og.goxadj))
             gh_dst = og.goadjncy
             groups.append(
                 (og.goxadj, og.goadjncy, gh_src, og.oxadj, og.oadjncy, gh_dst - vlo)
             )
-            v_ids_of_group.append(np.column_stack([ghosts[gh_src], gh_dst]))
+            corners.append((ghosts[gh_src], gh_dst))
 
     a_out, b_out, c_out = [], [], []
-    for (lx, la, ls, rx, ra, rs), endpoints in zip(groups, v_ids_of_group):
-        for sl in chunked(ls.size):
-            lcat, lxa = gather_blocks(lx, la, ls[sl])
-            rcat, rxa = gather_blocks(rx, ra, rs[sl])
-            counts, _, closing, ops = batch_intersect_count_elements(
-                lcat, lxa, rcat, rxa, bound
-            )
-            ctx.charge(ops)
-            # pair_idx is nondecreasing with multiplicity counts[i], so
-            # repeating the endpoint rows by the fused counts equals
-            # endpoints[sl][pair_idx] — one traversal instead of two.
-            ends = np.repeat(endpoints[sl], counts, axis=0)
-            a_out.append(ends[:, 0])
-            b_out.append(ends[:, 1])
-            c_out.append(closing)
-    if not a_out:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
+    for pairs, (a, b) in zip(groups, corners):
+        counts, closing = csr_pairs_elements(ctx, *pairs, bound)
+        # closing is in (pair, element) order, so repeating each pair's
+        # corners by its count lines them up with its closing vertices.
+        a_out.append(np.repeat(a, counts))
+        b_out.append(np.repeat(b, counts))
+        c_out.append(closing)
     return np.concatenate(a_out), np.concatenate(b_out), np.concatenate(c_out)
 
 

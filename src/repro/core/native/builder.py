@@ -41,13 +41,11 @@ __all__ = ["build_key", "build_dir", "load_lib", "CDEF"]
 
 #: Declarations mirrored from kernels.c (the cffi cdef).
 CDEF = """
-int64_t repro_batch_count_elements(const int64_t *a_concat, const int64_t *a_xadj,
-                                   const int64_t *b_concat, const int64_t *b_xadj,
-                                   int64_t k, int64_t *counts,
-                                   int64_t *pair_out, int64_t *elem_out);
-void repro_csr_count(const int64_t *a_xadj, const int64_t *a_adj, const int64_t *a_ids,
-                     const int64_t *b_xadj, const int64_t *b_adj, const int64_t *b_ids,
-                     int64_t k, int64_t *counts);
+int64_t repro_csr_pairs(const int64_t *a_xadj, const int64_t *a_adj, const int64_t *a_ids,
+                        const int64_t *b_xadj, const int64_t *b_adj, const int64_t *b_ids,
+                        int64_t k, int64_t bound, uint8_t *mark,
+                        int64_t *counts, int64_t *pair_out, int64_t *elem_out,
+                        int64_t cap);
 """
 
 ENV_BUILD_DIR = "REPRO_NATIVE_BUILD_DIR"

@@ -39,22 +39,39 @@ __all__ = [
 ]
 
 
+def _ints(tokens: list[str], where: str, lineno: int) -> list[int]:
+    """Parse ``tokens`` as integers; a bad one names the file and line."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{where}:{lineno}: non-integer token {tok!r}") from None
+    return values
+
+
 def read_edge_list(path: str | os.PathLike | io.IOBase, *, name: str = "") -> CSRGraph:
-    """Read a whitespace-separated edge list (SNAP/KONECT style)."""
+    """Read a whitespace-separated edge list (SNAP/KONECT style).
+
+    A malformed line raises ``ValueError`` naming the file and the
+    1-based line number.
+    """
     if isinstance(path, io.IOBase):
         text = path.read()
+        where = str(getattr(path, "name", "<stream>"))
     else:
         text = Path(path).read_text()
         name = name or Path(path).stem
+        where = str(path)
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line[0] in "#%":
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise ValueError(f"malformed edge-list line: {line!r}")
-        rows.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"{where}:{lineno}: malformed edge-list line {line!r}")
+        rows.append(_ints(parts[:2], where, lineno))
     edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
     return from_edges(edges, name=name)
 
@@ -69,29 +86,41 @@ def write_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
 
 
 def read_metis(path: str | os.PathLike, *, name: str = "") -> CSRGraph:
-    """Read a METIS graph file (1-indexed adjacency lines)."""
+    """Read a METIS graph file (1-indexed adjacency lines).
+
+    A non-integer token raises ``ValueError`` naming the file and the
+    1-based line number.
+    """
     lines = Path(path).read_text().splitlines()
     name = name or Path(path).stem
-    body = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("%")]
+    where = str(path)
+    body = [
+        (lineno, ln)
+        for lineno, ln in enumerate(lines, start=1)
+        if ln.strip() and not ln.lstrip().startswith("%")
+    ]
     if not body:
-        raise ValueError("empty METIS file")
-    header = body[0].split()
-    n, m = int(header[0]), int(header[1])
+        raise ValueError(f"{where}: empty METIS file")
+    header_line, header_text = body[0]
+    header = header_text.split()
+    if len(header) < 2:
+        raise ValueError(f"{where}:{header_line}: METIS header needs 'n m', got {header_text!r}")
+    n, m = _ints(header[:2], where, header_line)
     if len(header) > 2 and header[2] not in ("0", "00", "000"):
-        raise ValueError("weighted METIS graphs are not supported")
+        raise ValueError(f"{where}:{header_line}: weighted METIS graphs are not supported")
     if len(body) - 1 != n:
-        raise ValueError(f"expected {n} adjacency lines, got {len(body) - 1}")
+        raise ValueError(f"{where}: expected {n} adjacency lines, got {len(body) - 1}")
     src, dst = [], []
-    for v, ln in enumerate(body[1:]):
-        for tok in ln.split():
-            src.append(v)
-            dst.append(int(tok) - 1)
+    for v, (lineno, ln) in enumerate(body[1:]):
+        nbrs = _ints(ln.split(), where, lineno)
+        src += [v] * len(nbrs)
+        dst += [u - 1 for u in nbrs]
     edges = np.column_stack(
         [np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)]
     ) if src else np.empty((0, 2), dtype=np.int64)
     g = from_edges(edges, num_vertices=n, name=name)
     if g.num_edges != m:
-        raise ValueError(f"METIS header says m={m}, file contains {g.num_edges}")
+        raise ValueError(f"{where}: METIS header says m={m}, file contains {g.num_edges}")
     return g
 
 

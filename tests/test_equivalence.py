@@ -207,7 +207,7 @@ def csr_spy(tmp_path, monkeypatch):
     """Spy on the native in-place kernel, inside forked workers too.
 
     The registry's cached native backend is swapped for one whose
-    ``csr_count`` appends ``pid writeable k`` per call to a file (forked
+    ``csr_pairs`` appends ``pid writeable k`` per call to a file (forked
     workers inherit the swap).  Returns a reader of the logged calls.
     """
     if not native_available():
@@ -216,13 +216,13 @@ def csr_spy(tmp_path, monkeypatch):
     calls = tmp_path / "csr_calls"
     calls.touch()
 
-    def spy(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids):
+    def spy(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound, *, elements=False):
         with open(calls, "a") as fh:
             fh.write(f"{os.getpid()} {int(a_adj.flags.writeable)} {len(a_ids)}\n")
-        return native.csr_count(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids)
+        return native.csr_pairs(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound, elements=elements)
 
     monkeypatch.setitem(
-        backends._BACKENDS, "native", dataclasses.replace(native, csr_count=spy)
+        backends._BACKENDS, "native", dataclasses.replace(native, csr_pairs=spy)
     )
     return lambda: [tuple(map(int, line.split())) for line in calls.read_text().splitlines()]
 
@@ -269,3 +269,28 @@ def test_in_place_kernel_reads_received_shm_frames(csr_spy):
     assert [count for count, _ in par.values] == [count for count, _ in ref.values]
     assert all(readonly for _, readonly in par.values)
     assert any(writeable == 0 and k > 0 for _, writeable, k in csr_spy())
+
+
+@pytest.mark.parametrize("gen_name", list(GENERATORS))
+def test_enumeration_and_lcc_delta_identical_across_backends_and_machines(gen_name, csr_spy):
+    """The enumeration sha256 and the per-vertex LCC Δ are bit-identical
+    across numpy/native × ``Machine``/``ProcessMachine`` (shm, fork), and
+    the native runs take the in-place closing-element path in the workers."""
+    from repro.core.lcc import lcc_program
+
+    dist = _dist(gen_name, SEEDS[0])
+
+    def observe(machine):
+        observed = [_enum_sha(machine.run(enumerate_program, dist, EngineConfig()))]
+        for cfg in (EngineConfig(), EngineConfig(contraction=True)):
+            res = machine.run(lcc_program, dist, cfg)
+            observed.append(np.concatenate([v.delta for v in res.values]).tobytes())
+        return observed
+
+    with use_backend("numpy"):
+        ref = observe(Machine(P))
+    for name in ("numpy", "native"):
+        for machine in (Machine(P), ProcessMachine(P, shm=True, start_method="fork")):
+            with use_backend(name):
+                assert observe(machine) == ref, (name, type(machine).__name__)
+    assert {pid for pid, _, _ in csr_spy()} - {os.getpid()}, "no in-place call in a worker"

@@ -1,6 +1,7 @@
 """Round-trip tests for graph file IO."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -117,3 +118,23 @@ def test_edge_list_negative_id_names_the_edge():
 def test_edge_list_id_too_large_for_edge_key():
     with pytest.raises(ValueError, match="vertex id 3037000499 is too large"):
         read_edge_list(io.StringIO("0 3037000499\n"))
+
+
+def test_edge_list_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "bad.el"
+    path.write_text("# header\n0 1\n1 x\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: non-integer token 'x'"):
+        read_edge_list(path)
+    path.write_text("0 1\n\n2\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: malformed edge-list line '2'"):
+        read_edge_list(path)
+
+
+def test_metis_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "bad.metis"
+    path.write_text("% comment\n3 2\n2\n1 3.5\n2\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:4: non-integer token '3.5'"):
+        read_metis(path)
+    path.write_text("3 two\n2\n1 3\n2\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: non-integer token 'two'"):
+        read_metis(path)

@@ -9,9 +9,11 @@ warning and the rest of the suite stays green.
 
 import logging
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import backends, kernels
 from repro.core.backends import resolve_backend, set_backend, use_backend
@@ -203,7 +205,7 @@ def test_csr_count_matches_gathered_path(case, readonly):
         for arr in arrays:
             arr.setflags(write=False)
     ref_counts, gathered_cost = _gathered_counts(*arrays, 5001)
-    np.testing.assert_array_equal(resolve_backend("native").csr_count(*arrays), ref_counts)
+    np.testing.assert_array_equal(resolve_backend("native").csr_pairs(*arrays, 5001), ref_counts)
     log = _ChargeLog()
     with use_backend("native"):
         total = kernels.count_csr_pairs(log, *arrays, 5001)
@@ -232,19 +234,119 @@ def test_count_csr_pairs_charges_identically_per_chunk(case, monkeypatch):
 @needs_native
 def test_csr_count_rejects_out_of_range_blocks():
     x, adj = np.array([0, 2, 3]), np.array([1, 4, 2])
-    csr_count = resolve_backend("native").csr_count
+    csr_pairs = resolve_backend("native").csr_pairs
     with pytest.raises(IndexError):
-        csr_count(x, adj, np.array([2]), x, adj, np.array([0]))
+        csr_pairs(x, adj, np.array([2]), x, adj, np.array([0]), 5)
     with pytest.raises(IndexError):
-        csr_count(x, adj, np.array([0]), x, adj, np.array([-1]))
+        csr_pairs(x, adj, np.array([0]), x, adj, np.array([-1]), 5)
     with pytest.raises(IndexError):
-        csr_count(x, adj[:2], np.array([0]), x, adj, np.array([0]))
+        csr_pairs(x, adj[:2], np.array([0]), x, adj, np.array([0]), 5)
     with pytest.raises(ValueError):
-        csr_count(x, adj, np.array([0, 1]), x, adj, np.array([0]))
+        csr_pairs(x, adj, np.array([0, 1]), x, adj, np.array([0]), 5)
 
 
 def test_only_native_ships_the_in_place_kernel():
-    assert resolve_backend("numpy").csr_count is None
+    assert resolve_backend("numpy").csr_pairs is None
+
+
+@needs_native
+@pytest.mark.parametrize("elements", [False, True])
+@pytest.mark.parametrize(
+    "a_block,b_block,bound",
+    [
+        ([1, 5], [2, 5], 5),  # a marked value equal to bound
+        ([1, 3], [2, 3, 7], 7),  # a probed value equal to bound
+        ([-1, 3], [2, 3], 8),  # a negative value
+        ([1, 3], [1, 3], 0),  # a bound of 0
+    ],
+)
+def test_csr_pairs_rejects_values_outside_bound(a_block, b_block, bound, elements):
+    """A value outside [0, bound) raises; it never yields a short count."""
+    a_x, b_x = concat_xadj([len(a_block)]), concat_xadj([len(b_block)])
+    ids = np.zeros(1, dtype=np.int64)
+    csr_pairs = resolve_backend("native").csr_pairs
+    with pytest.raises(ValueError, match="bound"):
+        csr_pairs(a_x, np.array(a_block), ids, b_x, np.array(b_block), ids, bound, elements=elements)
+
+
+@needs_native
+def test_csr_pairs_elements_never_overrun_on_duplicate_values():
+    """A block that repeats a value (outside the contract) raises
+    instead of writing past the hit buffer."""
+    ids = np.zeros(1, dtype=np.int64)
+    a, b = np.array([5]), np.array([5, 5])
+    with pytest.raises(ValueError, match="repeats a value"):
+        resolve_backend("native").csr_pairs(
+            concat_xadj([1]), a, ids, concat_xadj([2]), b, ids, 8, elements=True
+        )
+
+
+#: Block sizes: empty, small, and large enough to be 16x a small block.
+_SIZES = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 60, 120])
+
+
+@st.composite
+def _csr_strategy(draw, pool):
+    """A CSR of sorted unique blocks drawn from the values in ``pool``
+    (a pool barely larger than the biggest block makes hits dense)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [
+        np.sort(rng.choice(pool, size, replace=False))
+        for size in draw(st.lists(_SIZES, min_size=1, max_size=8))
+    ]
+    return concat_xadj([b.size for b in blocks]), np.concatenate(blocks)
+
+
+@st.composite
+def _csr_pair_batches(draw):
+    """Two CSRs and pair ids: runs of equal left ids (long and singleton),
+    non-contiguous ids drawn from either CSR, skew in both directions."""
+    bound = draw(st.integers(130, 400))
+    pool = np.random.default_rng(bound).choice(bound, 130, replace=False).astype(np.int64)
+    a_x, a_adj = draw(_csr_strategy(pool))
+    b_x, b_adj = draw(_csr_strategy(pool))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, a_x.size - 2), st.sampled_from([1, 1, 2, 7, 25])),
+        max_size=12,
+    ))
+    a_ids = np.array([a for a, length in runs for _ in range(length)], dtype=np.int64)
+    b_ids = np.asarray(
+        draw(st.lists(st.integers(0, b_x.size - 2), min_size=a_ids.size, max_size=a_ids.size)),
+        dtype=np.int64,
+    )
+    return (a_x, a_adj, a_ids, b_x, b_adj, b_ids), bound
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(_csr_pair_batches(), st.booleans(), st.integers(1, 9))
+def test_csr_pairs_matches_numpy_gathered_path(batch, readonly, chunk):
+    """In-place counts and (pair, element) streams equal the numpy
+    gathered path, directly and through the chunked callers (with a
+    chunk size that splits runs)."""
+    arrays, bound = batch
+    if readonly:  # received shm frames are read-only views
+        for arr in arrays:
+            arr.setflags(write=False)
+    lcat, lx = gather_blocks(*arrays[:3])
+    rcat, rx = gather_blocks(*arrays[3:])
+    with use_backend("numpy"):
+        ref = batch_intersect_count_elements(lcat, lx, rcat, rx, bound)
+    counts = resolve_backend("native").csr_pairs(*arrays, bound)
+    fused = resolve_backend("native").csr_pairs(*arrays, bound, elements=True)
+    np.testing.assert_array_equal(counts, ref[0])
+    for got, want in zip(fused, ref[:3]):
+        np.testing.assert_array_equal(got, want)
+    runs = {}
+    with mock.patch.object(kernels, "CHUNK_PAIRS", chunk):
+        for name in ("numpy", "native"):
+            log = _ChargeLog()
+            with use_backend(name):
+                total = kernels.count_csr_pairs(log, *arrays, bound)
+                c, closing = kernels.csr_pairs_elements(log, *arrays, bound)
+            runs[name] = (total, c.tolist(), closing.tolist(), log.charges)
+    assert runs["native"] == runs["numpy"]
+    assert runs["native"][:3] == (int(ref[0].sum()), ref[0].tolist(), ref[2].tolist())
 
 
 # ---------------------------------------------------------------------------
