@@ -18,6 +18,7 @@ from repro.analysis.tables import format_table
 from repro.core import backends
 from repro.core.edge_iterator import edge_iterator, matrix_count
 from repro.core.intersect import batch_intersect_count, gather_blocks
+from repro.core.kernels import intersect_csr_pairs
 from repro.core.orientation import orient_by_degree
 from repro.graphs import generators as gen
 
@@ -37,18 +38,17 @@ def intersection_batch(medium_graph):
 
 
 @pytest.fixture(scope="module")
-def rmat16_batch():
+def rmat16_pairs():
     """The backend-comparison workload: every arc pair of RMAT scale 16.
 
-    ~900k pairs / ~95M concatenated elements — large enough that kernel
+    ~900k pairs / ~160M block elements — large enough that kernel
     throughput, not dispatch overhead, decides the ranking (the regime
-    the paper's graphs live in).
+    the paper's graphs live in).  Pair ``i`` is arc ``(src[i], dst[i])``
+    read in place from the oriented CSR: ``A(dst[i]) ∩ A(src[i])``.
     """
     og = orient_by_degree(gen.rmat(16, 16, seed=1))
     src = np.repeat(og.vertices(), og.degrees)
-    a_cat, a_x = gather_blocks(og.xadj, og.adjncy, og.adjncy)
-    b_cat, b_x = gather_blocks(og.xadj, og.adjncy, src)
-    return a_cat, a_x, b_cat, b_x, og.num_vertices
+    return (og.xadj, og.adjncy, og.adjncy, og.xadj, og.adjncy, src), og.num_vertices
 
 
 def test_bench_batch_intersection(benchmark, intersection_batch):
@@ -83,19 +83,20 @@ def test_bench_batched_side_swap(benchmark):
     )
 
 
-def test_bench_kernel_backends(rmat16_batch, results_dir):
-    """Pluggable kernel backends on the RMAT scale-16 batch.
+def test_bench_kernel_backends(rmat16_pairs, results_dir):
+    """Pluggable kernel backends on the RMAT scale-16 arc pairs.
 
-    Times ``batch_intersect_count`` under every *loadable* backend
-    (``numpy`` always; ``native`` when cffi and a C compiler are
-    installed) and pins the bit-identity contract: same counts, same
-    charged ops — accounting happens in the dispatcher, before any
-    backend runs.  ``native`` must beat the keyed searchsorted baseline
-    by >= 2x (the acceptance bar for shipping a C extension at all);
-    when the toolchain is missing, the committed artifact records the
-    skip instead of silently shrinking the table.
+    Times ``intersect_csr_pairs`` (the backend's in-place ``csr_pairs``
+    kernel, or the gather fallback for a backend without one) under
+    every *loadable* backend (``numpy`` always; ``native`` when
+    cffi and a C compiler are installed) and pins the bit-identity
+    contract: same counts, same charged ops — the ops are block sizes,
+    computed before any backend runs.  ``native`` must beat numpy by
+    >= 2x (the acceptance bar for shipping a C extension at all); when
+    the toolchain is missing, the committed artifact records the skip
+    instead of silently shrinking the table.
     """
-    a_cat, a_x, b_cat, b_x, n = rmat16_batch
+    pairs, n = rmat16_pairs
     rows = []
     results = {}
     skipped = []
@@ -105,19 +106,19 @@ def test_bench_kernel_backends(rmat16_batch, results_dir):
             skipped.append(f"{name}: {status.get(name, 'unknown')}")
             continue
         with backends.use_backend(name):
-            batch_intersect_count(a_cat, a_x, b_cat, b_x, n)  # warm-up / build
+            intersect_csr_pairs(*pairs, n)  # warm-up / build
             best = float("inf")
             for _ in range(3):
                 t0 = time.perf_counter()
-                res = batch_intersect_count(a_cat, a_x, b_cat, b_x, n)
+                ops, counts, _ = intersect_csr_pairs(*pairs, n)
                 best = min(best, time.perf_counter() - t0)
-        results[name] = res
-        rows.append({"backend": name, "wall time [s]": best, "ops": res.ops})
+        results[name] = (ops, counts)
+        rows.append({"backend": name, "wall time [s]": best, "ops": ops})
         harness.emit("kernel_backends", wall_seconds=best, backend=name)
-    reference = results["numpy"]
-    for name, res in results.items():
-        assert np.array_equal(res.counts, reference.counts), name
-        assert res.ops == reference.ops, name
+    ref_ops, ref_counts = results["numpy"]
+    for name, (ops, counts) in results.items():
+        assert np.array_equal(counts, ref_counts), name
+        assert ops == ref_ops, name
     baseline = next(r["wall time [s]"] for r in rows if r["backend"] == "numpy")
     for r in rows:
         r["speedup vs numpy"] = baseline / r["wall time [s]"]
@@ -125,8 +126,8 @@ def test_bench_kernel_backends(rmat16_batch, results_dir):
         rows,
         ["backend", "wall time [s]", "ops", "speedup vs numpy"],
         title=(
-            f"Kernel backends: batch_intersect_count on RMAT scale 16 "
-            f"({a_x.size - 1} pairs, {a_cat.size + b_cat.size} elements) "
+            f"Kernel backends: csr_pairs in place on RMAT scale 16 "
+            f"({pairs[2].size} pairs, {ref_ops} block elements) "
             f"- outputs and charged ops bit-identical"
         ),
     )

@@ -353,12 +353,12 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         else backends.ENV_BACKEND if explicit
         else "default: native if it loads, else numpy"
     )
-    print(f"{'backend':<10s} {'status':<44s} {'fused':<6s}")
+    print(f"{'backend':<10s} {'status':<44s} {'in-place':<8s}")
     for name, status in backends.backend_status().items():
         backend = backends._BACKENDS.get(name)
-        fused = "yes" if backend is not None and backend.count_elements else "-"
+        in_place = "yes" if backend is not None and backend.csr_pairs else "-"
         marker = " *" if name == (explicit or active.name) else ""
-        print(f"{name:<10s} {status:<44s} {fused:<6s}{marker}")
+        print(f"{name:<10s} {status:<44s} {in_place:<8s}{marker}")
     print(f"\nactive: {active.name} (via {via})")
     if explicit and active.name != explicit:
         print(f"  note: {explicit!r} selected but unavailable; warn-once "

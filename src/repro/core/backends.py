@@ -1,29 +1,22 @@
-"""Runtime-selected kernel backends for the batch intersection hot path.
+"""Runtime-selected kernel backends for the intersection hot path.
 
-``batch_intersect_count`` / ``batch_intersect_elements`` in
-:mod:`repro.core.intersect` are the compute hot path of every algorithm
-variant.  This module makes their *execution strategy* pluggable while
-keeping their *accounting* fixed:
+Every intersection is a pair of CSR blocks: :mod:`repro.core.kernels`
+hands batches of pairs to the selected backend's ``csr_pairs`` kernel,
+which reads the blocks in place and returns per-pair counts (and, with
+``elements=True``, the hits in (pair, ascending element) order).  The
+charged merge-model ops (``|A| + |B|`` per pair) are computed by the
+caller before any backend runs, so simulated accounting is
+*structurally* bit-identical across backends (pinned by
+``tests/test_equivalence.py``).  A backend registered without
+``csr_pairs`` gets its blocks gathered for the ``batch_intersect_*``
+dispatchers of :mod:`repro.core.intersect`, which call its batch
+kernels (``count``/``elements``/``count_elements``).
 
-* The dispatcher in ``intersect.py`` owns everything observable by the
-  simulation — input validation, dtype coercion, the empty fast path,
-  the small-into-large side swap, and the charged merge-model ops
-  (``|A| + |B|`` per pair).  A backend only supplies the raw kernels
-  that produce counts/elements, so simulated accounting is
-  *structurally* bit-identical across backends (pinned by
-  ``tests/test_equivalence.py``).
-* A backend receives pre-conditioned inputs: contiguous ``int64``
-  arrays, ``k >= 1`` pairs, both concatenations nonempty, and the A
-  side no larger than the B side.  ``count`` returns an ``int64``
-  array of ``k`` per-pair counts; ``elements`` returns
-  ``(pair_idx, elements)`` hit streams in (pair, ascending element)
-  order — the canonical order both shipped backends emit naturally.
-
-Two backends ship:
+Two backends ship, both built by :meth:`KernelBackend.from_csr_pairs`:
 
 ``numpy`` (always available)
-    The offset-keyed global ``searchsorted`` formulation that has been
-    the hot path since the frame PR.
+    Gathers the side with the smaller block total and runs one global
+    ``searchsorted`` into the partner CSR's sorted arc keys.
 ``native``
     The cffi/C extension of :mod:`repro.core.native`: one in-place
     mark-and-probe entry with a galloping binary-search variant for
@@ -47,6 +40,7 @@ example and the exact kernel contract.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 from contextlib import contextmanager
@@ -55,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intersect import _numpy_batch_count, _numpy_batch_count_elements
+from .intersect import numpy_csr_pairs
 
 __all__ = [
     "KernelBackend",
@@ -84,21 +78,18 @@ ENV_FALLBACK_WARNED = "REPRO_KERNEL_FALLBACK_WARNED"
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """A raw kernel pair behind the ``batch_intersect_*`` dispatcher.
+    """A kernel backend: the in-place ``csr_pairs`` kernel plus batch kernels.
 
-    ``count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)`` returns
-    per-pair intersection counts; ``elements(...)`` returns the
-    ``(pair_idx, elements)`` hit streams.  ``count_elements(...)`` —
-    optional — returns ``(counts, pair_idx, elements)`` from one fused
-    traversal; when a backend leaves it ``None`` the dispatcher derives
-    the counts from the hit stream instead (same outputs either way).
     ``csr_pairs(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound, *,
-    elements=False)`` — optional — intersects pairs of blocks read in
-    place from two CSR arrays and returns the counts, or with
-    ``elements=True`` ``(counts, pair_idx, elements)``; without it
-    :mod:`repro.core.kernels` gathers the blocks for the dispatcher.
-    See the module docstring for the preconditions the dispatcher
-    guarantees.
+    elements=False)`` returns the counts of pairs of blocks read in
+    place from two CSRs, or with ``elements=True`` ``(counts, pair_idx,
+    elements)``; without it :mod:`repro.core.kernels` gathers the
+    blocks for the dispatcher.  The batch kernels take pre-gathered
+    ``(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)``: ``count``
+    returns per-pair counts, ``elements`` the ``(pair_idx, elements)``
+    hit streams and ``count_elements`` — optional; the dispatcher
+    derives it from ``elements`` when ``None`` — both.  See
+    ``docs/KERNELS.md`` for the contracts.
     """
 
     name: str
@@ -106,6 +97,19 @@ class KernelBackend:
     elements: Callable[..., tuple[np.ndarray, np.ndarray]]
     count_elements: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     csr_pairs: Callable[..., object] | None = None
+
+    @classmethod
+    def from_csr_pairs(cls, name: str, csr_pairs: Callable[..., object]) -> "KernelBackend":
+        """A backend whose batch kernels call ``csr_pairs`` with
+        ``a_ids = b_ids = 0..k-1`` (pair ``i`` is block ``i`` of both sides)."""
+
+        def count(a_concat, a_xadj, b_concat, b_xadj, bound, elements=False):
+            ids = np.arange(a_xadj.size - 1, dtype=np.int64)
+            return csr_pairs(a_xadj, a_concat, ids, b_xadj, b_concat, ids, bound, elements=elements)
+
+        # The fused pass costs only the k extra counts over a hits-only one.
+        fused = functools.partial(count, elements=True)
+        return cls(name, count, lambda *args: fused(*args)[1:], fused, csr_pairs)
 
 
 #: name -> loader returning a KernelBackend (may raise ImportError).
@@ -238,11 +242,7 @@ def use_backend(name: str | None):
 
 
 def _load_numpy() -> KernelBackend:
-    def elements(*args):
-        # One keyed search feeds both outputs; the counts are one bincount.
-        return _numpy_batch_count_elements(*args)[1:]
-
-    return KernelBackend("numpy", _numpy_batch_count, elements, _numpy_batch_count_elements)
+    return KernelBackend.from_csr_pairs("numpy", numpy_csr_pairs)
 
 
 register_backend("numpy", _load_numpy)
@@ -258,7 +258,7 @@ def _load_native() -> KernelBackend:
     # no compiler) surfaces as ImportError -> numpy fallback.
     from .native import load_native_kernels
 
-    return KernelBackend("native", *load_native_kernels())
+    return KernelBackend.from_csr_pairs("native", load_native_kernels())
 
 
 register_backend("native", _load_native)

@@ -7,29 +7,23 @@ intersection ``|a| + |b|`` comparisons; GPU codes use binary-search
 (``searchsorted``) variants instead (Section III-C).
 
 Per the HPC-Python guides, hot paths must not loop per edge in Python.
-The numpy kernels here vectorize *across pairs*: all needle arrays are
-concatenated, offset-keyed so each pair's haystack occupies a disjoint
-key range, and one global :func:`numpy.searchsorted` resolves every
-membership test at once.  The ``native`` backend marks and probes
-per pair in C instead.  Work is *accounted* in the merge model
-(``|a| + |b|`` per pair), independent of how the kernel executes it, so
-the simulated cost model matches the paper's analysis rather than
-Python's constant factors.
+Every intersection is a pair of CSR blocks, and a backend's
+``csr_pairs`` kernel intersects many pairs in one call.  The numpy one,
+:func:`numpy_csr_pairs`, vectorizes *across pairs*: it gathers only the
+smaller side, keys each value by its partner's block id, and one global
+:func:`numpy.searchsorted` into the partner CSR's (already sorted) arc
+keys resolves every membership test.  Work is *accounted* in the merge
+model (``|a| + |b|`` per pair) however the kernel executes it, so the
+simulated cost matches the paper's analysis rather than Python's
+constant factors.
 
-``batch_intersect_count`` / ``batch_intersect_elements`` /
-``batch_intersect_count_elements`` are *dispatchers*: they own
-validation, the ops accounting, the empty fast path and the
-small-into-large side swap, then hand the pre-conditioned arrays to
-the kernel backend selected via :mod:`repro.core.backends` (the
-cffi/C ``native`` kernel when it loads, else ``numpy``;
-``REPRO_KERNEL_BACKEND`` / ``repro-tc --kernel-backend ...`` picks one
-explicitly).  The helpers of :mod:`repro.core.kernels` bypass
-:func:`gather_blocks` and this dispatcher when the backend has an
-in-place CSR kernel (``native``), charging the same ops.  The
-fused variant returns per-pair counts *and* the hit streams from one
-backend traversal — the shape the enumeration/LCC paths consume.
-Because everything the cost model sees is computed *before* the
-backend runs, simulated accounting is identical for every backend by
+The ``batch_intersect_*`` *dispatchers* serve backends without
+``csr_pairs``: they own validation, the ops accounting, the empty fast
+path and the small-into-large side swap of pre-gathered blocks, then
+call the selected backend (:mod:`repro.core.backends`).  The fused
+variant returns counts *and* hit streams from one traversal.  Either
+way everything the cost model sees is computed *before* the backend
+runs, so simulated accounting is identical for every backend by
 construction — see ``docs/KERNELS.md``.
 """
 
@@ -69,11 +63,10 @@ def gather_blocks(
     total = int(out_xadj[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64), out_xadj
-    # Global positions: start of each block repeated, plus the offset
-    # of each element within its block.
-    starts = np.repeat(xadj[block_ids], sizes)
-    within = np.arange(total, dtype=np.int64) - np.repeat(out_xadj[:-1], sizes)
-    return adjncy[starts + within], out_xadj
+    # Global position of output slot j in block b: xadj[b] + (j - out_xadj[b]).
+    positions = np.repeat(xadj[block_ids] - out_xadj[:-1], sizes)
+    positions += np.arange(total, dtype=np.int64)
+    return adjncy[positions], out_xadj
 
 
 def merge_cost(size_a: int, size_b: int) -> int:
@@ -138,62 +131,97 @@ class BatchIntersections:
         return int(self.counts.sum())
 
 
-def _keyed(concat: np.ndarray, xadj: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offset-key a concatenation so block ``i`` lives in its own range."""
-    k = xadj.size - 1
-    pair_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(xadj))
-    return concat + pair_of * np.int64(bound), pair_of
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _numpy_hits(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair index of every A entry and whether it occurs in its B block.
+def check_csr_pairs(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound):
+    """The shared argument checks of every ``csr_pairs`` kernel.
 
-    The keyed concatenation of the B side is globally sorted because
-    every block is sorted and blocks occupy increasing key ranges, so a
-    single ``searchsorted`` answers all membership queries.
+    Returns the six arrays as contiguous ``int64`` (read-only views pass
+    uncopied) and ``bound`` as an int.  Misaligned ids, or ``bound < 1``
+    with pairs, raise ``ValueError``; block ids or offsets outside their
+    arrays raise ``IndexError``.
     """
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    return pair_a, (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
+    if len(a_ids) != len(b_ids):
+        raise ValueError("id arrays must align")
+    bound = int(bound)
+    if bound < 1 and len(a_ids):
+        raise ValueError(f"bound must be at least 1 (got {bound}): no value fits [0, bound)")
+    arrays = [
+        np.ascontiguousarray(x, dtype=np.int64) for x in (a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids)
+    ]
+    for xadj, adj, ids in (arrays[:3], arrays[3:]):
+        if ids.size and (ids.min() < 0 or ids.max() >= xadj.size - 1):
+            raise IndexError("CSR block id out of range")
+        if xadj.size and (xadj.min() < 0 or xadj.max() > adj.size):
+            raise IndexError("CSR offsets outside the adjacency array")
+    return arrays, bound
 
 
-def _numpy_batch_count(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> np.ndarray:
-    """Raw numpy count kernel (dispatcher preconditions apply)."""
-    pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
-    return np.bincount(pair_a[hit], minlength=a_xadj.size - 1).astype(np.int64)
+def block_total(xadj: np.ndarray, ids: np.ndarray) -> int:
+    """Total size of the CSR blocks ``ids`` (repeats count each time)."""
+    return int(xadj[ids + 1].sum() - xadj[ids].sum())
 
 
-def _numpy_batch_count_elements(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw numpy fused kernel: one keyed search feeds both outputs."""
-    pair_a, hit = _numpy_hits(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
-    pair_idx = pair_a[hit]
-    counts = np.bincount(pair_idx, minlength=a_xadj.size - 1).astype(np.int64)
-    return counts, pair_idx, a_concat[hit]
+def range_error(bound: int) -> ValueError:
+    """The error for a block value outside ``[0, bound)``."""
+    return ValueError(
+        f"CSR block value outside [0, {bound}): pass a bound above "
+        "every vertex id in both adjacency arrays"
+    )
+
+
+def numpy_csr_pairs(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound, *, elements=False):
+    """The numpy ``csr_pairs`` kernel: gather one side, probe the other in place.
+
+    Only the side with the smaller block total is gathered, each value
+    keyed by its *partner's* block id (``partner_id·bound + value``).
+    The partner CSR's arc keys ``row·bound + adj`` are already sorted
+    (rows ascend, blocks are sorted), so one ``searchsorted`` into them
+    answers every membership test.  Hits come out in (pair, ascending
+    element) order whichever side was gathered.  A gathered or keyed
+    partner value outside ``[0, bound)``, or a key past ``int64``,
+    raises ``ValueError`` instead of aliasing into another row's keys.
+    """
+    arrays, bound = check_csr_pairs(a_xadj, a_adj, a_ids, b_xadj, b_adj, b_ids, bound)
+    side, partner = arrays[:3], arrays[3:]
+    if block_total(side[0], side[2]) > block_total(partner[0], partner[2]):
+        side, partner = partner, side
+    keys, gx = gather_blocks(*side)
+    k = gx.size - 1
+    if keys.size == 0:
+        counts = np.zeros(k, dtype=np.int64)
+        return (counts, keys, keys.copy()) if elements else counts
+    p_xadj, p_adj, p_ids = partner
+    # Key only the partner rows from the smallest to the largest id.
+    lo, hi = int(p_ids.min()), int(p_ids.max()) + 1
+    if hi * bound > _INT64_MAX:
+        raise ValueError(f"{hi} rows times bound {bound} overflows the int64 keys")
+    arcs = p_adj[p_xadj[lo] : p_xadj[hi]]
+    for values in (keys, arcs):
+        if values.size and (values.min() < 0 or values.max() >= bound):
+            raise range_error(bound)
+    offsets = p_ids * np.int64(bound)
+    keys += np.repeat(offsets, np.diff(gx))
+    # A sentinel above every key makes every search result a real slot.
+    arc_keys = np.empty(arcs.size + 1, dtype=np.int64)
+    row_offsets = np.arange(lo, hi, dtype=np.int64) * np.int64(bound)
+    np.add(np.repeat(row_offsets, np.diff(p_xadj[lo : hi + 1])), arcs, out=arc_keys[:-1])
+    arc_keys[-1] = hi * bound
+    found = np.searchsorted(arc_keys, keys)
+    hit = np.take(arc_keys, found, out=found) == keys
+    hits_before = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(hit, out=hits_before[1:])
+    counts = hits_before[gx[1:]] - hits_before[gx[:-1]]
+    if not elements:
+        return counts
+    pair_idx = np.repeat(np.arange(k, dtype=np.int64), counts)
+    return counts, pair_idx, keys[hit] - offsets[pair_idx]
 
 
 def _active_backend():
-    # Imported lazily: backends.py pulls the raw numpy kernels from
-    # this module at import time, so the dependency must point one way
+    # Imported lazily: backends.py pulls the numpy kernel from this
+    # module at import time, so the dependency must point one way
     # at module load.
     from .backends import get_backend
 

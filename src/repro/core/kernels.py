@@ -11,14 +11,15 @@ batch kernels consume — so the receiver side runs without any
 per-record Python iteration.  Plain ``list[Record]`` inputs (hand-rolled
 callers, the TriC baseline) are packed into a frame on entry.
 
-The ``batch_intersect_*`` calls dispatch to the kernel backend selected
-via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
+Every helper funnels into :func:`intersect_csr_pairs`, which hands the
+CSR-block pairs to the ``csr_pairs`` kernel of the backend selected via
+:mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
 ``repro-tc --kernel-backend``): the compiled ``native`` (cffi/C)
-kernels when they load, else ``numpy``.  Counts and closing elements
-skip the gather when the backend intersects CSR blocks in place
-(``native``).
-The charged ops are computed before any backend runs, so everything in
-this module is backend-agnostic — see ``docs/KERNELS.md``.
+kernel when it loads, else ``numpy``; both read the blocks in place.
+Only a backend registered without ``csr_pairs`` has its blocks
+gathered for the ``batch_intersect_*`` dispatchers.  The charged ops
+are computed before any backend runs, so everything in this module is
+backend-agnostic — see ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .backends import get_backend
 from .intersect import (
     batch_intersect_count,
     batch_intersect_count_elements,
+    block_total,
     gather_blocks,
 )
 
@@ -83,10 +85,10 @@ def intersect_csr_pairs(
     ``[0, bound)``.  Returns ``(ops, counts, closing)``: the merge cost
     (the block sizes of both sides), the per-pair counts and, with
     ``elements``, the closing elements in (pair, ascending element)
-    order (else ``None``).  A backend with an in-place ``csr_pairs``
-    kernel reads the blocks where they are; otherwise they are gathered
-    for the ``batch_intersect_*`` dispatcher.  Runs of equal
-    ``left_slots`` let the in-place kernel mark the shared block once.
+    order (else ``None``).  The backend's ``csr_pairs`` kernel reads the
+    blocks where they are; a backend without one gets them gathered for
+    the ``batch_intersect_*`` dispatchers.  Runs of equal
+    ``left_slots`` let the native kernel mark the shared block once.
     """
     csr_pairs = get_backend().csr_pairs
     if csr_pairs is None:
@@ -97,8 +99,7 @@ def intersect_csr_pairs(
             return ops, counts, closing
         res = batch_intersect_count(lcat, lx, rcat, rx, bound)
         return res.ops, res.counts, None
-    ops = int(left_xadj[left_slots + 1].sum() - left_xadj[left_slots].sum())
-    ops += int(right_xadj[right_slots + 1].sum() - right_xadj[right_slots].sum())
+    ops = block_total(left_xadj, left_slots) + block_total(right_xadj, right_slots)
     pairs = (left_xadj, left_adj, left_slots, right_xadj, right_adj, right_slots, bound)
     if elements:
         counts, _, closing = csr_pairs(*pairs, elements=True)

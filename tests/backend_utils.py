@@ -14,6 +14,16 @@ import numpy as np
 from repro.core.backends import KernelBackend, available_backends, register_backend
 
 
+class ChargeLog:
+    """Stands in for a PEContext: records every ``charge``."""
+
+    def __init__(self):
+        self.charges = []
+
+    def charge(self, ops):
+        self.charges.append(ops)
+
+
 def _merge_pairs(a_concat, a_xadj, b_concat, b_xadj):
     for i in range(a_xadj.size - 1):
         ai, ae = int(a_xadj[i]), int(a_xadj[i + 1])

@@ -113,6 +113,21 @@ def test_cli_datasets(capsys):
     assert "live-journal" in out and "usa" in out
 
 
+def test_cli_backends_reports_in_place_kernels(capsys):
+    """The ``in-place`` column tells a ``csr_pairs`` backend from one
+    that takes the gather fallback."""
+    from backend_utils import register_pymerge
+
+    register_pymerge()
+    rc = main(["backends"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0].split() == ["backend", "status", "in-place"]
+    rows = {line.split()[0]: line.split()[1:3] for line in lines[1:] if line.split()}
+    assert rows["numpy"] == ["ok", "yes"]
+    assert rows["pymerge"] == ["ok", "-"]
+
+
 def test_cli_sweep_with_plot(capsys):
     rc = main(
         [

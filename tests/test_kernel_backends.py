@@ -12,11 +12,14 @@ pre-conditioned inputs.
 import logging
 import os
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from backend_utils import register_pymerge
+from backend_utils import ChargeLog, register_pymerge
+from hypothesis import given, settings, strategies as st
 
-from repro.core import backends
+from repro.core import backends, kernels
 from repro.core.backends import (
     available_backends,
     backend_status,
@@ -305,3 +308,176 @@ def test_fused_dispatcher_side_swap_invariant():
     for got, ref in zip(rev, fwd):
         np.testing.assert_array_equal(got, ref)
 
+
+
+# ---------------------------------------------------------------------------
+# The in-place ``csr_pairs`` kernel on every backend that has one
+# ---------------------------------------------------------------------------
+
+
+def _in_place_backends():
+    """Every shipped backend with ``csr_pairs``; unloadable ones skip."""
+    return [
+        pytest.param(
+            name,
+            marks=pytest.mark.skipif(
+                name == "native" and not HAVE_NATIVE, reason="native backend unavailable"
+            ),
+        )
+        for name in ("numpy", "native")
+    ]
+
+
+def test_shipped_backends_carry_csr_pairs_and_others_gather(monkeypatch):
+    """numpy and native intersect in place; a backend registered without
+    ``csr_pairs`` takes the gather fallback and counts the same."""
+    assert resolve_backend("numpy").csr_pairs is not None
+    if HAVE_NATIVE:
+        assert resolve_backend("native").csr_pairs is not None
+    name = register_pymerge()
+    assert resolve_backend(name).csr_pairs is None
+    gathered = []
+    real_gather = kernels.gather_blocks
+    monkeypatch.setattr(
+        kernels, "gather_blocks", lambda *args: gathered.append(1) or real_gather(*args)
+    )
+    xadj, adj = concat_xadj([3, 2, 3]), np.array([1, 2, 4, 2, 4, 0, 1, 2])
+    ids = np.array([0, 0, 1, 2])
+    runs = {}
+    for backend in ("numpy", name):
+        with use_backend(backend):
+            total = kernels.count_csr_pairs(ChargeLog(), xadj, adj, ids, xadj, adj, ids[::-1], 5)
+        runs[backend] = (total, len(gathered))
+    assert runs == {"numpy": (8, 0), name: (8, 2)}
+
+
+def _set_reference(a_x, a_adj, a_ids, b_x, b_adj, b_ids):
+    """Per-pair counts and (pair, element) hits from Python sets."""
+    counts, pair_idx, elements = [], [], []
+    for i, (a, b) in enumerate(zip(a_ids, b_ids)):
+        common = sorted(
+            set(a_adj[a_x[a] : a_x[a + 1]].tolist()) & set(b_adj[b_x[b] : b_x[b + 1]].tolist())
+        )
+        counts.append(len(common))
+        pair_idx += [i] * len(common)
+        elements += common
+    return counts, pair_idx, elements
+
+
+#: Block sizes: empty, small, and large enough to be 16x a small block.
+_SIZES = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 60, 120])
+
+
+@st.composite
+def _csr_strategy(draw, pool):
+    """A CSR of sorted unique blocks drawn from the values in ``pool``
+    (a pool barely larger than the biggest block makes hits dense)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [
+        np.sort(rng.choice(pool, size, replace=False))
+        for size in draw(st.lists(_SIZES, min_size=1, max_size=8))
+    ]
+    return concat_xadj([b.size for b in blocks]), np.concatenate(blocks)
+
+
+@st.composite
+def _csr_pair_batches(draw):
+    """Two CSRs and pair ids: runs of equal left ids (long and singleton),
+    non-contiguous ids drawn from either CSR, skew in both directions,
+    and either side the smaller one."""
+    bound = draw(st.integers(130, 400))
+    pool = np.random.default_rng(bound).choice(bound, 130, replace=False).astype(np.int64)
+    a_x, a_adj = draw(_csr_strategy(pool))
+    b_x, b_adj = draw(_csr_strategy(pool))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, a_x.size - 2), st.sampled_from([1, 1, 2, 7, 25])),
+        max_size=12,
+    ))
+    a_ids = np.array([a for a, length in runs for _ in range(length)], dtype=np.int64)
+    b_ids = np.asarray(
+        draw(st.lists(st.integers(0, b_x.size - 2), min_size=a_ids.size, max_size=a_ids.size)),
+        dtype=np.int64,
+    )
+    arrays = (a_x, a_adj, a_ids, b_x, b_adj, b_ids)
+    if draw(st.booleans()):  # the runs on the right
+        arrays = arrays[3:] + arrays[:3]
+    return arrays, bound
+
+
+@pytest.mark.parametrize("name", _in_place_backends())
+@settings(max_examples=60, deadline=None)
+@given(batch=_csr_pair_batches(), readonly=st.booleans(), chunk=st.integers(1, 9))
+def test_csr_pairs_matches_set_reference(name, batch, readonly, chunk):
+    """In-place counts and (pair, element) streams equal a pure-Python
+    set reference, directly and through the chunked callers (with a
+    chunk size that splits runs), charging the block sizes per chunk."""
+    arrays, bound = batch
+    if readonly:  # received shm frames are read-only views
+        for arr in arrays:
+            arr.setflags(write=False)
+    counts, pair_idx, elements = _set_reference(*arrays)
+    csr_pairs = resolve_backend(name).csr_pairs
+    assert csr_pairs(*arrays, bound).tolist() == counts
+    got = csr_pairs(*arrays, bound, elements=True)
+    assert [x.tolist() for x in got] == [counts, pair_idx, elements]
+    a_x, _, a_ids, b_x, _, b_ids = arrays
+    sizes = np.diff(a_x)[a_ids] + np.diff(b_x)[b_ids]
+    log = ChargeLog()
+    with mock.patch.object(kernels, "CHUNK_PAIRS", chunk), use_backend(name):
+        total = kernels.count_csr_pairs(log, *arrays, bound)
+        c, closing = kernels.csr_pairs_elements(log, *arrays, bound)
+    assert (total, c.tolist(), closing.tolist()) == (sum(counts), counts, elements)
+    per_chunk = [int(sizes[i : i + chunk].sum()) for i in range(0, sizes.size, chunk)]
+    assert log.charges == per_chunk * 2
+
+
+@pytest.mark.parametrize("name", _in_place_backends())
+@pytest.mark.parametrize("elements", [False, True])
+@pytest.mark.parametrize(
+    "a_blocks,b_blocks,bound",
+    [
+        # Block 0's value 5 == bound must not hit row 1's value 0.
+        ([[5], [3]], [[1, 2], [0, 3]], 5),
+        ([[1, 2], [0, 3]], [[5], [3]], 5),
+        ([[-1, 3]], [[2, 3, 4]], 8),  # a negative value
+        ([[1, 3]], [[1, 3]], 0),  # a bound of 0
+    ],
+    ids=["value-bound-left", "value-bound-right", "negative", "bound-0"],
+)
+def test_csr_pairs_rejects_values_outside_bound(name, a_blocks, b_blocks, bound, elements):
+    """A value outside [0, bound) raises; it never yields an aliased count."""
+    ids = np.arange(len(a_blocks), dtype=np.int64)
+    a = concat_xadj([len(b) for b in a_blocks]), np.concatenate(a_blocks)
+    b = concat_xadj([len(b) for b in b_blocks]), np.concatenate(b_blocks)
+    with pytest.raises(ValueError, match="bound"):
+        resolve_backend(name).csr_pairs(*a, ids, *b, ids, bound, elements=elements)
+
+
+@pytest.mark.parametrize("elements", [False, True])
+def test_numpy_csr_pairs_checks_every_keyed_partner_row(elements):
+    """numpy keys every partner row between the smallest and largest id,
+    so an out-of-range value in a row no pair names would alias into the
+    next row's keys (9 in row 1 keys like row 2's 1): it raises too."""
+    a_x, a_adj = concat_xadj([1, 1]), np.array([1, 1])
+    b_x, b_adj = concat_xadj([3, 1, 2]), np.array([1, 2, 3, 9, 0, 2])
+    csr_pairs = resolve_backend("numpy").csr_pairs
+    with pytest.raises(ValueError, match="bound"):
+        csr_pairs(a_x, a_adj, np.array([0, 1]), b_x, b_adj, np.array([0, 2]), 8, elements=elements)
+
+
+def test_numpy_csr_pairs_rejects_out_of_range_blocks():
+    """numpy runs the same id and offset checks as native before it gathers."""
+    x, adj = concat_xadj([2, 1]), np.array([1, 4, 2])
+    csr_pairs = resolve_backend("numpy").csr_pairs
+    with pytest.raises(IndexError, match="block id"):
+        csr_pairs(x, adj, np.array([2]), x, adj, np.array([0]), 5)
+    with pytest.raises(IndexError, match="offsets"):
+        csr_pairs(x, adj[:2], np.array([0]), x, adj, np.array([0]), 5)
+    with pytest.raises(ValueError, match="align"):
+        csr_pairs(x, adj, np.array([0, 1]), x, adj, np.array([0]), 5)
+
+
+def test_numpy_csr_pairs_rejects_keys_past_int64():
+    x, adj, ids = concat_xadj([1, 1, 1]), np.array([0, 1, 2]), np.array([0, 2])
+    with pytest.raises(ValueError, match="overflows"):
+        resolve_backend("numpy").csr_pairs(x, adj, ids, x, adj, ids, 2**62)

@@ -9,11 +9,10 @@ warning and the rest of the suite stays green.
 
 import logging
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from backend_utils import ChargeLog
 
 from repro.core import backends, kernels
 from repro.core.backends import resolve_backend, set_backend, use_backend
@@ -133,18 +132,9 @@ def test_native_handles_duplicate_hits_across_pairs():
 
 
 # ---------------------------------------------------------------------------
-# In-place CSR-pair kernel vs the gathered path
+# In-place CSR-pair kernel vs the gathered path (the set-reference
+# property over every in-place backend is in test_kernel_backends.py)
 # ---------------------------------------------------------------------------
-
-
-class _ChargeLog:
-    """Stands in for a PEContext: records every ``charge``."""
-
-    def __init__(self):
-        self.charges = []
-
-    def charge(self, ops):
-        self.charges.append(ops)
 
 
 def _csr(rng, num_blocks, bound, min_len, max_len, empty_frac=0.3):
@@ -206,7 +196,7 @@ def test_csr_count_matches_gathered_path(case, readonly):
             arr.setflags(write=False)
     ref_counts, gathered_cost = _gathered_counts(*arrays, 5001)
     np.testing.assert_array_equal(resolve_backend("native").csr_pairs(*arrays, 5001), ref_counts)
-    log = _ChargeLog()
+    log = ChargeLog()
     with use_backend("native"):
         total = kernels.count_csr_pairs(log, *arrays, 5001)
     assert total == int(ref_counts.sum())
@@ -223,7 +213,7 @@ def test_count_csr_pairs_charges_identically_per_chunk(case, monkeypatch):
     arrays = _csr_cases()[case]
     runs = {}
     for name in ("numpy", "native"):
-        log = _ChargeLog()
+        log = ChargeLog()
         with use_backend(name):
             total = kernels.count_csr_pairs(log, *arrays, 5001)
         runs[name] = (total, log.charges)
@@ -243,10 +233,6 @@ def test_csr_count_rejects_out_of_range_blocks():
         csr_pairs(x, adj[:2], np.array([0]), x, adj, np.array([0]), 5)
     with pytest.raises(ValueError):
         csr_pairs(x, adj, np.array([0, 1]), x, adj, np.array([0]), 5)
-
-
-def test_only_native_ships_the_in_place_kernel():
-    assert resolve_backend("numpy").csr_pairs is None
 
 
 @needs_native
@@ -279,74 +265,6 @@ def test_csr_pairs_elements_never_overrun_on_duplicate_values():
         resolve_backend("native").csr_pairs(
             concat_xadj([1]), a, ids, concat_xadj([2]), b, ids, 8, elements=True
         )
-
-
-#: Block sizes: empty, small, and large enough to be 16x a small block.
-_SIZES = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 60, 120])
-
-
-@st.composite
-def _csr_strategy(draw, pool):
-    """A CSR of sorted unique blocks drawn from the values in ``pool``
-    (a pool barely larger than the biggest block makes hits dense)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = [
-        np.sort(rng.choice(pool, size, replace=False))
-        for size in draw(st.lists(_SIZES, min_size=1, max_size=8))
-    ]
-    return concat_xadj([b.size for b in blocks]), np.concatenate(blocks)
-
-
-@st.composite
-def _csr_pair_batches(draw):
-    """Two CSRs and pair ids: runs of equal left ids (long and singleton),
-    non-contiguous ids drawn from either CSR, skew in both directions."""
-    bound = draw(st.integers(130, 400))
-    pool = np.random.default_rng(bound).choice(bound, 130, replace=False).astype(np.int64)
-    a_x, a_adj = draw(_csr_strategy(pool))
-    b_x, b_adj = draw(_csr_strategy(pool))
-    runs = draw(st.lists(
-        st.tuples(st.integers(0, a_x.size - 2), st.sampled_from([1, 1, 2, 7, 25])),
-        max_size=12,
-    ))
-    a_ids = np.array([a for a, length in runs for _ in range(length)], dtype=np.int64)
-    b_ids = np.asarray(
-        draw(st.lists(st.integers(0, b_x.size - 2), min_size=a_ids.size, max_size=a_ids.size)),
-        dtype=np.int64,
-    )
-    return (a_x, a_adj, a_ids, b_x, b_adj, b_ids), bound
-
-
-@needs_native
-@settings(max_examples=60, deadline=None)
-@given(_csr_pair_batches(), st.booleans(), st.integers(1, 9))
-def test_csr_pairs_matches_numpy_gathered_path(batch, readonly, chunk):
-    """In-place counts and (pair, element) streams equal the numpy
-    gathered path, directly and through the chunked callers (with a
-    chunk size that splits runs)."""
-    arrays, bound = batch
-    if readonly:  # received shm frames are read-only views
-        for arr in arrays:
-            arr.setflags(write=False)
-    lcat, lx = gather_blocks(*arrays[:3])
-    rcat, rx = gather_blocks(*arrays[3:])
-    with use_backend("numpy"):
-        ref = batch_intersect_count_elements(lcat, lx, rcat, rx, bound)
-    counts = resolve_backend("native").csr_pairs(*arrays, bound)
-    fused = resolve_backend("native").csr_pairs(*arrays, bound, elements=True)
-    np.testing.assert_array_equal(counts, ref[0])
-    for got, want in zip(fused, ref[:3]):
-        np.testing.assert_array_equal(got, want)
-    runs = {}
-    with mock.patch.object(kernels, "CHUNK_PAIRS", chunk):
-        for name in ("numpy", "native"):
-            log = _ChargeLog()
-            with use_backend(name):
-                total = kernels.count_csr_pairs(log, *arrays, bound)
-                c, closing = kernels.csr_pairs_elements(log, *arrays, bound)
-            runs[name] = (total, c.tolist(), closing.tolist(), log.charges)
-    assert runs["native"] == runs["numpy"]
-    assert runs["native"][:3] == (int(ref[0].sum()), ref[0].tolist(), ref[2].tolist())
 
 
 # ---------------------------------------------------------------------------

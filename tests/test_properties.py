@@ -9,15 +9,20 @@ delivery, partition laws).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.backends import resolve_backend
 from repro.core.edge_iterator import edge_iterator, matrix_count
 from repro.core.engine import EngineConfig, counting_program
 from repro.core.intersect import batch_intersect_count, concat_xadj, intersect_count
 from repro.core.lcc import lcc_program, lcc_sequential
+from repro.core.native import native_available
 from repro.core.orientation import orient_by_degree
 from repro.graphs import distribute, from_edges, partition_by_vertices
 from repro.net import Machine
 
 SETTINGS = dict(max_examples=40, deadline=None)
+
+#: Loadable backends with an in-place ``csr_pairs`` kernel.
+_IN_PLACE_BACKENDS = ["numpy"] + (["native"] if native_available() else [])
 
 
 @st.composite
@@ -151,8 +156,21 @@ def test_batch_intersection_matches_set_semantics(pairs):
     a_x = concat_xadj(np.array([x.size for x in a_blocks], dtype=np.int64))
     b_x = concat_xadj(np.array([x.size for x in b_blocks], dtype=np.int64))
     res = batch_intersect_count(a_cat, a_x, b_cat, b_x, 41)
-    expected = [len(set(a.tolist()) & set(b.tolist())) for a, b in zip(a_blocks, b_blocks)]
+    common = [sorted(set(a.tolist()) & set(b.tolist())) for a, b in zip(a_blocks, b_blocks)]
+    expected = [len(c) for c in common]
     assert res.counts.tolist() == expected
+    # The same pairs read in place, with the B blocks named in reverse.
+    ids = np.arange(len(pairs), dtype=np.int64)
+    rev_x = concat_xadj(np.array([x.size for x in b_blocks[::-1]], dtype=np.int64))
+    rev_cat = np.concatenate(b_blocks[::-1]) if b_blocks else b_cat
+    hits = [(i, w) for i, c in enumerate(common) for w in c]
+    for name in _IN_PLACE_BACKENDS:
+        csr_pairs = resolve_backend(name).csr_pairs
+        args = (a_x, a_cat, ids, rev_x, rev_cat, ids[::-1], 41)
+        assert csr_pairs(*args).tolist() == expected, name
+        counts, pair_idx, elements = csr_pairs(*args, elements=True)
+        assert counts.tolist() == expected, name
+        assert list(zip(pair_idx.tolist(), elements.tolist())) == hits, name
 
 
 @settings(**SETTINGS)
