@@ -34,16 +34,23 @@ import numpy as np
 
 from ..amq.bloom import BloomFilter
 from ..amq.ssbf import SingleShotBloomFilter
-from ..graphs.builders import from_edges, sorted_unique
+from ..graphs.builders import from_edges
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
-from ..net.aggregation import BufferedMessageQueue
-from ..net.comm import allreduce, alltoallv_dense
-from ..net.indirect import GridRouter
+from ..net.comm import allreduce
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator
-from .engine import EngineConfig, _local_phase_pairs, _surrogate_filter
-from .preprocessing import build_oriented, exchange_ghost_degrees
+from .engine import (
+    EngineConfig,
+    _cut_arcs,
+    _local_phase_pairs,
+    _local_phase_triangles,
+    _preprocess,
+    _router,
+    _send_structure,
+    _surrogate_filter,
+)
+from .lcc import _GhostDelta, lcc_from_delta
 
 __all__ = [
     "AmqRecord",
@@ -109,6 +116,56 @@ def _make_amq(
     return f
 
 
+def _amq_global_phase(
+    ctx: PEContext,
+    lg,
+    config: EngineConfig,
+    send_xadj: np.ndarray,
+    send_adj: np.ndarray,
+    tag: str,
+    amq_kind: Literal["bloom", "ssbf"],
+    budget: float,
+) -> Generator[None, None, list[AmqRecord]]:
+    """Ship one :class:`AmqRecord` per (vertex, destination PE) run of the
+    contracted cut arcs and return the records received (collective)."""
+    router = _router(ctx, lg, config, tag)
+    c_src, c_dst, dst_ranks = _cut_arcs(lg, send_xadj, send_adj)
+    first = _surrogate_filter(c_src, dst_ranks, enabled=True)
+    ctx.charge(c_src.size)
+    # The run members are exactly the receiver-side targets.
+    run_starts = np.flatnonzero(first)
+    run_ends = np.concatenate([run_starts[1:], [c_src.size]])
+    # Per-run loop, not post_many: each run builds an opaque AMQ
+    # payload (a Bloom filter is inherently a per-destination object),
+    # so there is no frameable array batch to pack.
+    for start, end in zip(run_starts.tolist(), run_ends.tolist()):
+        slot = int(c_src[start])
+        v = lg.vlo + slot
+        nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
+        amq = _make_amq(amq_kind, nbh, v, budget)
+        ctx.charge(nbh.size)  # filter construction
+        rec = AmqRecord(vertex=v, targets=c_dst[start:end], amq=amq, source_size=int(nbh.size))
+        router.post(int(dst_ranks[start]), rec)
+    return (yield from router.finalize())
+
+
+def _amq_queries(
+    ctx: PEContext, records: list[AmqRecord], send_xadj: np.ndarray, send_adj: np.ndarray, vlo: int
+) -> list[tuple[AmqRecord, int, np.ndarray, np.ndarray]]:
+    """Query every received filter with the ``A(u)`` of each of its owned
+    targets ``u``: ``(record, u, A(u), positive mask)`` per non-empty ``A(u)``."""
+    out = []
+    for rec in records:
+        for u in rec.targets.tolist():
+            a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
+            if a_u.size == 0:
+                continue
+            positive = rec.amq.query(a_u)
+            ctx.charge(a_u.size)
+            out.append((rec, u, a_u, positive))
+    return out
+
+
 def amq_cetric_program(
     ctx: PEContext,
     dist: DistGraph,
@@ -132,71 +189,24 @@ def amq_cetric_program(
     if not config.contraction:
         raise ValueError("the AMQ phase replaces CETRIC's global phase; contraction required")
     lg = dist.view(ctx.rank)
-    vlo, vhi = lg.vlo, lg.vhi
-
-    with ctx.span("preprocessing"):
-        yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
-        og = build_oriented(ctx, lg, with_ghosts=True)
-
+    og = yield from _preprocess(ctx, lg, config)
     with ctx.span("local"):
         exact_local = _local_phase_pairs(ctx, og, expanded=True)
         yield
 
-    with ctx.span("contraction"):
-        send_xadj, send_adj = og.contracted()
-        ctx.charge(og.oadjncy.size)
-
+    send_xadj, send_adj = _send_structure(ctx, og, True)
     with ctx.span("global"):
-        threshold = config.threshold_words(lg.num_local_arcs)
-        router = (
-            GridRouter(ctx, "amq-nbh", threshold)
-            if config.indirect
-            else BufferedMessageQueue(ctx, "amq-nbh", threshold)
+        records = yield from _amq_global_phase(
+            ctx, lg, config, send_xadj, send_adj, "amq-nbh", amq_kind, budget
         )
-        nloc = lg.num_local_vertices
-        s_src = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(send_xadj))
-        cut_mask = ~lg.is_local(send_adj)  # all true post-contraction
-        c_src = s_src[cut_mask]
-        c_dst = send_adj[cut_mask]
-        dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        first = _surrogate_filter(c_src, dst_ranks, enabled=True)
-        ctx.charge(c_src.size)
-        # Group cut arcs into (vertex, destination PE) runs; the run
-        # members are exactly the receiver-side targets.
-        run_starts = np.flatnonzero(first)
-        run_ends = np.concatenate([run_starts[1:], [c_src.size]])
-        # Per-run loop, not post_many: each run builds an opaque AMQ
-        # payload (a Bloom filter is inherently a per-destination
-        # object), so there is no frameable array batch to pack.
-        for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-            slot = int(c_src[start])
-            rank = int(dst_ranks[start])
-            v = vlo + slot
-            nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
-            amq = _make_amq(amq_kind, nbh, v, budget)
-            ctx.charge(nbh.size)  # filter construction
-            rec = AmqRecord(
-                vertex=v,
-                targets=c_dst[start:end],
-                amq=amq,
-                source_size=int(nbh.size),
-            )
-            router.post(rank, rec)
-        records = yield from router.finalize()
-
         approx_remote = 0.0
-        for rec in records:
+        for rec, _, a_u, positive in _amq_queries(ctx, records, send_xadj, send_adj, lg.vlo):
+            hits = int(np.count_nonzero(positive))
             fpr = rec.amq.expected_fpr()
-            for u in rec.targets.tolist():
-                a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
-                if a_u.size == 0:
-                    continue
-                hits = int(np.count_nonzero(rec.amq.query(a_u)))
-                ctx.charge(a_u.size)
-                if correct_bias and fpr < 1.0:
-                    approx_remote += (hits - a_u.size * fpr) / (1.0 - fpr)
-                else:
-                    approx_remote += hits
+            if correct_bias and fpr < 1.0:
+                approx_remote += (hits - a_u.size * fpr) / (1.0 - fpr)
+            else:
+                approx_remote += hits
         yield
 
     my_total = float(exact_local) + approx_remote
@@ -241,111 +251,40 @@ def amq_lcc_program(
     of ``s`` queries at FPR ``f``), so the pair's total contribution
     matches the unbiased estimator of :func:`amq_cetric_program`.
     """
-    # Local import: lcc imports engine helpers that this module also uses.
-    from .lcc import _triangles_elements_local, lcc_from_delta
-
+    config = EngineConfig(contraction=True)
     lg = dist.view(ctx.rank)
-    vlo, vhi = lg.vlo, lg.vhi
-    ghosts = lg.ghost_vertices
-
-    with ctx.span("preprocessing"):
-        yield from exchange_ghost_degrees(ctx, lg)
-        og = build_oriented(ctx, lg, with_ghosts=True)
-
-    delta_local = np.zeros(lg.num_local_vertices, dtype=np.float64)
-    delta_ghost = np.zeros(ghosts.size, dtype=np.float64)
-
-    def credit(vertices: np.ndarray, weight) -> None:
-        owned = (vertices >= vlo) & (vertices < vhi)
-        np.add.at(delta_local, vertices[owned] - vlo, np.broadcast_to(weight, vertices.shape)[owned])
-        if ghosts.size and not np.all(owned):
-            slots = np.searchsorted(ghosts, vertices[~owned])
-            np.add.at(delta_ghost, slots, np.broadcast_to(weight, vertices.shape)[~owned])
-        ctx.charge(vertices.size)
-
+    og = yield from _preprocess(ctx, lg, config)
+    delta = _GhostDelta(lg, np.float64)
     with ctx.span("local"):
-        a, b, c = _triangles_elements_local(ctx, og, expanded=True)
-        for corners in (a, b, c):
-            credit(corners, 1.0)
+        for corners in _local_phase_triangles(ctx, og, expanded=True):
+            delta.credit(ctx, corners, 1.0)
         yield
 
-    with ctx.span("contraction"):
-        send_xadj, send_adj = og.contracted()
-        ctx.charge(og.oadjncy.size)
-
+    send_xadj, send_adj = _send_structure(ctx, og, True)
     with ctx.span("global"):
-        threshold = EngineConfig().threshold_words(lg.num_local_arcs)
-        router = BufferedMessageQueue(ctx, "amq-lcc", threshold)
-        nloc = lg.num_local_vertices
-        s_src = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(send_xadj))
-        c_src = s_src
-        c_dst = send_adj
-        dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        first = _surrogate_filter(c_src, dst_ranks, enabled=True)
-        ctx.charge(c_src.size)
-        run_starts = np.flatnonzero(first)
-        run_ends = np.concatenate([run_starts[1:], [c_src.size]])
-        # Per-run loop as in amq_cetric_program: opaque AMQ payloads.
-        for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-            slot = int(c_src[start])
-            rank = int(dst_ranks[start])
-            v = vlo + slot
-            nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
-            amq = _make_amq(amq_kind, nbh, v, budget)
-            ctx.charge(nbh.size)
-            router.post(
-                rank,
-                AmqRecord(
-                    vertex=v,
-                    targets=c_dst[start:end],
-                    amq=amq,
-                    source_size=int(nbh.size),
-                ),
-            )
-        records = yield from router.finalize()
-        for rec in records:
+        records = yield from _amq_global_phase(
+            ctx, lg, config, send_xadj, send_adj, "amq-lcc", amq_kind, budget
+        )
+        for rec, u, a_u, positive in _amq_queries(ctx, records, send_xadj, send_adj, lg.vlo):
+            hits = int(np.count_nonzero(positive))
+            if hits == 0:
+                continue
             fpr = rec.amq.expected_fpr()
-            for u in rec.targets.tolist():
-                a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
-                if a_u.size == 0:
-                    continue
-                positive = rec.amq.query(a_u)
-                ctx.charge(a_u.size)
-                hits = int(np.count_nonzero(positive))
-                if hits == 0:
-                    continue
-                if correct_bias and fpr < 1.0:
-                    weight = max(0.0, (hits - a_u.size * fpr) / ((1.0 - fpr) * hits))
-                else:
-                    weight = 1.0
-                # Corners: record vertex v (ghost), owned u, positives w.
-                credit(np.array([rec.vertex], dtype=np.int64), weight * hits)
-                delta_local[u - vlo] += weight * hits
-                credit(a_u[positive], weight)
+            if correct_bias and fpr < 1.0:
+                weight = max(0.0, (hits - a_u.size * fpr) / ((1.0 - fpr) * hits))
+            else:
+                weight = 1.0
+            # Corners: record vertex v (ghost), owned u, positives w.
+            delta.credit(ctx, np.array([rec.vertex], dtype=np.int64), weight * hits)
+            delta.local[u - lg.vlo] += weight * hits
+            delta.credit(ctx, a_u[positive], weight)
         yield
 
-    with ctx.span("delta-exchange"):
-        payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
-        if ghosts.size:
-            nz = delta_ghost > 0
-            gids = ghosts[nz]
-            gvals = delta_ghost[nz]
-            owner = lg.partition.rank_of(gids) if gids.size else gids
-            for rank in sorted_unique(owner):
-                sel = owner == rank
-                payloads[int(rank)] = ((gids[sel], gvals[sel]), 2 * int(sel.sum()))
-        msgs = yield from alltoallv_dense(ctx, payloads, tag_label="amq-delta")
-        for msg in msgs:
-            if msg.payload is None:
-                continue
-            ids, vals = msg.payload
-            np.add.at(delta_local, ids - vlo, vals)
-            ctx.charge(ids.size)
-
-    my_sum = float(delta_local.sum())
+    yield from delta.push_back(ctx, "amq-delta")
+    my_sum = float(delta.local.sum())
     grand = yield from allreduce(ctx, my_sum, lambda x, y: x + y)
-    lcc = lcc_from_delta(delta_local, lg.degrees)
-    return PEApproxLcc(delta=delta_local, lcc=lcc, estimate_total=float(grand) / 3.0)
+    lcc = lcc_from_delta(delta.local, lg.degrees)
+    return PEApproxLcc(delta=delta.local, lcc=lcc, estimate_total=float(grand) / 3.0)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ timers are engine events there, not extra scheduler rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from ..net.machine import PEContext
 from ..net.messages import HEADER_WORDS
 from ..net.reliable import fault_tolerant
 from .intersect import gather_blocks
-from .kernels import count_csr_pairs, count_record_pairs
+from .kernels import count_csr_pairs, count_record_pairs, csr_pairs_elements, record_pairs_elements
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees, first_of_runs
 
 __all__ = ["EngineConfig", "PECounts", "counting_program"]
@@ -99,10 +99,23 @@ class PECounts:
     records_sent: int
 
 
-def _local_phase_pairs(
-    ctx: PEContext, og, *, expanded: bool
-) -> int:
-    """All intersections available without communication.
+def _preprocess(
+    ctx: PEContext, lg, config: EngineConfig
+) -> Generator[None, None, OrientedLocalGraph]:
+    """The ``preprocessing`` phase: ghost-degree exchange, then orientation
+    (with the ghosts' local-restricted ``A`` sets under contraction)."""
+    with ctx.span("preprocessing"):
+        yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
+        return build_oriented(ctx, lg, with_ghosts=config.contraction)
+
+
+def _local_pair_groups(og: OrientedLocalGraph, *, expanded: bool) -> list[tuple]:
+    """The CSR pair groups of the local phase, each with its two known corners.
+
+    Returns ``(pairs, a, b)`` triples: ``pairs`` is the ``(left_xadj,
+    left_adj, left_slots, right_xadj, right_adj, right_slots)`` batch of
+    :func:`count_csr_pairs`, and ``a``/``b`` hold the global ids of each
+    pair's two endpoints (the closing vertex is the intersection).
 
     ``expanded=False`` (DITRIC): arcs ``(v, u)`` with both endpoints
     owned, full ``A`` sets — finds type-1 triangles only.
@@ -113,43 +126,84 @@ def _local_phase_pairs(
     """
     lg = og.lg
     vlo = lg.vlo
-    bound = og.num_vertices + 1
-    nloc = lg.num_local_vertices
-    src_slots = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(og.oxadj))
+    src_slots = np.repeat(np.arange(lg.num_local_vertices, dtype=np.int64), np.diff(og.oxadj))
     dst = og.oadjncy
     dst_local = lg.is_local(dst)
-    total = 0
-
-    # Group 1: owned -> owned (both variants).
-    l_src = src_slots[dst_local]
-    l_dst = dst[dst_local]
-    total += count_csr_pairs(
-        ctx, og.oxadj, og.oadjncy, l_src, og.oxadj, og.oadjncy, l_dst - vlo, bound
-    )
+    # Owned v -> owned u (both variants): full A(v) with full A(u).
+    l_src, l_dst = src_slots[dst_local], dst[dst_local]
+    groups = [((og.oxadj, og.oadjncy, l_src, og.oxadj, og.oadjncy, l_dst - vlo), l_src + vlo, l_dst)]
     if not expanded:
-        return total
-
+        return groups
     ghosts = lg.ghost_vertices
-    # Group 2: owned v -> ghost u; intersect full A(v) with the
-    # local-restricted A(u) of the ghost.
-    g_src = src_slots[~dst_local]
-    g_dst = dst[~dst_local]
+    # Owned v -> ghost u: full A(v) with the local-restricted A(u).
+    g_src, g_dst = src_slots[~dst_local], dst[~dst_local]
     if g_src.size:
         g_slots = np.searchsorted(ghosts, g_dst)
-        total += count_csr_pairs(
-            ctx, og.oxadj, og.oadjncy, g_src, og.goxadj, og.goadjncy, g_slots, bound
-        )
-    # Group 3: ghost g -> owned u (u in A(g), always owned by
-    # construction); intersect A(g) with full A(u).
+        groups.append(((og.oxadj, og.oadjncy, g_src, og.goxadj, og.goadjncy, g_slots), g_src + vlo, g_dst))
+    # Ghost g -> owned u (u in A(g) is owned by construction): A(g)
+    # with full A(u).
     if ghosts.size:
-        gh_src_slots = np.repeat(
-            np.arange(ghosts.size, dtype=np.int64), np.diff(og.goxadj)
-        )
+        gh_src = np.repeat(np.arange(ghosts.size, dtype=np.int64), np.diff(og.goxadj))
         gh_dst = og.goadjncy
-        total += count_csr_pairs(
-            ctx, og.goxadj, og.goadjncy, gh_src_slots, og.oxadj, og.oadjncy, gh_dst - vlo, bound
-        )
-    return total
+        groups.append(((og.goxadj, og.goadjncy, gh_src, og.oxadj, og.oadjncy, gh_dst - vlo), ghosts[gh_src], gh_dst))
+    return groups
+
+
+def _local_phase_pairs(ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool) -> int:
+    """Triangles available without communication (see :func:`_local_pair_groups`)."""
+    bound = og.num_vertices + 1
+    return sum(
+        count_csr_pairs(ctx, *pairs, bound) for pairs, _, _ in _local_pair_groups(og, expanded=expanded)
+    )
+
+
+def _local_phase_triangles(
+    ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The local phase's triangles as corner triples ``(a, b, closing)``."""
+    bound = og.num_vertices + 1
+    a_out, b_out, c_out = [], [], []
+    for pairs, a, b in _local_pair_groups(og, expanded=expanded):
+        counts, closing = csr_pairs_elements(ctx, *pairs, bound)
+        # closing is in (pair, element) order, so repeating each pair's
+        # corners by its count lines them up with its closing vertices.
+        a_out.append(np.repeat(a, counts))
+        b_out.append(np.repeat(b, counts))
+        c_out.append(closing)
+    return np.concatenate(a_out), np.concatenate(b_out), np.concatenate(c_out)
+
+
+def _send_structure(
+    ctx: PEContext, og: OrientedLocalGraph, contraction: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR the global phase ships: contracted to the cut arcs (the
+    ``contraction`` phase of CETRIC) or the full oriented one (DITRIC)."""
+    if not contraction:
+        return og.oxadj, og.oadjncy
+    with ctx.span("contraction"):
+        send = og.contracted()
+        ctx.charge(og.oadjncy.size)  # one pass to drop non-cut arcs
+    return send
+
+
+def _router(ctx: PEContext, lg, config: EngineConfig, tag: str):
+    """The global phase's message queue: grid-indirect or direct."""
+    threshold = config.threshold_words(lg.num_local_arcs)
+    if config.indirect:
+        return GridRouter(ctx, tag, threshold)
+    return BufferedMessageQueue(ctx, tag, threshold)
+
+
+def _cut_arcs(
+    lg, send_xadj: np.ndarray, send_adj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(source slots, ghost targets, destination ranks)`` of the cut arcs
+    of a send structure, in CSR order."""
+    s_src = np.repeat(np.arange(lg.num_local_vertices, dtype=np.int64), np.diff(send_xadj))
+    cut = ~lg.is_local(send_adj)
+    c_src, c_dst = s_src[cut], send_adj[cut]
+    dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
+    return c_src, c_dst, dst_ranks
 
 
 def _surrogate_filter(
@@ -166,33 +220,67 @@ def _surrogate_filter(
 
 
 def _post_cut_neighborhoods(
-    router,
+    ctx: PEContext,
+    lg,
+    config: EngineConfig,
     send_xadj: np.ndarray,
     send_adj: np.ndarray,
-    c_src: np.ndarray,
-    c_dst: np.ndarray,
-    dst_ranks: np.ndarray,
-    sends: np.ndarray,
-    vlo: int,
-    *,
-    targeted: bool,
-) -> tuple[int, int]:
-    """Post one record per selected cut arc, as a single packed batch.
+    tag: str,
+) -> tuple:
+    """Post the global phase's neighborhood records as one packed batch.
 
-    With ``targeted`` (Algorithm 2 shape) each record carries its owned
-    endpoint ``c_dst``; otherwise the records are surrogate broadcasts.
-    Returns ``(records, words)`` posted — ``words`` is exactly the sum
-    of the per-record ``Record.words`` charges.
+    Surrogate: one broadcast ``(v, A(v))`` record per destination PE
+    (the receiver loops over all its owned ``u ∈ A(v)``).  Otherwise
+    the Algorithm 2 shape: one targeted ``((v, u), A(v))`` record per
+    cut arc, carrying its owned endpoint ``u``.  Returns ``(router,
+    records, words)``: the queue to ``finalize`` and what was posted —
+    ``words`` is exactly the sum of the per-record ``Record.words``.
     """
+    router = _router(ctx, lg, config, tag)
+    c_src, c_dst, dst_ranks = _cut_arcs(lg, send_xadj, send_adj)
+    sends = _surrogate_filter(c_src, dst_ranks, enabled=config.surrogate)
+    ctx.charge(c_src.size)  # scanning cut arcs / surrogate bookkeeping
     slots = c_src[sends]
     k = int(slots.size)
     if k == 0:
-        return 0, 0
+        return router, 0, 0
+    targeted = not config.surrogate
     neighbors, nbh_xadj = gather_blocks(send_xadj, send_adj, slots)
     targets = c_dst[sends] if targeted else np.full(k, -1, dtype=np.int64)
-    router.post_many(dst_ranks[sends], vlo + slots, targets, nbh_xadj, neighbors)
+    router.post_many(dst_ranks[sends], lg.vlo + slots, targets, nbh_xadj, neighbors)
     words = int(neighbors.size) + HEADER_WORDS * k + (k if targeted else 0)
-    return k, words
+    return router, k, words
+
+
+def _triangle_phases(
+    ctx: PEContext,
+    lg,
+    config: EngineConfig,
+    tag: str,
+    found: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+) -> Generator[None, None, None]:
+    """Every phase up to the final reduction, reporting triangles.
+
+    The skeleton of the element-returning programs (enumeration, exact
+    LCC): ``found(a, b, c)`` receives each phase's triangles as corner
+    arrays — the local phase's, then those this PE closes on records
+    received under ``tag`` — and every triangle is reported exactly
+    once machine-wide.
+    """
+    og = yield from _preprocess(ctx, lg, config)
+    with ctx.span("local"):
+        found(*_local_phase_triangles(ctx, og, expanded=config.contraction))
+        yield
+    send_xadj, send_adj = _send_structure(ctx, og, config.contraction)
+    with ctx.span("global"):
+        router, _, _ = _post_cut_neighborhoods(ctx, lg, config, send_xadj, send_adj, tag)
+        records = yield from router.finalize()
+        found(
+            *record_pairs_elements(
+                ctx, records, send_xadj, send_adj, lg.vlo, lg.vhi, og.num_vertices + 1
+            )
+        )
+        yield
 
 
 @fault_tolerant
@@ -206,10 +294,7 @@ def counting_program(
 
     snap = ctx.restore("local")
     if snap is None:  # noqa: R8 -- restore() replays a globally consistent snapshot: the machine checkpoints all PEs at the same barrier, so every rank sees the same None-or-snapshot and takes the same arm
-        with ctx.span("preprocessing"):
-            yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
-            og = build_oriented(ctx, lg, with_ghosts=config.contraction)
-
+        og = yield from _preprocess(ctx, lg, config)
         with ctx.span("local"):
             local_count = _local_phase_pairs(ctx, og, expanded=config.contraction)
             yield
@@ -246,9 +331,7 @@ def counting_program(
     if config.contraction:
         csnap = ctx.restore("contraction")
         if csnap is None:
-            with ctx.span("contraction"):
-                send_xadj, send_adj = og.contracted()
-                ctx.charge(og.oadjncy.size)  # one pass to drop non-cut arcs
+            send_xadj, send_adj = _send_structure(ctx, og, config.contraction)
             ctx.checkpoint(
                 "contraction", {"send_xadj": send_xadj, "send_adj": send_adj}
             )
@@ -259,50 +342,12 @@ def counting_program(
         send_xadj, send_adj = og.oxadj, og.oadjncy
 
     with ctx.span("global"):
-        threshold = config.threshold_words(lg.num_local_arcs)
-        tag = "nbh"
-        router = (
-            GridRouter(ctx, tag, threshold)
-            if config.indirect
-            else BufferedMessageQueue(ctx, tag, threshold)
-        )
-        # Cut arcs of the *send* structure (full A for DITRIC,
-        # contracted A for CETRIC); dst is a ghost for every kept arc.
-        nloc = lg.num_local_vertices
-        s_src = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(send_xadj))
-        s_dst = send_adj
-        cut_mask = ~lg.is_local(s_dst)
-        c_src = s_src[cut_mask]
-        c_dst = s_dst[cut_mask]
-        dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        sends = _surrogate_filter(c_src, dst_ranks, enabled=config.surrogate)
-        ctx.charge(c_src.size)  # scanning cut arcs / surrogate bookkeeping
-        # Surrogate: one broadcast (v, A(v)) record per destination PE
-        # (the receiver loops over all its local u in A(v)).  Otherwise
-        # the Algorithm 2 shape: one targeted ((v, u), A(v)) record per
-        # cut arc, possibly shipping the same neighborhood repeatedly.
-        records_sent, posted_words = _post_cut_neighborhoods(
-            router,
-            send_xadj,
-            send_adj,
-            c_src,
-            c_dst,
-            dst_ranks,
-            sends,
-            vlo,
-            targeted=not config.surrogate,
+        router, records_sent, posted_words = _post_cut_neighborhoods(
+            ctx, lg, config, send_xadj, send_adj, "nbh"
         )
         ctx.charge(posted_words)  # buffer writes
         records = yield from router.finalize()
-        remote_count = count_record_pairs(
-            ctx,
-            records,
-            send_xadj if config.contraction else og.oxadj,
-            send_adj if config.contraction else og.oadjncy,
-            vlo,
-            vhi,
-            bound,
-        )
+        remote_count = count_record_pairs(ctx, records, send_xadj, send_adj, vlo, vhi, bound)
         yield
 
     my_total = local_count + remote_count

@@ -21,14 +21,9 @@ from typing import Generator
 import numpy as np
 
 from ..graphs.distributed import DistGraph
-from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce
-from ..net.indirect import GridRouter
 from ..net.machine import PEContext
-from .engine import EngineConfig, _post_cut_neighborhoods, _surrogate_filter
-from .kernels import record_pairs_elements
-from .lcc import _triangles_elements_local
-from .preprocessing import build_oriented, exchange_ghost_degrees
+from .engine import EngineConfig, _triangle_phases
 
 __all__ = ["PETriangles", "enumerate_program", "gather_all_triangles"]
 
@@ -56,61 +51,13 @@ def enumerate_program(
     config: EngineConfig = EngineConfig(contraction=True),
 ) -> Generator[None, None, PETriangles]:
     """SPMD triangle enumeration (CETRIC- or DITRIC-flavoured)."""
-    lg = dist.view(ctx.rank)
-    vlo, vhi = lg.vlo, lg.vhi
-    bound = dist.num_vertices + 1
-
-    with ctx.span("preprocessing"):
-        yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
-        og = build_oriented(ctx, lg, with_ghosts=config.contraction)
-
     parts: list[np.ndarray] = []
-    with ctx.span("local"):
-        a, b, c = _triangles_elements_local(ctx, og, expanded=config.contraction)
+
+    def keep_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         if a.size:
             parts.append(_rows(a, b, c))
-        yield
 
-    if config.contraction:
-        with ctx.span("contraction"):
-            send_xadj, send_adj = og.contracted()
-            ctx.charge(og.oadjncy.size)
-    else:
-        send_xadj, send_adj = og.oxadj, og.oadjncy
-
-    with ctx.span("global"):
-        threshold = config.threshold_words(lg.num_local_arcs)
-        router = (
-            GridRouter(ctx, "enum-nbh", threshold)
-            if config.indirect
-            else BufferedMessageQueue(ctx, "enum-nbh", threshold)
-        )
-        nloc = lg.num_local_vertices
-        s_src = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(send_xadj))
-        cut_mask = ~lg.is_local(send_adj)
-        c_src = s_src[cut_mask]
-        c_dst = send_adj[cut_mask]
-        dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        sends = _surrogate_filter(c_src, dst_ranks, enabled=config.surrogate)
-        ctx.charge(c_src.size)
-        _post_cut_neighborhoods(
-            router, send_xadj, send_adj, c_src, c_dst, dst_ranks, sends, vlo,
-            targeted=False,
-        )
-        records = yield from router.finalize()
-        rv, ru, rw = record_pairs_elements(
-            ctx,
-            records,
-            send_xadj if config.contraction else og.oxadj,
-            send_adj if config.contraction else og.oadjncy,
-            vlo,
-            vhi,
-            bound,
-        )
-        if rv.size:
-            parts.append(_rows(rv, ru, rw))
-        yield
-
+    yield from _triangle_phases(ctx, dist.view(ctx.rank), config, "enum-nbh", keep_rows)
     mine = (
         np.concatenate(parts, axis=0) if parts else np.empty((0, 3), dtype=np.int64)
     )

@@ -23,14 +23,10 @@ import numpy as np
 from ..graphs.builders import sorted_unique
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
-from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce, alltoallv_dense
-from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator_per_vertex
-from .engine import EngineConfig, _post_cut_neighborhoods, _surrogate_filter
-from .kernels import csr_pairs_elements, record_pairs_elements
-from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees
+from .engine import EngineConfig, _triangle_phases
 
 __all__ = ["lcc_from_delta", "lcc_sequential", "lcc_program", "PELcc"]
 
@@ -63,53 +59,55 @@ class PELcc:
     triangles_total: int
 
 
-def _triangles_elements_local(
-    ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local-phase triangles as corner triples (a, b, closing).
+class _GhostDelta:
+    """Per-vertex triangle credits Δ of one PE: owned vertices and ghosts.
 
-    Mirrors :func:`repro.core.engine._local_phase_pairs` but keeps the
-    identity of every triangle for Δ accumulation.
+    A triangle found here may have ghost corners; their credits collect
+    in :attr:`ghost` until :meth:`push_back` sends them to the owners.
     """
-    lg = og.lg
-    vlo = lg.vlo
-    bound = og.num_vertices + 1
-    nloc = lg.num_local_vertices
-    src_slots = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(og.oxadj))
-    dst = og.oadjncy
-    dst_local = lg.is_local(dst)
-    ghosts = lg.ghost_vertices
 
-    # (left_xadj, left_adj, left_slots, right_xadj, right_adj, right_slots),
-    # then the two known corners of each pair's triangles.
-    groups = [
-        (og.oxadj, og.oadjncy, src_slots[dst_local], og.oxadj, og.oadjncy, dst[dst_local] - vlo)
-    ]
-    corners = [(src_slots[dst_local] + vlo, dst[dst_local])]
-    if expanded:
-        g_src = src_slots[~dst_local]
-        g_dst = dst[~dst_local]
-        if g_src.size:
-            g_slots = np.searchsorted(ghosts, g_dst)
-            groups.append((og.oxadj, og.oadjncy, g_src, og.goxadj, og.goadjncy, g_slots))
-            corners.append((g_src + vlo, g_dst))
-        if ghosts.size:
-            gh_src = np.repeat(np.arange(ghosts.size, dtype=np.int64), np.diff(og.goxadj))
-            gh_dst = og.goadjncy
-            groups.append(
-                (og.goxadj, og.goadjncy, gh_src, og.oxadj, og.oadjncy, gh_dst - vlo)
-            )
-            corners.append((ghosts[gh_src], gh_dst))
+    def __init__(self, lg, dtype) -> None:
+        self.lg = lg
+        #: Δ of the owned vertices (aligned with the local slots).
+        self.local = np.zeros(lg.num_local_vertices, dtype=dtype)
+        #: Δ credited to ghosts (aligned with the ghost slots).
+        self.ghost = np.zeros(lg.ghost_vertices.size, dtype=dtype)
 
-    a_out, b_out, c_out = [], [], []
-    for pairs, (a, b) in zip(groups, corners):
-        counts, closing = csr_pairs_elements(ctx, *pairs, bound)
-        # closing is in (pair, element) order, so repeating each pair's
-        # corners by its count lines them up with its closing vertices.
-        a_out.append(np.repeat(a, counts))
-        b_out.append(np.repeat(b, counts))
-        c_out.append(closing)
-    return np.concatenate(a_out), np.concatenate(b_out), np.concatenate(c_out)
+    def credit(self, ctx: PEContext, vertices: np.ndarray, weight=1) -> None:
+        """Add ``weight`` (a scalar or one per vertex) to each listed
+        corner, owned or ghost."""
+        lg = self.lg
+        ghosts = lg.ghost_vertices
+        weights = np.broadcast_to(weight, vertices.shape)
+        owned = (vertices >= lg.vlo) & (vertices < lg.vhi)
+        np.add.at(self.local, vertices[owned] - lg.vlo, weights[owned])
+        if ghosts.size and not np.all(owned):
+            slots = np.searchsorted(ghosts, vertices[~owned])
+            np.add.at(self.ghost, slots, weights[~owned])
+        ctx.charge(vertices.size)
+
+    def push_back(self, ctx: PEContext, tag_label: str) -> Generator[None, None, None]:
+        """Send every nonzero ghost Δ to its owner and add what arrives
+        (collective; Section IV-E's postprocessing all-to-all)."""
+        lg = self.lg
+        ghosts = lg.ghost_vertices
+        with ctx.span("delta-exchange"):
+            payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
+            if ghosts.size:
+                nz = self.ghost > 0
+                gids = ghosts[nz]
+                gvals = self.ghost[nz]
+                owner = lg.partition.rank_of(gids) if gids.size else gids
+                for rank in sorted_unique(owner):
+                    sel = owner == rank
+                    payloads[int(rank)] = ((gids[sel], gvals[sel]), 2 * int(sel.sum()))
+            msgs = yield from alltoallv_dense(ctx, payloads, tag_label=tag_label)
+            for msg in msgs:
+                if msg.payload is None:
+                    continue
+                ids, vals = msg.payload
+                np.add.at(self.local, ids - lg.vlo, vals)
+                ctx.charge(ids.size)
 
 
 def lcc_program(
@@ -123,92 +121,15 @@ def lcc_program(
     additionally learn the global triangle total (consistency check).
     """
     lg = dist.view(ctx.rank)
-    vlo, vhi = lg.vlo, lg.vhi
-    bound = dist.num_vertices + 1
-    ghosts = lg.ghost_vertices
+    delta = _GhostDelta(lg, np.int64)
 
-    with ctx.span("preprocessing"):
-        yield from exchange_ghost_degrees(ctx, lg, mode=config.degree_exchange)
-        og = build_oriented(ctx, lg, with_ghosts=config.contraction)
-
-    delta_local = np.zeros(lg.num_local_vertices, dtype=np.int64)
-    delta_ghost = np.zeros(ghosts.size, dtype=np.int64)
-
-    def credit(vertices: np.ndarray) -> None:
-        """Add one triangle credit to each listed corner (owned or ghost)."""
-        owned = (vertices >= vlo) & (vertices < vhi)
-        np.add.at(delta_local, vertices[owned] - vlo, 1)
-        if ghosts.size and not np.all(owned):
-            slots = np.searchsorted(ghosts, vertices[~owned])
-            np.add.at(delta_ghost, slots, 1)
-        ctx.charge(vertices.size)
-
-    with ctx.span("local"):
-        a, b, c = _triangles_elements_local(ctx, og, expanded=config.contraction)
+    def credit_corners(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         for corners in (a, b, c):
-            credit(corners)
-        yield
+            delta.credit(ctx, corners)
 
-    if config.contraction:
-        with ctx.span("contraction"):
-            send_xadj, send_adj = og.contracted()
-            ctx.charge(og.oadjncy.size)
-    else:
-        send_xadj, send_adj = og.oxadj, og.oadjncy
-
-    with ctx.span("global"):
-        threshold = config.threshold_words(lg.num_local_arcs)
-        router = (
-            GridRouter(ctx, "lcc-nbh", threshold)
-            if config.indirect
-            else BufferedMessageQueue(ctx, "lcc-nbh", threshold)
-        )
-        nloc = lg.num_local_vertices
-        s_src = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(send_xadj))
-        cut_mask = ~lg.is_local(send_adj)
-        c_src = s_src[cut_mask]
-        c_dst = send_adj[cut_mask]
-        dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        sends = _surrogate_filter(c_src, dst_ranks, enabled=config.surrogate)
-        ctx.charge(c_src.size)
-        _post_cut_neighborhoods(
-            router, send_xadj, send_adj, c_src, c_dst, dst_ranks, sends, vlo,
-            targeted=False,
-        )
-        records = yield from router.finalize()
-        rv, ru, rw = record_pairs_elements(
-            ctx,
-            records,
-            send_xadj if config.contraction else og.oxadj,
-            send_adj if config.contraction else og.oadjncy,
-            vlo,
-            vhi,
-            bound,
-        )
-        for corners in (rv, ru, rw):
-            credit(corners)
-        yield
-
-    with ctx.span("delta-exchange"):
-        # Push ghost-Δ values back to their owners (Section IV-E).
-        payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
-        if ghosts.size:
-            nz = delta_ghost > 0
-            gids = ghosts[nz]
-            gvals = delta_ghost[nz]
-            owner = lg.partition.rank_of(gids) if gids.size else gids
-            for rank in sorted_unique(owner):
-                sel = owner == rank
-                payloads[int(rank)] = ((gids[sel], gvals[sel]), 2 * int(sel.sum()))
-        msgs = yield from alltoallv_dense(ctx, payloads, tag_label="delta-xchg")
-        for msg in msgs:
-            if msg.payload is None:
-                continue
-            ids, vals = msg.payload
-            np.add.at(delta_local, ids - vlo, vals)
-            ctx.charge(ids.size)
-
-    my_sum = int(delta_local.sum())
+    yield from _triangle_phases(ctx, lg, config, "lcc-nbh", credit_corners)
+    yield from delta.push_back(ctx, "delta-xchg")
+    my_sum = int(delta.local.sum())
     grand = yield from allreduce(ctx, my_sum, lambda x, y: x + y)
-    lcc = lcc_from_delta(delta_local, lg.degrees)
-    return PELcc(delta=delta_local, lcc=lcc, triangles_total=int(grand) // 3)
+    lcc = lcc_from_delta(delta.local, lg.degrees)
+    return PELcc(delta=delta.local, lcc=lcc, triangles_total=int(grand) // 3)
