@@ -25,7 +25,6 @@ from conftest import run_once, save_artifact
 
 from repro.core.engine import _surrogate_filter
 from repro.core.intersect import gather_blocks
-from repro.core.kernels import as_frame
 from repro.core.orientation import orient_by_degree
 from repro.graphs import generators as gen
 from repro.graphs.distributed import distribute
@@ -79,8 +78,7 @@ def exchange_program(ctx, batches, threshold, mode):
             q.post(int(dests[i]), rec)
     received = yield from q.finalize()
     if mode == "frames":
-        frame = as_frame(received)
-        return frame.num_records, int(frame.neighbors.size)
+        return received.num_records, int(received.neighbors.size)
     # Legacy receiver: one Python object per record.
     recs = (
         received.to_records()

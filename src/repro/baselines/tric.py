@@ -29,11 +29,11 @@ from typing import Generator
 import numpy as np
 
 from ..graphs.distributed import DistGraph
-from ..net.aggregation import Record
 from ..net.comm import allreduce, alltoallv_dense
+from ..net.frames import RecordFrame, merge_frames
 from ..net.machine import PEContext
 from ..core.engine import _surrogate_filter
-from ..core.intersect import concat_xadj
+from ..core.intersect import concat_xadj, gather_blocks
 from ..core.kernels import count_csr_pairs, count_record_pairs
 
 __all__ = ["tric_program", "PETricCounts"]
@@ -103,15 +103,25 @@ def tric_program(
         dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
         sends = _surrogate_filter(c_src, dst_ranks, enabled=True)
         ctx.charge(c_src.size)
-        staged: dict[int, list[Record]] = {}
-        staged_words_by_dest: dict[int, int] = {}
-        staged_words = 0
-        for slot, rank in zip(c_src[sends].tolist(), dst_ranks[sends].tolist()):
-            nbh = oadjncy[oxadj[slot] : oxadj[slot + 1]]
-            rec = Record(int(vlo + slot), nbh)
-            staged.setdefault(rank, []).append(rec)
-            staged_words_by_dest[rank] = staged_words_by_dest.get(rank, 0) + rec.words
-            staged_words += rec.words
+        # One frame per destination: the surrogate records sorted
+        # stably by destination, so each frame keeps the CSR order.
+        ranks = dst_ranks[sends]
+        order = np.argsort(ranks, kind="stable")
+        slots, ranks = c_src[sends][order], ranks[order]
+        neighbors, nbh_xadj = gather_blocks(oxadj, oadjncy, slots)
+        run_starts = np.flatnonzero(np.diff(ranks, prepend=-1))
+        run_ends = np.append(run_starts[1:], slots.size)
+        payloads: dict[int, tuple[RecordFrame, int]] = {}
+        for start, end in zip(run_starts.tolist(), run_ends.tolist()):
+            lo, hi = int(nbh_xadj[start]), int(nbh_xadj[end])
+            frame = RecordFrame(
+                vlo + slots[start:end],
+                np.full(end - start, -1, dtype=np.int64),
+                nbh_xadj[start : end + 1] - lo,
+                neighbors[lo:hi],
+            )
+            payloads[int(ranks[start])] = (frame, frame.words)
+        staged_words = sum(words for _, words in payloads.values())
         ctx.metrics.note_buffer(staged_words)
         # The static buffer is never emptied before the exchange: if it
         # does not fit next to the local graph, the run dies — TriC's
@@ -121,15 +131,8 @@ def tric_program(
             what="static TriC send buffer + local graph",
         )
         ctx.charge(staged_words)
-        payloads = {
-            rank: (records, staged_words_by_dest[rank])
-            for rank, records in staged.items()
-        }
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label="tric")
-        records: list[Record] = []
-        for m in msgs:
-            if m.payload is not None:
-                records.extend(m.payload)
+        records = merge_frames(m.payload for m in msgs if m.payload is not None)
         remote_count = count_record_pairs(
             ctx, records, oxadj, oadjncy, vlo, vhi, bound
         )

@@ -8,8 +8,7 @@ bounded even when a PE processes millions of arc pairs.
 Received record batches arrive as a
 :class:`~repro.net.frames.RecordFrame` — already in the CSR layout the
 batch kernels consume — so the receiver side runs without any
-per-record Python iteration.  Plain ``list[Record]`` inputs (hand-rolled
-callers, the TriC baseline) are packed into a frame on entry.
+per-record Python iteration.
 
 Every helper funnels into :func:`intersect_csr_pairs`, which hands the
 CSR-block pairs to the ``csr_pairs`` kernel of the backend selected via
@@ -28,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..net.frames import Record, RecordFrame
+from ..net.frames import RecordFrame
 from ..net.machine import PEContext
 from .backends import get_backend
 from .intersect import (
@@ -39,7 +38,6 @@ from .intersect import (
 )
 
 __all__ = [
-    "as_frame",
     "intersect_csr_pairs",
     "count_csr_pairs",
     "csr_pairs_elements",
@@ -58,13 +56,6 @@ def chunked(total: int, chunk: int | None = None) -> Iterator[slice]:
     chunk = chunk or CHUNK_PAIRS
     for start in range(0, total, chunk):
         yield slice(start, min(start + chunk, total))
-
-
-def as_frame(records: RecordFrame | list[Record]) -> RecordFrame:
-    """Frame view of a received batch (packs legacy record lists)."""
-    if isinstance(records, RecordFrame):
-        return records
-    return RecordFrame.from_records(records)
 
 
 def intersect_csr_pairs(
@@ -212,14 +203,14 @@ def _expand_record_pairs(
 
 def count_record_pairs(
     ctx: PEContext,
-    records: RecordFrame | list[Record],
+    frame: RecordFrame,
     local_xadj: np.ndarray,
     local_adj: np.ndarray,
     vlo: int,
     vhi: int,
     bound: int,
 ) -> int:
-    """Receiver-side counting: ``sum |A(v) ∩ A(u)|`` for received records.
+    """Receiver-side counting: ``sum |A(v) ∩ A(u)|`` over a received frame.
 
     ``local_xadj``/``local_adj`` is the receiver's oriented (or
     contracted) CSR over owned-vertex slots.  For every record
@@ -227,14 +218,13 @@ def count_record_pairs(
     array with the local ``A(u)`` (Algorithm 2 lines 6-7 /
     Algorithm 3 lines 14-16).
     """
-    frame = as_frame(records)
     rxadj, radj, rec_idx, targets = _expand_record_pairs(ctx, frame, vlo, vhi)
     return count_csr_pairs(ctx, rxadj, radj, rec_idx, local_xadj, local_adj, targets - vlo, bound)
 
 
 def record_pairs_elements(
     ctx: PEContext,
-    records: RecordFrame | list[Record],
+    frame: RecordFrame,
     local_xadj: np.ndarray,
     local_adj: np.ndarray,
     vlo: int,
@@ -248,7 +238,6 @@ def record_pairs_elements(
     middle vertex and ``w`` the closing vertex.  Needed by the LCC
     extension, which must credit all three corners.
     """
-    frame = as_frame(records)
     rxadj, radj, rec_idx, targets = _expand_record_pairs(ctx, frame, vlo, vhi)
     counts, closing = csr_pairs_elements(
         ctx, rxadj, radj, rec_idx, local_xadj, local_adj, targets - vlo, bound

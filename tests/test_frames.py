@@ -294,7 +294,7 @@ def test_count_record_pairs_frame_equals_record_list(seed):
         yield  # pragma: no cover
 
     by_frame = Machine(1).run(prog, frame)
-    by_list = Machine(1).run(prog, frame.to_records())
+    by_list = Machine(1).run(prog, merge_frames(frame.to_records()))
     assert by_frame.values == by_list.values
     assert by_frame.time == by_list.time
 
