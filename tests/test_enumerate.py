@@ -10,6 +10,18 @@ from repro.graphs import distribute
 from repro.graphs import generators as gen
 from repro.net import Machine
 
+#: ``(contraction, surrogate, indirect)``: both contraction settings with
+#: the surrogate, then the Algorithm 2 shape without it under every
+#: contraction x indirect combination.
+SURROGATE_MATRIX = [
+    pytest.param(True, True, False, id="True"),
+    pytest.param(False, True, False, id="False"),
+    pytest.param(True, False, False, id="True-no-surrogate"),
+    pytest.param(False, False, False, id="False-no-surrogate"),
+    pytest.param(True, False, True, id="True-no-surrogate-indirect"),
+    pytest.param(False, False, True, id="False-no-surrogate-indirect"),
+]
+
 
 def _sequential_sorted(g):
     tri = triangle_edges(g)
@@ -19,24 +31,26 @@ def _sequential_sorted(g):
     return tri[order]
 
 
-@pytest.mark.parametrize("contraction", [True, False])
+@pytest.mark.parametrize("contraction,surrogate,indirect", SURROGATE_MATRIX)
 @pytest.mark.parametrize("p", [1, 2, 3, 6])
-def test_enumeration_matches_sequential(p, contraction, random_graph):
+def test_enumeration_matches_sequential(p, contraction, surrogate, indirect, random_graph):
     g = random_graph
     expected = _sequential_sorted(g)
     dist = distribute(g, num_pes=p)
-    res = Machine(p).run(
-        enumerate_program, dist, EngineConfig(contraction=contraction)
-    )
+    config = EngineConfig(contraction=contraction, surrogate=surrogate, indirect=indirect)
+    res = Machine(p).run(enumerate_program, dist, config)
     got = gather_all_triangles(res.values)
     assert np.array_equal(got, expected)
     assert res.values[0].total == expected.shape[0]
 
 
-def test_each_triangle_found_exactly_once():
+@pytest.mark.parametrize("surrogate", [True, False])
+def test_each_triangle_found_exactly_once(surrogate):
     g = gen.complete_graph(9)
     dist = distribute(g, num_pes=3)
-    res = Machine(3).run(enumerate_program, dist)
+    res = Machine(3).run(
+        enumerate_program, dist, EngineConfig(contraction=True, surrogate=surrogate)
+    )
     got = gather_all_triangles(res.values)
     # No duplicates across PEs.
     assert np.unique(got, axis=0).shape[0] == got.shape[0] == 84

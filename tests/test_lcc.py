@@ -9,6 +9,18 @@ from repro.graphs import distribute
 from repro.graphs import generators as gen
 from repro.net import Machine
 
+#: ``(contraction, surrogate, indirect)``: both contraction settings with
+#: the surrogate, then the Algorithm 2 shape without it under every
+#: contraction x indirect combination.
+SURROGATE_MATRIX = [
+    pytest.param(True, True, False, id="True"),
+    pytest.param(False, True, False, id="False"),
+    pytest.param(True, False, False, id="True-no-surrogate"),
+    pytest.param(False, False, False, id="False-no-surrogate"),
+    pytest.param(True, False, True, id="True-no-surrogate-indirect"),
+    pytest.param(False, False, True, id="False-no-surrogate-indirect"),
+]
+
 
 def test_lcc_from_delta_formula():
     delta = np.array([1, 0, 3])
@@ -38,12 +50,13 @@ def test_lcc_range(random_graph):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 6])
-@pytest.mark.parametrize("contraction", [True, False])
-def test_distributed_lcc_matches_sequential(p, contraction, random_graph):
+@pytest.mark.parametrize("contraction,surrogate,indirect", SURROGATE_MATRIX)
+def test_distributed_lcc_matches_sequential(p, contraction, surrogate, indirect, random_graph):
     g = random_graph
     expected = lcc_sequential(g)
     dist = distribute(g, num_pes=p)
-    res = Machine(p).run(lcc_program, dist, EngineConfig(contraction=contraction))
+    config = EngineConfig(contraction=contraction, surrogate=surrogate, indirect=indirect)
+    res = Machine(p).run(lcc_program, dist, config)
     got = np.concatenate([v.lcc for v in res.values])
     assert np.allclose(got, expected)
 
