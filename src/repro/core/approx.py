@@ -12,6 +12,10 @@ Three approximations:
   the expected false positives to obtain a *truthful* estimator:
   with ``c`` positive out of ``s`` queries at FPR ``f``, the unbiased
   estimate of the true intersection is ``(c - s f) / (1 - f)``.
+  It and :func:`amq_lcc_program` reuse the phase helpers of
+  :mod:`repro.core.engine` up to the global phase and share one
+  per-run AMQ post loop and one query loop; the approximate LCC shares
+  the ghost-Δ push-back of :mod:`repro.core.lcc`.
 * :func:`doulion` — DOULION edge sampling (Tsourakakis et al.): keep
   each edge with probability ``q``, count exactly on the sparsified
   graph, scale by ``q^{-3}``.

@@ -22,6 +22,29 @@ expanded graph), ``local`` (intersections on locally available arcs),
 ``contraction`` and ``global`` (message exchange plus receiver-side
 intersections and the final reduction).
 
+One skeleton, four programs
+---------------------------
+Section IV-E's extensions are the same traversal with other kernels,
+and they share this module's phase helpers: :func:`_preprocess`, the
+local phase's CSR pair groups (:func:`_local_pair_groups`, counted by
+:func:`_local_phase_pairs` or listed as corner triples by
+:func:`_local_phase_triangles`), :func:`_send_structure` (contraction),
+and the global phase's router choice, cut-arc scan and surrogate
+filter (:func:`_post_cut_neighborhoods`).
+
+* :func:`counting_program` — counts; adds checkpoints at the phase
+  boundaries.
+* :func:`repro.core.enumerate.enumerate_program` and
+  :func:`repro.core.lcc.lcc_program` — run :func:`_triangle_phases`,
+  which reports every triangle exactly once as ``(a, b, c)`` corners.
+* :func:`repro.core.approx.amq_cetric_program` and
+  :func:`~repro.core.approx.amq_lcc_program` — ship one AMQ filter per
+  (vertex, destination PE) run instead of the neighborhood.
+
+Accounting differs in one place: only :func:`counting_program`
+charges the posted words (the buffer writes, between the post and
+``finalize``); enumeration and LCC post without that charge.
+
 Fault tolerance
 ---------------
 The program is marked :func:`~repro.net.reliable.fault_tolerant`: on a
@@ -126,12 +149,13 @@ def _local_pair_groups(og: OrientedLocalGraph, *, expanded: bool) -> list[tuple]
     """
     lg = og.lg
     vlo = lg.vlo
+    owned, ghost = (og.oxadj, og.oadjncy), (og.goxadj, og.goadjncy)
     src_slots = np.repeat(np.arange(lg.num_local_vertices, dtype=np.int64), np.diff(og.oxadj))
     dst = og.oadjncy
     dst_local = lg.is_local(dst)
     # Owned v -> owned u (both variants): full A(v) with full A(u).
     l_src, l_dst = src_slots[dst_local], dst[dst_local]
-    groups = [((og.oxadj, og.oadjncy, l_src, og.oxadj, og.oadjncy, l_dst - vlo), l_src + vlo, l_dst)]
+    groups = [((*owned, l_src, *owned, l_dst - vlo), l_src + vlo, l_dst)]
     if not expanded:
         return groups
     ghosts = lg.ghost_vertices
@@ -139,22 +163,21 @@ def _local_pair_groups(og: OrientedLocalGraph, *, expanded: bool) -> list[tuple]
     g_src, g_dst = src_slots[~dst_local], dst[~dst_local]
     if g_src.size:
         g_slots = np.searchsorted(ghosts, g_dst)
-        groups.append(((og.oxadj, og.oadjncy, g_src, og.goxadj, og.goadjncy, g_slots), g_src + vlo, g_dst))
+        groups.append(((*owned, g_src, *ghost, g_slots), g_src + vlo, g_dst))
     # Ghost g -> owned u (u in A(g) is owned by construction): A(g)
     # with full A(u).
     if ghosts.size:
         gh_src = np.repeat(np.arange(ghosts.size, dtype=np.int64), np.diff(og.goxadj))
         gh_dst = og.goadjncy
-        groups.append(((og.goxadj, og.goadjncy, gh_src, og.oxadj, og.oadjncy, gh_dst - vlo), ghosts[gh_src], gh_dst))
+        groups.append(((*ghost, gh_src, *owned, gh_dst - vlo), ghosts[gh_src], gh_dst))
     return groups
 
 
 def _local_phase_pairs(ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool) -> int:
     """Triangles available without communication (see :func:`_local_pair_groups`)."""
     bound = og.num_vertices + 1
-    return sum(
-        count_csr_pairs(ctx, *pairs, bound) for pairs, _, _ in _local_pair_groups(og, expanded=expanded)
-    )
+    groups = _local_pair_groups(og, expanded=expanded)
+    return sum(count_csr_pairs(ctx, *pairs, bound) for pairs, _, _ in groups)
 
 
 def _local_phase_triangles(

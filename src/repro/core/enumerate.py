@@ -2,8 +2,10 @@
 
 "Since each triangle is found exactly once, this can be easily
 generalized to the case of triangle enumeration."  This module does
-exactly that: the CETRIC/DITRIC traversal with the element-returning
-kernels, yielding on every PE the list of triangles *it discovered*.
+exactly that: the CETRIC/DITRIC traversal of :mod:`repro.core.engine`
+(its ``_triangle_phases`` skeleton, shared with exact LCC) with the
+element-returning kernels, yielding on every PE the list of triangles
+*it discovered*.
 The union over PEs is the exact triangle set, each triangle appearing
 exactly once (asserted by the tests against the sequential
 enumeration).

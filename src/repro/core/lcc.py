@@ -11,6 +11,12 @@ the owners — "analogous to the initial degree exchange".
 
 ``LCC(v) = 2 Δ(v) / (d_v (d_v - 1))`` (the fraction of closed wedges
 at ``v``; networkx's convention).  Vertices of degree < 2 get 0.
+
+:func:`lcc_program` is the counting traversal of
+:mod:`repro.core.engine` (its ``_triangle_phases`` skeleton) with a
+consumer that credits corners; the Δ bookkeeping and push-back
+(:class:`_GhostDelta`) are shared with the approximate LCC of
+:mod:`repro.core.approx`.
 """
 
 from __future__ import annotations
