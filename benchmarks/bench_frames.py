@@ -6,7 +6,8 @@ p = 16, aggregation on) through the buffered queue:
 * **legacy** — one ``Record`` object and one ``post(...)`` call per cut
   arc on the send side, and an object-at-a-time list receiver
   (``to_records()``) on the other end: the pre-frame hot path;
-* **frames** — one ``post_many(...)`` call per PE and the
+* **frames** — one ``post_many(...)`` call of CSR slot references per
+  PE (the queue gathers each neighborhood once) and the
   :class:`RecordFrame` arrays consumed directly.
 
 Both arms are charge-identical (property-tested in
@@ -24,7 +25,6 @@ import pytest
 from conftest import run_once, save_artifact
 
 from repro.core.engine import _surrogate_filter
-from repro.core.intersect import gather_blocks
 from repro.core.orientation import orient_by_degree
 from repro.graphs import generators as gen
 from repro.graphs.distributed import distribute
@@ -60,22 +60,22 @@ def cut_batches():
         dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
         sends = _surrogate_filter(c_src, dst_ranks, enabled=True)
         slots = c_src[sends]
-        neighbors, xadj = gather_blocks(og.xadj, og.adjncy, slots)
         targets = np.full(slots.size, -1, dtype=np.int64)
-        batches.append((dst_ranks[sends], slots, targets, xadj, neighbors))
+        batches.append((dst_ranks[sends], slots, targets, og.xadj, og.adjncy))
         threshold = max(threshold, int(lg.num_local_arcs))
     return batches, threshold
 
 
 def exchange_program(ctx, batches, threshold, mode):
-    dests, vertices, targets, xadj, neighbors = batches[ctx.rank]
+    # The orientation is global, so a vertex id is its own CSR slot.
+    dests, slots, targets, xadj, adj = batches[ctx.rank]
     q = BufferedMessageQueue(ctx, "nbh", threshold_words=threshold)
     if mode == "frames":
-        q.post_many(dests, vertices, targets, xadj, neighbors)
+        q.post_many(dests, slots, targets, slots, xadj, adj)
     else:
         for i in range(dests.size):
-            rec = Record(int(vertices[i]), neighbors[xadj[i] : xadj[i + 1]])
-            q.post(int(dests[i]), rec)
+            s = int(slots[i])
+            q.post(int(dests[i]), Record(s, adj[xadj[s] : xadj[s + 1]]))
     received = yield from q.finalize()
     if mode == "frames":
         return received.num_records, int(received.neighbors.size)

@@ -78,11 +78,13 @@ from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from ..net.messages import HEADER_WORDS
 from ..net.reliable import fault_tolerant
-from .intersect import gather_blocks
+from .intersect import block_total, gather_blocks
 from .kernels import count_csr_pairs, count_record_pairs, csr_pairs_elements, record_pairs_elements
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees, first_of_runs
 
-__all__ = ["EngineConfig", "PECounts", "counting_program"]
+# gather_blocks is re-exported, not called: benchmarks/e2e/layers.py looks
+# it up here until ROADMAP item 1 retargets that entry to the queue.
+__all__ = ["EngineConfig", "PECounts", "counting_program", "gather_blocks"]
 
 
 @dataclass(frozen=True)
@@ -255,9 +257,11 @@ def _post_cut_neighborhoods(
     Surrogate: one broadcast ``(v, A(v))`` record per destination PE
     (the receiver loops over all its owned ``u ∈ A(v)``).  Otherwise
     the Algorithm 2 shape: one targeted ``((v, u), A(v))`` record per
-    cut arc, carrying its owned endpoint ``u``.  Returns ``(router,
-    records, words)``: the queue to ``finalize`` and what was posted —
-    ``words`` is exactly the sum of the per-record ``Record.words``.
+    cut arc, carrying its owned endpoint ``u``.  Records are posted as
+    slots of the send structure, which the queue gathers itself.
+    Returns ``(router, records, words)``: the queue to ``finalize`` and
+    what was posted — ``words`` is exactly the sum of the per-record
+    ``Record.words``.
     """
     router = _router(ctx, lg, config, tag)
     c_src, c_dst, dst_ranks = _cut_arcs(lg, send_xadj, send_adj)
@@ -268,10 +272,9 @@ def _post_cut_neighborhoods(
     if k == 0:
         return router, 0, 0
     targeted = not config.surrogate
-    neighbors, nbh_xadj = gather_blocks(send_xadj, send_adj, slots)
     targets = c_dst[sends] if targeted else np.full(k, -1, dtype=np.int64)
-    router.post_many(dst_ranks[sends], lg.vlo + slots, targets, nbh_xadj, neighbors)
-    words = int(neighbors.size) + HEADER_WORDS * k + (k if targeted else 0)
+    router.post_many(dst_ranks[sends], lg.vlo + slots, targets, slots, send_xadj, send_adj)
+    words = block_total(send_xadj, slots) + HEADER_WORDS * k + (k if targeted else 0)
     return router, k, words
 
 
@@ -303,6 +306,7 @@ def _triangle_phases(
                 ctx, records, send_xadj, send_adj, lg.vlo, lg.vhi, og.num_vertices + 1
             )
         )
+        del records  # a received view pins its sender's whole gather
         yield
 
 
@@ -371,6 +375,7 @@ def counting_program(
         ctx.charge(posted_words)  # buffer writes
         records = yield from router.finalize()
         remote_count = count_record_pairs(ctx, records, send_xadj, send_adj, vlo, vhi, bound)
+        del records  # a received view pins its sender's whole gather
         yield
 
     my_total = local_count + remote_count

@@ -33,6 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Defined next to the frames that the message queue gathers with them,
+# so that ``repro.net`` needs nothing from ``repro.core``.
+from ..net.frames import concat_xadj, gather_blocks
+
 __all__ = [
     "intersect_count",
     "intersect_sorted",
@@ -44,29 +48,6 @@ __all__ = [
     "concat_xadj",
     "gather_blocks",
 ]
-
-
-def gather_blocks(
-    xadj: np.ndarray, adjncy: np.ndarray, block_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather CSR blocks ``adjncy[xadj[i]:xadj[i+1]]`` for many ``i`` at once.
-
-    Returns ``(concat, out_xadj)`` in the batch layout the intersection
-    kernels expect — the vectorized equivalent of looping
-    ``[adjncy[xadj[i]:xadj[i+1]] for i in block_ids]``.
-    """
-    xadj = np.asarray(xadj, dtype=np.int64)
-    adjncy = np.asarray(adjncy, dtype=np.int64)
-    block_ids = np.asarray(block_ids, dtype=np.int64)
-    sizes = xadj[block_ids + 1] - xadj[block_ids]
-    out_xadj = concat_xadj(sizes)
-    total = int(out_xadj[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.int64), out_xadj
-    # Global position of output slot j in block b: xadj[b] + (j - out_xadj[b]).
-    positions = np.repeat(xadj[block_ids] - out_xadj[:-1], sizes)
-    positions += np.arange(total, dtype=np.int64)
-    return adjncy[positions], out_xadj
 
 
 def merge_cost(size_a: int, size_b: int) -> int:
@@ -99,14 +80,6 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     idx_clipped = np.minimum(idx, b.size - 1)
     hit = (idx < b.size) & (b[idx_clipped] == a)
     return a[hit]
-
-
-def concat_xadj(sizes: np.ndarray) -> np.ndarray:
-    """Offsets array for a batch of variable-length blocks."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    xadj = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=xadj[1:])
-    return xadj
 
 
 @dataclass(frozen=True)

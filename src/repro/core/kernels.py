@@ -166,38 +166,31 @@ def _expand_record_pairs(
     yields one pair per owned ``u ∈ A(v)``.  Returns
     ``(rxadj, radj, rec_idx, targets)``: the record-CSR plus, per pair,
     its record index and owned ``u``.  Works entirely on the frame's
-    arrays — no per-record iteration.
+    arrays — no per-record iteration.  The scan charges one op per
+    targeted record and one per entry of a broadcast record; an empty
+    frame charges nothing.
     """
-    rxadj = frame.xadj
-    radj = frame.neighbors
+    rxadj, radj = frame.xadj, frame.neighbors
     has_target = frame.targets >= 0
-    rec_idx_parts: list[np.ndarray] = []
-    target_parts: list[np.ndarray] = []
-    if np.any(has_target):
-        idx = np.flatnonzero(has_target)
-        tg = frame.targets[idx]
-        ok = (tg >= vlo) & (tg < vhi)
-        rec_idx_parts.append(idx[ok])
-        target_parts.append(tg[ok])
-        ctx.charge(idx.size)
-    if not np.all(has_target):
-        # Entries of broadcast records only.
-        rec_of_entry = np.repeat(
-            np.arange(frame.num_records, dtype=np.int64), np.diff(rxadj)
-        )
-        bmask = ~has_target[rec_of_entry]
-        cand_rec = rec_of_entry[bmask]
-        cand_u = radj[bmask]
-        local_mask = (cand_u >= vlo) & (cand_u < vhi)
-        rec_idx_parts.append(cand_rec[local_mask])
-        target_parts.append(cand_u[local_mask])
-        ctx.charge(cand_u.size)  # scan for local targets (Algorithm 3 line 15)
-    rec_idx = (
-        np.concatenate(rec_idx_parts) if rec_idx_parts else np.empty(0, dtype=np.int64)
-    )
-    targets = (
-        np.concatenate(target_parts) if target_parts else np.empty(0, dtype=np.int64)
-    )
+    targeted = np.flatnonzero(has_target)
+    tg = frame.targets[targeted]
+    ok = (tg >= vlo) & (tg < vhi)
+    rec_idx, targets = targeted[ok], tg[ok]
+    if targeted.size:
+        ctx.charge(targeted.size)
+    if targeted.size < frame.num_records:
+        # Owned entries of broadcast records: a binary search in xadj
+        # finds each owned entry's record, so no per-entry record array.
+        pos = np.flatnonzero((radj >= vlo) & (radj < vhi))
+        rec = np.searchsorted(rxadj, pos, "right") - 1
+        scanned = radj.size
+        if targeted.size:
+            bcast = ~has_target[rec]
+            rec, pos = rec[bcast], pos[bcast]
+            scanned -= block_total(rxadj, targeted)
+        ctx.charge(scanned)  # scan for local targets (Algorithm 3 line 15)
+        rec_idx = np.concatenate((rec_idx, rec))
+        targets = np.concatenate((targets, radj[pos]))
     return rxadj, radj, rec_idx, targets
 
 

@@ -37,8 +37,9 @@ RULES: dict[str, str] = {
     ),
     "R7": (
         "per-record Record post inside a Python loop over unpacked "
-        "arrays — use the packed post_many(...) frame path, which "
-        "charges identical words without per-element interpreter cost"
+        "arrays — post the CSR slots with one post_many(dest_ranks, "
+        "vertices, targets, slots, xadj, adj) call, which charges "
+        "identical words without per-element interpreter cost"
     ),
     "R8": (
         "collective sequence can diverge across ranks (static deadlock): "

@@ -76,8 +76,8 @@ R7
     element-wise (``.tolist()``, ``zip(a.tolist(), ...)``,
     ``range(len(a))``, ``range(a.size)``) just to ``post`` one
     :class:`~repro.net.frames.Record` per element rebuilds in Python
-    what ``post_many`` does in one packed
-    :class:`~repro.net.frames.RecordFrame` call — same contents, same
+    what one ``post_many`` call of CSR slot references does with packed
+    :class:`~repro.net.frames.RecordFrame` arrays — same contents, same
     words charge, a fraction of the interpreter overhead.  Only plain
     ``Record`` payloads are flagged: opaque per-destination objects
     (e.g. ``AmqRecord`` Bloom filters) have no frameable array batch
@@ -484,9 +484,9 @@ class _Checker(ast.NodeVisitor):
                     n,
                     "R7",
                     "per-record '.post(Record(...))' in a Python loop over "
-                    "unpacked arrays — pack the batch and make one "
-                    "'post_many(dest_ranks, vertices, targets, xadj, "
-                    "neighbors)' call instead (identical contents and "
+                    "unpacked arrays — post the batch's CSR slots with one "
+                    "'post_many(dest_ranks, vertices, targets, slots, "
+                    "xadj, adj)' call instead (identical contents and "
                     "words charge)",
                 )
 

@@ -25,15 +25,17 @@ exactly the "no aggregation" configuration of Fig. 2.
 Wire format
 -----------
 Buffered :class:`~repro.net.frames.Record` posts are packed into one
-:class:`~repro.net.frames.RecordFrame` per destination at flush time,
-and the vectorized :meth:`BufferedMessageQueue.post_many` appends whole
-array slices without ever materializing per-record objects.  It plans
-all flush points of a call from the per-record cumulative word counts,
-then sorts and gathers the batch once by (segment, destination), so
-message counts, sizes, and the buffer high-water mark are bit-identical
-to posting the same records one at a time (see ``docs/PERFORMANCE.md``).
-Opaque payloads with a ``words`` attribute (``AmqRecord``,
-``ForwardRecord``) still travel as the objects they were posted as.
+:class:`~repro.net.frames.RecordFrame` per destination at flush time.
+The vectorized :meth:`BufferedMessageQueue.post_many` takes records as
+slot references into a source CSR and never materializes per-record
+objects.  It plans all flush points of a call from the block sizes,
+sorts the batch once by (segment, destination) and gathers every
+neighborhood once, straight into that order; the flushed frames are
+read-only views of that one gather.  Message counts, sizes, and the
+buffer high-water mark are bit-identical to posting the same records
+one at a time (see ``docs/PERFORMANCE.md``).  Opaque payloads with a
+``words`` attribute (``AmqRecord``, ``ForwardRecord``) still travel as
+the objects they were posted as.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ from .frames import (
     Record,
     RecordFrame,
     flatten_records,
+    gather_blocks,
     merge_frames,
 )
 from .machine import PEContext
-from .messages import Tag
+from .messages import HEADER_WORDS, Tag
 
 __all__ = ["Record", "RecordFrame", "BufferedMessageQueue"]
 
@@ -67,6 +70,22 @@ def _all_frameable(parts) -> bool:
         elif not isinstance(part, (Record, RecordFrame)):
             return False
     return True
+
+
+def _gathered(
+    vertices: np.ndarray,
+    targets: np.ndarray,
+    slots: np.ndarray,
+    xadj: np.ndarray,
+    adj: np.ndarray,
+    pick: np.ndarray,
+) -> RecordFrame:
+    """The records ``pick`` of a slot batch as one read-only frame."""
+    neighbors, gxadj = gather_blocks(xadj, adj, slots[pick])
+    frame = RecordFrame(vertices[pick], targets[pick], gxadj, neighbors)
+    for a in (frame.vertices, frame.targets, frame.xadj, frame.neighbors):
+        a.flags.writeable = False
+    return frame
 
 
 class BufferedMessageQueue:
@@ -131,38 +150,42 @@ class BufferedMessageQueue:
         dest_ranks: np.ndarray,
         vertices: np.ndarray,
         targets: np.ndarray,
+        slots: np.ndarray,
         xadj: np.ndarray,
-        neighbors: np.ndarray,
+        adj: np.ndarray,
         *,
         final_dests: np.ndarray | None = None,
     ) -> None:
-        """Post a whole batch of records given in struct-of-arrays form.
+        """Post a whole batch of records as references into a source CSR.
 
         Record ``i`` is ``(vertices[i], targets[i],
-        neighbors[xadj[i]:xadj[i+1]])`` bound for ``dest_ranks[i]``
-        (``targets[i] == -1`` for broadcast).  With ``final_dests`` the
-        records are grid row-hop forwards: ``dest_ranks`` holds the
-        proxy and each record is charged one extra routing word, exactly
-        like posting :class:`~repro.net.indirect.ForwardRecord` objects.
+        adj[xadj[slots[i]]:xadj[slots[i]+1]])`` bound for
+        ``dest_ranks[i]`` (``targets[i] == -1`` for broadcast); slots may
+        repeat.  With ``final_dests`` the records are grid row-hop
+        forwards: ``dest_ranks`` holds the proxy and each record is
+        charged one extra routing word, exactly like posting
+        :class:`~repro.net.indirect.ForwardRecord` objects.
 
         Equivalent to posting the records one at a time in batch order —
         same flush boundaries, per-destination record order, buffer
         high-water marks, and wire words — without a Python loop over
-        records.  Flush points are found by ``searchsorted`` on the
-        cumulative word counts (each threshold-crossing record closes a
-        segment); one stable sort by (segment, destination) and one
-        gather then make every group a slice appended to its builder.
+        records.  Flush points are found from the block sizes alone, by
+        ``searchsorted`` on the cumulative word counts (each
+        threshold-crossing record closes a segment).  One stable sort by
+        (segment, destination) then orders the records, and one
+        :func:`~repro.net.frames.gather_blocks` copies every neighborhood
+        straight into that order: each group is appended to its builder
+        as read-only slices of the gather, and a destination's lone
+        chunk leaves as those slices.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         k = int(dest_ranks.size)
         if k == 0:
             return
-        frame = RecordFrame(
-            np.asarray(vertices, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.asarray(xadj, dtype=np.int64),
-            np.asarray(neighbors, dtype=np.int64),
-        )
+        vertices = np.asarray(vertices, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        xadj = np.asarray(xadj, dtype=np.int64)
         if final_dests is not None:
             final_dests = np.asarray(final_dests, dtype=np.int64)
         self.records_posted += k
@@ -170,20 +193,23 @@ class BufferedMessageQueue:
         self_mask = dest_ranks == self.ctx.rank
         if np.any(self_mask):
             idx = np.flatnonzero(self_mask)
-            sub = frame.select(idx)
+            local = _gathered(vertices, targets, slots, xadj, adj, idx)
             if final_dests is not None:
-                self._local.append(ForwardFrame(final_dests[idx], sub))
-            else:
-                self._local.append(sub)
+                local = ForwardFrame(final_dests[idx], local)
+            self._local.append(local)
+            idx = np.flatnonzero(~self_mask)
+            dest_ranks, vertices, targets, slots = (
+                a[idx] for a in (dest_ranks, vertices, targets, slots)
+            )
+            if final_dests is not None:
+                final_dests = final_dests[idx]
 
-        ridx = np.flatnonzero(~self_mask)
-        n = int(ridx.size)
+        n = int(dest_ranks.size)
         if n == 0:
             return
-        dests = dest_ranks[ridx]
-        rw = frame.record_words()[ridx]
+        rw = xadj[slots + 1] - xadj[slots] + np.int64(HEADER_WORDS) + (targets >= 0)
         if final_dests is not None:
-            rw = rw + 1  # ForwardRecord routing word
+            rw += 1  # ForwardRecord routing word
         cw = np.cumsum(rw)
 
         # Plan the flush points: the first record whose cumulative total
@@ -198,23 +224,26 @@ class BufferedMessageQueue:
         # One stable sort by (segment, dest) and one gather make every
         # (segment, dest) group a contiguous slice in batch order.
         seg = np.searchsorted(np.asarray(stops, dtype=np.int64), np.arange(n), "right")
-        key = seg * self.ctx.num_pes + dests
+        key = seg * self.ctx.num_pes + dest_ranks
         order = np.argsort(key, kind="stable")
-        sub = frame.select(ridx[order])
-        fd = final_dests[ridx[order]] if final_dests is not None else None
-        sizes = np.diff(sub.xadj)
+        sub = _gathered(vertices, targets, slots, xadj, adj, order)
+        fd = final_dests[order] if final_dests is not None else None
+        if fd is not None:
+            fd.flags.writeable = False
         starts = np.concatenate(([0], np.flatnonzero(np.diff(key[order])) + 1, [n]))
-        group_dests = dests[order][starts[:-1]].tolist()
+        group_dests = dest_ranks[order][starts[:-1]].tolist()
         group_words = np.add.reduceat(rw[order], starts[:-1]).tolist()
         offsets = sub.xadj[starts].tolist()
         starts = starts.tolist()
         flush_after = set(stops)
         for g, (dest, words) in enumerate(zip(group_dests, group_words)):
             lo, hi = starts[g], starts[g + 1]
+            gxadj = sub.xadj[lo : hi + 1] - offsets[g]
+            gxadj.flags.writeable = False
             self._builders.setdefault(dest, FrameBuilder()).append_chunk(
                 sub.vertices[lo:hi],
                 sub.targets[lo:hi],
-                sizes[lo:hi],
+                gxadj,
                 sub.neighbors[offsets[g] : offsets[g + 1]],
                 final_dests=fd[lo:hi] if fd is not None else None,
             )
@@ -268,9 +297,10 @@ class BufferedMessageQueue:
 
         Returns one merged :class:`RecordFrame` when everything received
         (and self-posted) is frameable — the fast path the counting
-        kernels consume directly — and a flat list of payload objects
-        otherwise (frames expanded in arrival order, so legacy consumers
-        see exactly the records that were posted).
+        kernels consume directly; a lone received frame comes back as
+        is, a read-only view of its sender's gather — and a flat list of
+        payload objects otherwise (frames expanded in arrival order, so
+        legacy consumers see exactly the records that were posted).
         """
         self.flush()
         # NBX discipline (see sparse_alltoall): our flushed frames must

@@ -22,6 +22,16 @@ bit-identical between the two representations (property-tested in
 A broadcast record (the surrogate shape ``(v, A(v))``) stores a
 ``target`` of −1; a targeted record (the Algorithm 2 shape
 ``((v, u), A(v))``) stores the owned endpoint ``u``.
+
+Read-only views
+---------------
+The aggregation queue gathers each posted neighborhood once, from the
+sender's CSR (:func:`gather_blocks`), and every frame it flushes is a
+set of slices of that one gather.  Frames sent to different PEs
+therefore share a base array, so the queue marks the gathered arrays
+read-only (as are :func:`merge_frames`' results and the shm pool's
+views): an in-place write raises instead of corrupting another PE's
+frame.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ __all__ = [
     "FrameBuilder",
     "merge_frames",
     "flatten_records",
+    "concat_xadj",
+    "gather_blocks",
 ]
 
 #: Sentinel in ``RecordFrame.targets`` marking a broadcast record.
@@ -78,15 +90,47 @@ def _as_i64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
+def concat_xadj(sizes: np.ndarray) -> np.ndarray:
+    """Offsets array for a batch of variable-length blocks."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    xadj = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=xadj[1:])
+    return xadj
+
+
+def gather_blocks(
+    xadj: np.ndarray, adjncy: np.ndarray, block_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather CSR blocks ``adjncy[xadj[i]:xadj[i+1]]`` for many ``i`` at once.
+
+    Returns ``(concat, out_xadj)`` in the batch layout the intersection
+    kernels expect — the vectorized equivalent of looping
+    ``[adjncy[xadj[i]:xadj[i+1]] for i in block_ids]``.
+    """
+    xadj = np.asarray(xadj, dtype=np.int64)
+    adjncy = np.asarray(adjncy, dtype=np.int64)
+    block_ids = np.asarray(block_ids, dtype=np.int64)
+    sizes = xadj[block_ids + 1] - xadj[block_ids]
+    out_xadj = concat_xadj(sizes)
+    total = int(out_xadj[-1])
+    if total == 0:
+        return np.empty(0, dtype=np.int64), out_xadj
+    # Global position of output slot j in block b: xadj[b] + (j - out_xadj[b]).
+    positions = np.repeat(xadj[block_ids] - out_xadj[:-1], sizes)
+    positions += np.arange(total, dtype=np.int64)
+    return adjncy[positions], out_xadj
+
+
 @dataclass(frozen=True)
 class RecordFrame:
     """A batch of records packed as four contiguous arrays.
 
     Record ``i`` is ``(vertices[i], targets[i],
     neighbors[xadj[i]:xadj[i+1]])`` with ``targets[i] == -1`` meaning
-    broadcast.  Frames are frozen: builders and mergers always allocate
-    fresh arrays, so a frame can be shared between PEs of the simulated
-    machine without aliasing hazards.
+    broadcast; ``xadj[0] == 0``.  Frames are frozen, and the ones the
+    message plane produces hold read-only arrays, often views of one
+    sender-side gather shared with other frames (see the module notes):
+    consumers read them and never write in place.
 
     The sequence protocol (``len``, iteration, indexing) yields
     :class:`Record` views so object-at-a-time consumers (the AMQ
@@ -108,25 +152,10 @@ class RecordFrame:
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "RecordFrame":
         """Pack a list of :class:`Record` objects (legacy adapter)."""
-        records = list(records)
-        n = len(records)
-        if n == 0:
-            return cls.empty()
-        vertices = np.fromiter((r.vertex for r in records), dtype=np.int64, count=n)
-        targets = np.fromiter(
-            (r.target if r.target is not None else BROADCAST for r in records),
-            dtype=np.int64,
-            count=n,
-        )
-        sizes = np.fromiter((r.neighbors.size for r in records), dtype=np.int64, count=n)
-        xadj = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=xadj[1:])
-        neighbors = (
-            np.concatenate([_as_i64(r.neighbors) for r in records])
-            if int(xadj[-1])
-            else np.empty(0, dtype=np.int64)
-        )
-        return cls(vertices, targets, xadj, neighbors)
+        builder = FrameBuilder()
+        for record in records:
+            builder.append_record(record)
+        return builder.build()
 
     @property
     def num_records(self) -> int:
@@ -162,21 +191,6 @@ class RecordFrame:
     def to_records(self) -> list[Record]:
         """Expand into per-record objects (legacy adapter; cold paths only)."""
         return [self.record(i) for i in range(self.num_records)]
-
-    def select(self, idx: np.ndarray) -> "RecordFrame":
-        """Sub-frame of the records listed in ``idx`` (in that order)."""
-        idx = _as_i64(idx)
-        sizes = self.xadj[idx + 1] - self.xadj[idx]
-        xadj = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=xadj[1:])
-        total = int(xadj[-1])
-        if total:
-            starts = np.repeat(self.xadj[idx], sizes)
-            within = np.arange(total, dtype=np.int64) - np.repeat(xadj[:-1], sizes)
-            neighbors = self.neighbors[starts + within]
-        else:
-            neighbors = np.empty(0, dtype=np.int64)
-        return RecordFrame(self.vertices[idx], self.targets[idx], xadj, neighbors)
 
     def __len__(self) -> int:
         return self.num_records
@@ -222,11 +236,21 @@ def merge_frames(parts: Iterable) -> RecordFrame | ForwardFrame:
     produces — and returns a single frame covering every record in
     encounter order.  Grid row-hop :class:`ForwardFrame` parts merge
     into one ``ForwardFrame`` and must not be mixed with plain parts.
+    A lone frame part is returned as is; several are copied once into
+    fresh read-only arrays.
     """
+    parts = list(_iter_parts(parts))
+    if len(parts) == 1 and isinstance(parts[0], (RecordFrame, ForwardFrame)):
+        return parts[0]
     builder = FrameBuilder()
-    for part in _iter_parts(parts):
-        if isinstance(part, (RecordFrame, ForwardFrame)):
-            builder.append_frame(part)
+    for part in parts:
+        final_dests = None
+        if isinstance(part, ForwardFrame):
+            part, final_dests = part.frame, part.final_dests
+        if isinstance(part, RecordFrame):
+            builder.append_chunk(
+                part.vertices, part.targets, part.xadj, part.neighbors, final_dests
+            )
         else:
             builder.append_record(part)
     return builder.build()
@@ -257,67 +281,61 @@ def _iter_parts(parts: Iterable):
             yield part
 
 
+def _concat(frames: list[RecordFrame]) -> RecordFrame:
+    """One frame holding the records of ``frames`` in order.
+
+    A lone frame comes back as is.  Otherwise every array is copied
+    once, and ``xadj`` in one pass: each frame's ``xadj[1:]`` shifted
+    by the neighbor words of the frames before it.
+    """
+    if len(frames) == 1:
+        return frames[0]
+    if not frames:
+        return RecordFrame.empty()
+    counts = [f.num_records for f in frames]
+    xadj = np.zeros(sum(counts) + 1, dtype=np.int64)
+    np.concatenate([f.xadj[1:] for f in frames], out=xadj[1:])
+    xadj[1:] += np.repeat(concat_xadj([f.neighbors.size for f in frames])[:-1], counts)
+    merged = RecordFrame(
+        np.concatenate([f.vertices for f in frames]),
+        np.concatenate([f.targets for f in frames]),
+        xadj,
+        np.concatenate([f.neighbors for f in frames]),
+    )
+    for a in (merged.vertices, merged.targets, merged.xadj, merged.neighbors):
+        a.flags.writeable = False
+    return merged
+
+
 class FrameBuilder:
     """Accumulates record chunks and packs them into one frame.
 
     Chunks are appended as arrays (from ``post_many``) or as individual
-    :class:`Record` objects (legacy ``post``); :meth:`build`
-    concatenates everything in append order.  With ``final_dests``
-    chunks the builder produces a :class:`ForwardFrame` instead (grid
-    row hop); the two chunk kinds must not be mixed in one builder.
+    :class:`Record` objects (legacy ``post``); :meth:`build` returns a
+    lone chunk as is (the slices ``post_many`` appended) and
+    concatenates several in append order.  With ``final_dests`` chunks
+    the builder produces a :class:`ForwardFrame` instead (grid row
+    hop); the two chunk kinds must not be mixed in one builder.
     """
 
     def __init__(self) -> None:
-        self._vertices: list[np.ndarray] = []
-        self._targets: list[np.ndarray] = []
-        self._sizes: list[np.ndarray] = []
-        self._neighbors: list[np.ndarray] = []
-        self._final_dests: list[np.ndarray] | None = None
-        self._num_records = 0
-
-    def __bool__(self) -> bool:
-        return self._num_records > 0
-
-    @property
-    def num_records(self) -> int:
-        """Records appended so far."""
-        return self._num_records
+        self._chunks: list[RecordFrame] = []
+        self._final_dests: list[np.ndarray] = []
 
     def append_chunk(
         self,
         vertices: np.ndarray,
         targets: np.ndarray,
-        sizes: np.ndarray,
+        xadj: np.ndarray,
         neighbors: np.ndarray,
         final_dests: np.ndarray | None = None,
     ) -> None:
-        """Append a batch of records given as raw arrays."""
-        self._vertices.append(vertices)
-        self._targets.append(targets)
-        self._sizes.append(sizes)
-        self._neighbors.append(neighbors)
-        if final_dests is not None:
-            if self._final_dests is None:
-                if self._num_records:
-                    raise ValueError("cannot mix forward and plain chunks")
-                self._final_dests = []
-            self._final_dests.append(final_dests)
-        elif self._final_dests is not None:
+        """Append a batch of records given as raw arrays (``xadj[0] == 0``)."""
+        if self._chunks and (final_dests is None) != (not self._final_dests):
             raise ValueError("cannot mix forward and plain chunks")
-        self._num_records += int(vertices.size)
-
-    def append_frame(self, frame: RecordFrame | ForwardFrame) -> None:
-        """Append all records of an existing frame (with its routing words)."""
-        final_dests = None
-        if isinstance(frame, ForwardFrame):
-            frame, final_dests = frame.frame, frame.final_dests
-        self.append_chunk(
-            frame.vertices,
-            frame.targets,
-            np.diff(frame.xadj),
-            frame.neighbors,
-            final_dests=final_dests,
-        )
+        self._chunks.append(RecordFrame(vertices, targets, xadj, neighbors))
+        if final_dests is not None:
+            self._final_dests.append(final_dests)
 
     def append_record(self, record: Record) -> None:
         """Append one legacy :class:`Record` (packed on build)."""
@@ -327,28 +345,18 @@ class FrameBuilder:
                 [record.target if record.target is not None else BROADCAST],
                 dtype=np.int64,
             ),
-            np.array([record.neighbors.size], dtype=np.int64),
+            np.array([0, record.neighbors.size], dtype=np.int64),
             _as_i64(record.neighbors),
         )
 
     def build(self) -> RecordFrame | ForwardFrame:
         """Pack everything appended so far into one frame (and reset)."""
-        if self._num_records == 0:
-            frame = RecordFrame.empty()
-        else:
-            sizes = np.concatenate(self._sizes)
-            xadj = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=xadj[1:])
-            frame = RecordFrame(
-                np.concatenate(self._vertices),
-                np.concatenate(self._targets),
-                xadj,
-                np.concatenate(self._neighbors)
-                if int(xadj[-1])
-                else np.empty(0, dtype=np.int64),
-            )
+        frame = _concat(self._chunks)
         final_dests = self._final_dests
         self.__init__()
-        if final_dests is not None:
-            return ForwardFrame(np.concatenate(final_dests), frame)
+        if final_dests:
+            return ForwardFrame(
+                final_dests[0] if len(final_dests) == 1 else np.concatenate(final_dests),
+                frame,
+            )
         return frame

@@ -21,7 +21,10 @@ last row is partial).
 proxy re-aggregates everything bound for the same final destination
 (the "all messages from a processor row designated to P_{k,l} get
 aggregated at the proxy" effect), and the threshold keeps memory
-linear.
+linear.  Neither hop copies a neighborhood before its queue gathers
+it: the sender's two queues gather from the same source CSR, and a
+proxy re-posts a received (read-only) frame as the source CSR of its
+column-hop ``post_many``.
 
 Indirect hops ride ordinary machine messages, so under the contended
 network model (:class:`repro.sim.network.Network`) *each hop* claims
@@ -140,14 +143,13 @@ class GridRouter:
             count=ctx.num_pes,
         )
         ctx.charge(ctx.num_pes)  # the O(p) proxy table above
-
-    @property
-    def records_posted(self) -> int:
-        """Application records posted at this PE (not counting forwards)."""
-        return self._row_queue.records_posted
+        #: Application records posted at this PE (``post`` and
+        #: ``post_many``; a proxy's re-posts are not counted).
+        self.records_posted = 0
 
     def post(self, dest: int, record: Record) -> None:
         """Route a record towards ``dest`` via its row proxy."""
+        self.records_posted += 1
         hop = self.grid.proxy(self.ctx.rank, dest)
         if hop == dest:
             # Direct: no intermediate hop (same row/col or degenerate);
@@ -162,57 +164,46 @@ class GridRouter:
         dest_ranks: np.ndarray,
         vertices: np.ndarray,
         targets: np.ndarray,
+        slots: np.ndarray,
         xadj: np.ndarray,
-        neighbors: np.ndarray,
+        adj: np.ndarray,
     ) -> None:
-        """Route a whole record batch (struct-of-arrays form) at once.
+        """Route a whole batch of CSR slot references at once.
 
         Splits the batch by first hop: records whose proxy is their
         destination go straight on the column queue; the rest travel
         the row queue as a :class:`~repro.net.frames.ForwardFrame`
         (one routing word per record, like :class:`ForwardRecord`).
+        Both queues gather from the same source CSR.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
-        if dest_ranks.size == 0:
-            return
-        frame = RecordFrame(
-            np.asarray(vertices, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.asarray(xadj, dtype=np.int64),
-            np.asarray(neighbors, dtype=np.int64),
-        )
+        self.records_posted += int(dest_ranks.size)
         hops = self._proxy_of[dest_ranks]
         direct = hops == dest_ranks
         idx = np.flatnonzero(direct)
-        if idx.size:
-            sub = frame.select(idx)
-            self._col_queue.post_many(
-                dest_ranks[idx], sub.vertices, sub.targets, sub.xadj, sub.neighbors
-            )
+        self._col_queue.post_many(
+            dest_ranks[idx], vertices[idx], targets[idx], slots[idx], xadj, adj
+        )
         idx = np.flatnonzero(~direct)
-        if idx.size:
-            sub = frame.select(idx)
-            self._row_queue.post_many(
-                hops[idx],
-                sub.vertices,
-                sub.targets,
-                sub.xadj,
-                sub.neighbors,
-                final_dests=dest_ranks[idx],
-            )
+        self._row_queue.post_many(
+            hops[idx], vertices[idx], targets[idx], slots[idx], xadj, adj,
+            final_dests=dest_ranks[idx],
+        )
 
     def _repost(self, fwd: ForwardFrame) -> None:
-        """Proxy step: re-post a forwarded frame toward final destinations."""
-        final, frame = fwd.final_dests, fwd.frame
-        mine = final == self.ctx.rank
-        if mine.any():
-            # Already at the destination: hand back locally at zero
-            # wire cost (the frame analogue of appending fwd.record).
-            self._col_queue._local.append(frame.select(np.flatnonzero(mine)))
-            rest = np.flatnonzero(~mine)
-            final, frame = final[rest], frame.select(rest)
+        """Proxy step: re-post a forwarded frame toward final destinations.
+
+        Records already at their destination take the queue's self path:
+        handed back by ``finalize`` at zero wire cost.
+        """
+        frame = fwd.frame
         self._col_queue.post_many(
-            final, frame.vertices, frame.targets, frame.xadj, frame.neighbors
+            fwd.final_dests,
+            frame.vertices,
+            frame.targets,
+            np.arange(frame.num_records, dtype=np.int64),
+            frame.xadj,
+            frame.neighbors,
         )
 
     def _forward(self, received: RecordFrame | list) -> None:
@@ -234,10 +225,8 @@ class GridRouter:
             if isinstance(fwd, ForwardFrame):
                 self._repost(fwd)
             elif isinstance(fwd, ForwardRecord):
-                if fwd.final_dest == self.ctx.rank:
-                    self._col_queue._local.append(fwd.record)
-                else:
-                    self._col_queue.post(fwd.final_dest, fwd.record)
+                # A record already at its destination takes the self path.
+                self._col_queue.post(fwd.final_dest, fwd.record)
             else:
                 raise TypeError("row hop must carry ForwardRecord")
 

@@ -23,7 +23,7 @@ from repro.net import (
     flatten_records,
     merge_frames,
 )
-from repro.net.frames import BROADCAST, FrameBuilder
+from repro.net.frames import BROADCAST, ForwardFrame, FrameBuilder, gather_blocks
 from repro.net.parallel import ProcessMachine
 
 
@@ -84,17 +84,39 @@ def test_frame_words_equal_record_word_sum(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_from_records_roundtrip_and_select(seed):
+def test_from_records_roundtrip_and_gather(seed):
     rng = np.random.default_rng(seed)
     _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 25)
     frame = RecordFrame(vertices, targets, xadj, neighbors)
     again = RecordFrame.from_records(frame.to_records())
     assert _canon(again) == _canon(frame)
-    idx = rng.permutation(len(frame))[:10]
-    sub = frame.select(np.sort(idx))
-    expected = [_canon(frame)[i] for i in np.sort(idx)]
-    assert _canon(sub) == expected
-    assert sub.words == sum(frame.record_words()[np.sort(idx)])
+    # Records picked by slot, repeats included, as the queue gathers them.
+    idx = rng.integers(0, len(frame), size=12)
+    gathered, gxadj = gather_blocks(xadj, neighbors, idx)
+    sub = RecordFrame(vertices[idx], targets[idx], gxadj, gathered)
+    assert _canon(sub) == [_canon(frame)[i] for i in idx]
+    assert sub.words == sum(frame.record_words()[idx])
+
+
+def test_merge_of_one_part_returns_it():
+    rng = np.random.default_rng(3)
+    frame = RecordFrame(*_random_batch(rng, 4, 10)[1:])
+    fwd = ForwardFrame(np.arange(10, dtype=np.int64), frame)
+    assert merge_frames([frame]) is frame
+    assert merge_frames([[frame]]) is frame
+    assert merge_frames([fwd]) is fwd
+
+
+def test_merge_builds_xadj_in_one_pass():
+    rng = np.random.default_rng(4)
+    frames = [RecordFrame(*_random_batch(rng, 4, n)[1:]) for n in (5, 0, 7, 1)]
+    merged = merge_frames(frames)
+    assert merged.xadj.tolist() == np.concatenate(
+        ([0], np.cumsum(np.concatenate([np.diff(f.xadj) for f in frames])))
+    ).tolist()
+    assert _canon(merged) == [r for f in frames for r in _canon(f)]
+    for a in (merged.vertices, merged.targets, merged.xadj, merged.neighbors):
+        assert not a.flags.writeable
 
 
 def test_merge_and_flatten_agree():
@@ -128,25 +150,45 @@ def test_builder_matches_from_records():
 THRESHOLDS = [0, 25, 10_000]
 
 
+def _slot_source(rng, xadj, neighbors):
+    """A source CSR holding every block of a batch, and each record's slot.
+
+    Records with equal neighborhoods share one slot, so slots repeat;
+    the blocks sit in a random order among extra blocks that no record
+    references.
+    """
+    blocks = [tuple(neighbors[xadj[i] : xadj[i + 1]].tolist()) for i in range(xadj.size - 1)]
+    extra = [tuple(rng.integers(0, 1000, size=s).tolist()) for s in rng.integers(1, 5, 9)]
+    pool = sorted(set(blocks)) + extra
+    source = [pool[j] for j in rng.permutation(len(pool))]
+    slot_of = {block: slot for slot, block in enumerate(source)}
+    slots = np.array([slot_of[b] for b in blocks], dtype=np.int64)
+    src_xadj = np.concatenate(([0], np.cumsum([len(b) for b in source]))).astype(np.int64)
+    return slots, src_xadj, np.array([v for b in source for v in b], dtype=np.int64)
+
+
 def _post_batch(queue, mode, calls, dests, vertices, targets, xadj, neighbors):
     """Post a batch via ``calls`` consecutive ``post_many`` calls or per record.
 
+    ``"frames"`` posts the batch's own CSR slot by slot; ``"slots"``
+    posts from a larger, permuted source CSR (:func:`_slot_source`).
     Splitting the batch makes later calls start with records carried
     over in the builders from earlier ones.
     """
-    if mode == "frames":
-        cuts = np.linspace(0, dests.size, calls + 1).astype(np.int64)
-        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            queue.post_many(
-                dests[lo:hi],
-                vertices[lo:hi],
-                targets[lo:hi],
-                xadj[lo : hi + 1] - xadj[lo],
-                neighbors[xadj[lo] : xadj[hi]],
-            )
-    else:
+    if mode == "legacy":
         for dest, rec in _records_of(dests, vertices, targets, xadj, neighbors):
             queue.post(dest, rec)
+        return
+    slots = np.arange(dests.size, dtype=np.int64)
+    if mode == "slots":
+        rng = np.random.default_rng(int(dests.size) + int(neighbors.sum()))
+        slots, xadj, neighbors = _slot_source(rng, xadj, neighbors)
+        assert np.unique(slots).size < slots.size  # some slots repeat
+    cuts = np.linspace(0, dests.size, calls + 1).astype(np.int64)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        queue.post_many(
+            dests[lo:hi], vertices[lo:hi], targets[lo:hi], slots[lo:hi], xadj, neighbors
+        )
 
 
 def exchange_program(ctx, seed, threshold, mode, n=60, calls=1):
@@ -229,6 +271,61 @@ def test_grid_router_frame_path_matches_legacy(p, seed, threshold, calls):
     assert math.isclose(frames.time, legacy.time, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("calls", [1, 3])
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_machine_slot_path_is_bit_identical_to_legacy(seed, threshold, calls):
+    legacy = Machine(5).run(exchange_program, seed, threshold, "legacy")
+    slots = Machine(5).run(exchange_program, seed, threshold, "slots", 60, calls)
+    assert slots.values == legacy.values
+    for fm, lm in zip(slots.metrics.per_pe, legacy.metrics.per_pe):
+        assert fm.words_sent == lm.words_sent
+        assert fm.messages_sent == lm.messages_sent
+        assert fm.peak_buffer_words == lm.peak_buffer_words
+        assert fm.clock == lm.clock
+    assert slots.time == legacy.time
+
+
+@pytest.mark.parametrize("calls", [1, 3])
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("p", [5, 16])
+def test_grid_router_slot_path_matches_legacy(p, threshold, calls):
+    legacy = Machine(p).run(grid_exchange_program, 1, threshold, "legacy")
+    slots = Machine(p).run(grid_exchange_program, 1, threshold, "slots", 60, calls)
+    assert slots.values == legacy.values
+    for fm, lm in zip(slots.metrics.per_pe, legacy.metrics.per_pe):
+        assert fm.words_sent == lm.words_sent
+        assert fm.messages_sent == lm.messages_sent
+        assert fm.peak_buffer_words == lm.peak_buffer_words
+        # Same last-ulp caveat as the frame path above.
+        assert math.isclose(fm.clock, lm.clock, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("threshold", [25, 10_000])
+def test_flushed_and_finalized_frames_are_read_only(threshold):
+    def prog(ctx):
+        sent = []
+        send = ctx.send
+        ctx.send = lambda dest, tag, payload, words: (
+            sent.append(payload), send(dest, tag, payload, words)
+        )
+        rng = np.random.default_rng(ctx.rank)
+        q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
+        _post_batch(q, "slots", 1, *_random_batch(rng, ctx.num_pes, 60))
+        received = yield from q.finalize()
+        del ctx.send
+        return [f for f in sent if isinstance(f, RecordFrame)], received
+
+    for sent, received in Machine(3).run(prog).values:
+        assert sent
+        for frame in [*sent, received]:
+            for a in (frame.vertices, frame.targets, frame.xadj, frame.neighbors):
+                assert not a.flags.writeable
+            if frame.neighbors.size:
+                with pytest.raises(ValueError):
+                    frame.neighbors[0] = -7
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_machine_equivalence_with_empty_and_self_only_batches(seed):
     def prog(ctx, mode):
@@ -236,13 +333,14 @@ def test_machine_equivalence_with_empty_and_self_only_batches(seed):
         z = np.empty(0, dtype=np.int64)
         if mode == "frames":
             # Empty batch, then a self-post-only batch.
-            q.post_many(z, z, z, np.zeros(1, dtype=np.int64), z)
+            q.post_many(z, z, z, z, np.zeros(1, dtype=np.int64), z)
             q.post_many(
                 np.array([ctx.rank], dtype=np.int64),
                 np.array([9], dtype=np.int64),
                 np.array([BROADCAST], dtype=np.int64),
-                np.array([0, 2], dtype=np.int64),
-                np.array([4, 5], dtype=np.int64),
+                np.array([1], dtype=np.int64),
+                np.array([0, 1, 3], dtype=np.int64),
+                np.array([8, 4, 5], dtype=np.int64),
             )
         else:
             q.post(ctx.rank, Record(9, np.array([4, 5], dtype=np.int64)))
@@ -297,6 +395,65 @@ def test_count_record_pairs_frame_equals_record_list(seed):
     by_list = Machine(1).run(prog, merge_frames(frame.to_records()))
     assert by_frame.values == by_list.values
     assert by_frame.time == by_list.time
+
+
+def _reference_expand(frame, vlo, vhi):
+    """Per-record loop: the (record, owned target) pairs of a received
+    frame and the scan charges, targeted records first, then broadcast
+    entries in order."""
+    targeted = [i for i, r in enumerate(frame) if r.target is not None]
+    broadcast = [i for i, r in enumerate(frame) if r.target is None]
+    pairs = [(i, frame[i].target) for i in targeted if vlo <= frame[i].target < vhi]
+    pairs += [(i, int(u)) for i in broadcast for u in frame[i].neighbors if vlo <= u < vhi]
+    charges = [len(targeted)] if targeted else []
+    if broadcast:
+        charges.append(sum(frame[i].neighbors.size for i in broadcast))
+    return pairs, charges
+
+
+def _receiver_frames():
+    rng = np.random.default_rng(12)
+    _, vertices, targets, xadj, neighbors = _sorted_batch(rng, 4, 30)
+    broadcast = np.full(30, BROADCAST, dtype=np.int64)
+    z = np.empty(0, dtype=np.int64)
+    return {
+        "mixed": RecordFrame(vertices, targets, xadj, neighbors),
+        "all-broadcast": RecordFrame(vertices, broadcast, xadj, neighbors),
+        "all-targeted": RecordFrame(vertices, targets % 50, xadj, neighbors),
+        "broadcast-no-words": RecordFrame(
+            vertices[:3], broadcast[:3], np.zeros(4, dtype=np.int64), z
+        ),
+        "empty": RecordFrame.empty(),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_receiver_frames()))
+def test_receiver_expansion_matches_per_record_reference(shape):
+    from repro.core.kernels import _expand_record_pairs
+
+    frame = _receiver_frames()[shape]
+
+    def prog(ctx, reference):
+        # Record every charge call: even charge(0) is a scheduling event.
+        calls, charge = [], ctx.charge
+        ctx.charge = lambda ops: (calls.append(int(ops)), charge(ops))
+        if reference:
+            pairs, charges = _reference_expand(frame, 20, 70)
+            for ops in charges:
+                ctx.charge(ops)
+        else:
+            _, _, rec_idx, targets = _expand_record_pairs(ctx, frame, 20, 70)
+            pairs = list(zip(rec_idx.tolist(), targets.tolist()))
+        del ctx.charge
+        return pairs, calls, ctx.metrics.clock
+        yield  # pragma: no cover
+
+    got = Machine(1).run(prog, False).values
+    assert got == Machine(1).run(prog, True).values
+    if shape == "empty":
+        assert got == [([], [], 0.0)]
+    if shape == "broadcast-no-words":
+        assert got == [([], [0], 0.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -164,13 +164,20 @@ def test_forward_record_words():
 def test_router_records_posted_counter():
     def prog(ctx):
         r = GridRouter(ctx, "x", threshold_words=64)
+        # On the 2x2 grid, rank r+1 is in r's row for even r and needs
+        # a proxy for odd r; the batch reaches every PE, self included.
         r.post((ctx.rank + 1) % ctx.num_pes, _rec(1))
-        direct_plus_row = r.records_posted  # row-hop posts only
+        dests = np.arange(ctx.num_pes, dtype=np.int64)
+        r.post_many(
+            dests, dests, np.full(4, -1), np.zeros(4, dtype=np.int64),
+            np.array([0, 2]), np.array([5, 6]),
+        )
+        posted = r.records_posted
         yield from r.finalize()
-        return direct_plus_row
+        return posted, r.records_posted  # proxy re-posts are not counted
 
     res = Machine(4).run(prog)
-    assert all(isinstance(v, int) for v in res.values)
+    assert res.values == [(5, 5)] * 4
 
 
 # ---------------------------------------------------------------- golden

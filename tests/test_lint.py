@@ -103,7 +103,7 @@ def prog(ctx):
 """,
     "R7": """
 def prog(ctx):
-    router.post_many(dst_ranks, vertices, targets, xadj, neighbors)
+    router.post_many(dst_ranks, vertices, targets, slots, xadj, adj)
     ctx.charge(1)
     yield
 """,
