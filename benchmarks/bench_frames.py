@@ -3,9 +3,9 @@
 Two arms exchange the *same* cut-neighborhood batches (RMAT scale 14,
 p = 16, aggregation on) through the buffered queue:
 
-* **legacy** — one ``Record`` object and one ``post(...)`` call per cut
-  arc on the send side, and an object-at-a-time list receiver
-  (``to_records()``) on the other end: the pre-frame hot path;
+* **legacy** — one single-record ``post_many(...)`` call per cut arc
+  on the send side, and a receiver that steps through the frame arrays
+  one record at a time: the per-record hot path;
 * **frames** — one ``post_many(...)`` call of CSR slot references per
   PE (the queue gathers each neighborhood once) and the
   :class:`RecordFrame` arrays consumed directly.
@@ -28,7 +28,7 @@ from repro.core.engine import _surrogate_filter
 from repro.core.orientation import orient_by_degree
 from repro.graphs import generators as gen
 from repro.graphs.distributed import distribute
-from repro.net import BufferedMessageQueue, Machine, Record, RecordFrame
+from repro.net import BufferedMessageQueue, Machine
 
 SCALE = 14
 NUM_PES = 16
@@ -74,18 +74,17 @@ def exchange_program(ctx, batches, threshold, mode):
         q.post_many(dests, slots, targets, slots, xadj, adj)
     else:
         for i in range(dests.size):
-            s = int(slots[i])
-            q.post(int(dests[i]), Record(s, adj[xadj[s] : xadj[s + 1]]))
+            one = slice(i, i + 1)
+            q.post_many(dests[one], slots[one], targets[one], slots[one], xadj, adj)
     received = yield from q.finalize()
     if mode == "frames":
         return received.num_records, int(received.neighbors.size)
-    # Legacy receiver: one Python object per record.
-    recs = (
-        received.to_records()
-        if isinstance(received, RecordFrame)
-        else list(received)
-    )
-    return len(recs), int(sum(r.neighbors.size for r in recs))
+    # Legacy receiver: one Python step per record over the frame arrays.
+    bounds = received.xadj
+    words = 0
+    for i in range(received.num_records):
+        words += int(bounds[i + 1] - bounds[i])
+    return received.num_records, words
 
 
 def test_bench_frame_path_speedup(benchmark, cut_batches, results_dir):

@@ -3,9 +3,9 @@
 Section IV-E approximates the global phase by replacing each shipped
 neighborhood ``A(v)`` with an approximate-membership-query structure
 ``A'(v)``; "a typical implementation would be a Bloom filter".  Adds
-and queries are fully vectorized; the filter serializes to a compact
-bit array whose size in machine words is what the approximate global
-phase charges to the wire.
+and queries are fully vectorized; the filter serializes to its bit
+array (:meth:`BloomFilter.to_words`), whose size in machine words is
+what the approximate global phase ships and charges to the wire.
 """
 
 from __future__ import annotations
@@ -69,6 +69,31 @@ class BloomFilter:
         """Size a filter for ``num_elements`` keys at a bits/element budget."""
         bits = max(64, int(math.ceil(max(num_elements, 1) * bits_per_element)))
         return cls(bits, optimal_num_hashes(bits_per_element), seed=seed)
+
+    @classmethod
+    def from_words(
+        cls,
+        words: np.ndarray,
+        num_elements: int,
+        bits_per_element: float = 8.0,
+        seed: int = 0,
+    ) -> "BloomFilter":
+        """Decode a filter of ``num_elements`` keys from the front of ``words``.
+
+        The inverse of :meth:`to_words` for a filter sized by
+        :meth:`for_elements` with the same arguments; words after its
+        :attr:`storage_words` are ignored.
+        """
+        f = cls.for_elements(num_elements, bits_per_element, seed)
+        if len(words) < f.storage_words:
+            raise ValueError("truncated Bloom filter")
+        f._words = np.array(words[: f.storage_words], dtype=np.int64).view(np.uint64)
+        f._count = int(num_elements)
+        return f
+
+    def to_words(self) -> np.ndarray:
+        """The wire form: the bit array's words viewed as ``int64``."""
+        return self._words.view(np.int64)
 
     @property
     def num_elements(self) -> int:

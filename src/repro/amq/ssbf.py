@@ -8,10 +8,10 @@ ships the *Golomb/Rice-coded gaps* between set positions instead of
 the raw bit array — near the information-theoretic minimum of
 ``n log2(m/n)`` bits for ``n`` keys in ``m`` cells.
 
-For the simulation the set positions are kept as a sorted array
-(queries are a ``searchsorted``); what goes on the wire — and what the
-cost model charges — is the exact Rice-coded size computed by
-:func:`rice_encoded_bits`.
+The set positions are kept as a sorted array (queries are a
+``searchsorted``); the wire carries their Rice code
+(:meth:`SingleShotBloomFilter.to_words`), and the cost model charges
+its exact size (:func:`rice_encoded_bits` plus a one-word header).
 """
 
 from __future__ import annotations
@@ -84,6 +84,65 @@ class SingleShotBloomFilter:
         """Size for a target FPR of roughly ``1 / cells_per_element``."""
         cells = max(2, int(math.ceil(max(num_elements, 1) * cells_per_element)))
         return cls(cells, seed=seed)
+
+    @classmethod
+    def from_words(
+        cls,
+        words: np.ndarray,
+        num_elements: int,
+        cells_per_element: float = 16.0,
+        seed: int = 0,
+    ) -> tuple["SingleShotBloomFilter", int]:
+        """Decode a filter of ``num_elements`` keys from the front of ``words``.
+
+        The inverse of :meth:`to_words` for a filter sized by
+        :meth:`for_elements` with the same arguments.  Returns the filter
+        and the number of words its code used; later words are ignored.
+        The unary quotients end at the ``n``-th zero bit, and the ``n·k``
+        remainder bits follow.
+        """
+        f = cls.for_elements(num_elements, cells_per_element, seed)
+        n = int(words[0]) if len(words) else -1
+        if not 0 <= n <= f.num_cells:
+            raise ValueError("malformed Rice code header")
+        k = optimal_rice_parameter(f.num_cells, n)
+        # The quotients sum to at most (num_cells - 1) >> k: that bounds the code.
+        max_bits = ((f.num_cells - 1) >> k) + n * (k + 1)
+        code = np.asarray(words[1 : 1 + -(-max_bits // 64)], dtype="<i8")
+        bits = np.unpackbits(code.view(np.uint8), bitorder="little")
+        ends = np.flatnonzero(bits == 0)[:n]
+        unary_bits = int(ends[-1]) + 1 if n else 0
+        if ends.size < n or bits.size < unary_bits + n * k:
+            raise ValueError("truncated Rice code")
+        quotients = np.diff(ends, prepend=-1) - 1
+        remainders = bits[unary_bits : unary_bits + n * k].reshape(n, k).astype(np.int64)
+        gaps = (quotients << k) | (remainders << np.arange(k)).sum(axis=1)
+        f._positions = np.cumsum(gaps, dtype=np.int64)
+        f._count = int(num_elements)
+        return f, 1 + -(-(unary_bits + n * k) // 64)
+
+    def to_words(self) -> np.ndarray:
+        """The wire form: ``n``, then the Rice code of the position gaps.
+
+        Word 0 is the number ``n`` of set positions.  Bit ``j`` of the
+        code is bit ``j % 64`` of word ``1 + j // 64``.  The code holds
+        each gap's quotient ``g >> k`` in unary (that many ones and a
+        terminating zero), then the ``n`` remainders of ``k`` bits each,
+        least significant bit first, with
+        ``k = optimal_rice_parameter(num_cells, n)``; it is zero-padded
+        to whole words, so ``len(to_words()) == storage_words``.
+        """
+        n = int(self._positions.size)
+        k = optimal_rice_parameter(self.num_cells, n)
+        gaps = np.diff(self._positions, prepend=0)
+        quotients = gaps >> k
+        unary_bits = int(quotients.sum()) + n
+        bits = np.zeros(-(-(unary_bits + n * k) // 64) * 64, dtype=np.uint8)
+        bits[:unary_bits] = 1
+        bits[np.cumsum(quotients + 1) - 1] = 0
+        bits[unary_bits : unary_bits + n * k] = ((gaps[:, None] >> np.arange(k)) & 1).ravel()
+        code = np.packbits(bits, bitorder="little").view("<i8")
+        return np.concatenate(([n], code)).astype(np.int64)
 
     @property
     def num_elements(self) -> int:

@@ -42,6 +42,7 @@ from ..graphs.builders import from_edges
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce
+from ..net.frames import RecordFrame, concat_xadj
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator
 from .engine import (
@@ -57,7 +58,6 @@ from .engine import (
 from .lcc import _GhostDelta, lcc_from_delta
 
 __all__ = [
-    "AmqRecord",
     "PEApproxCounts",
     "PEApproxLcc",
     "amq_cetric_program",
@@ -66,29 +66,6 @@ __all__ = [
     "colorful",
     "ApproxResult",
 ]
-
-
-@dataclass(frozen=True)
-class AmqRecord:
-    """Global-phase record with an AMQ instead of the raw neighborhood.
-
-    ``targets`` lists the members of ``A(v)`` owned by the destination
-    PE (the sender knows them — they are the reason the record is sent
-    at all), so the receiver knows which local intersections to
-    evaluate; only the *rest* of ``A(v)`` is compressed away into the
-    filter.
-    """
-
-    vertex: int
-    targets: np.ndarray
-    amq: BloomFilter | SingleShotBloomFilter
-    #: |A(v)| at the sender (needed by nobody, kept for diagnostics).
-    source_size: int
-
-    @property
-    def words(self) -> int:
-        """Wire size: targets + filter + (vertex, sizes) header."""
-        return int(self.targets.size) + int(self.amq.storage_words) + 3
 
 
 @dataclass
@@ -100,6 +77,9 @@ class PEApproxCounts:
     approx_remote: float
 
 
+_AMQ_KINDS = {"bloom": BloomFilter, "ssbf": SingleShotBloomFilter}
+
+
 def _make_amq(
     kind: Literal["bloom", "ssbf"], neighborhood: np.ndarray, vertex: int, budget: float
 ) -> BloomFilter | SingleShotBloomFilter:
@@ -108,14 +88,9 @@ def _make_amq(
     The hash seed is derived from the record vertex so both endpoints
     agree without extra communication.
     """
-    if kind == "bloom":
-        f = BloomFilter.for_elements(neighborhood.size, bits_per_element=budget, seed=vertex)
-    elif kind == "ssbf":
-        f = SingleShotBloomFilter.for_elements(
-            neighborhood.size, cells_per_element=budget, seed=vertex
-        )
-    else:
+    if kind not in _AMQ_KINDS:
         raise ValueError("kind must be 'bloom' or 'ssbf'")
+    f = _AMQ_KINDS[kind].for_elements(neighborhood.size, budget, seed=vertex)
     f.add(neighborhood)
     return f
 
@@ -129,44 +104,71 @@ def _amq_global_phase(
     tag: str,
     amq_kind: Literal["bloom", "ssbf"],
     budget: float,
-) -> Generator[None, None, list[AmqRecord]]:
-    """Ship one :class:`AmqRecord` per (vertex, destination PE) run of the
-    contracted cut arcs and return the records received (collective)."""
+) -> Generator[None, None, RecordFrame]:
+    """Ship one filter per (vertex, destination PE) run of the contracted
+    cut arcs and return the records received (collective).
+
+    Record ``(v, |A(v)|, [filter words, targets])``: the targets are the
+    members of ``A(v)`` owned by the destination PE (the run members, the
+    reason the record is sent at all); only the rest of ``A(v)`` is
+    compressed away into the filter.  The charge per record is the
+    block plus the header and the target word, ``t + W + 3``.
+    """
     router = _router(ctx, lg, config, tag)
     c_src, c_dst, dst_ranks = _cut_arcs(lg, send_xadj, send_adj)
     first = _surrogate_filter(c_src, dst_ranks, enabled=True)
     ctx.charge(c_src.size)
-    # The run members are exactly the receiver-side targets.
     run_starts = np.flatnonzero(first)
     run_ends = np.concatenate([run_starts[1:], [c_src.size]])
-    # Per-run loop, not post_many: each run builds an opaque AMQ
-    # payload (a Bloom filter is inherently a per-destination object),
-    # so there is no frameable array batch to pack.
+    # A filter is built per run, but all of them leave in one post_many.
+    blocks: list[np.ndarray] = []
     for start, end in zip(run_starts.tolist(), run_ends.tolist()):
         slot = int(c_src[start])
-        v = lg.vlo + slot
         nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
-        amq = _make_amq(amq_kind, nbh, v, budget)
+        amq = _make_amq(amq_kind, nbh, lg.vlo + slot, budget)
         ctx.charge(nbh.size)  # filter construction
-        rec = AmqRecord(vertex=v, targets=c_dst[start:end], amq=amq, source_size=int(nbh.size))
-        router.post(int(dst_ranks[start]), rec)
+        blocks.append(np.concatenate([amq.to_words(), c_dst[start:end]]))
+    slots = c_src[run_starts]
+    router.post_many(
+        dst_ranks[run_starts],
+        lg.vlo + slots,
+        send_xadj[slots + 1] - send_xadj[slots],  # |A(v)| in the target field
+        np.arange(slots.size, dtype=np.int64),
+        concat_xadj([b.size for b in blocks]),
+        np.concatenate([np.empty(0, dtype=np.int64), *blocks]),
+    )
     return (yield from router.finalize())
 
 
 def _amq_queries(
-    ctx: PEContext, records: list[AmqRecord], send_xadj: np.ndarray, send_adj: np.ndarray, vlo: int
-) -> list[tuple[AmqRecord, int, np.ndarray, np.ndarray]]:
-    """Query every received filter with the ``A(u)`` of each of its owned
-    targets ``u``: ``(record, u, A(u), positive mask)`` per non-empty ``A(u)``."""
+    ctx: PEContext,
+    received: RecordFrame,
+    send_xadj: np.ndarray,
+    send_adj: np.ndarray,
+    vlo: int,
+    amq_kind: Literal["bloom", "ssbf"],
+    budget: float,
+) -> list[tuple[int, BloomFilter | SingleShotBloomFilter, int, np.ndarray, np.ndarray]]:
+    """Decode every received filter (sized like :func:`_make_amq` from
+    ``|A(v)|`` in the target field) and query it with the ``A(u)`` of each
+    of its owned targets ``u``: ``(v, filter, u, A(u), positive mask)`` per
+    non-empty ``A(u)``.  Decoding charges nothing, like receiving."""
     out = []
-    for rec in records:
-        for u in rec.targets.tolist():
+    bounds = received.xadj.tolist()
+    for i, (v, size) in enumerate(zip(received.vertices.tolist(), received.targets.tolist())):
+        block = received.neighbors[bounds[i] : bounds[i + 1]]
+        if amq_kind == "bloom":
+            amq = BloomFilter.from_words(block, size, budget, seed=v)
+            used = amq.storage_words
+        else:
+            amq, used = SingleShotBloomFilter.from_words(block, size, budget, seed=v)
+        for u in block[used:].tolist():
             a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
             if a_u.size == 0:
                 continue
-            positive = rec.amq.query(a_u)
+            positive = amq.query(a_u)
             ctx.charge(a_u.size)
-            out.append((rec, u, a_u, positive))
+            out.append((v, amq, u, a_u, positive))
     return out
 
 
@@ -200,13 +202,15 @@ def amq_cetric_program(
 
     send_xadj, send_adj = _send_structure(ctx, og, True)
     with ctx.span("global"):
-        records = yield from _amq_global_phase(
+        received = yield from _amq_global_phase(
             ctx, lg, config, send_xadj, send_adj, "amq-nbh", amq_kind, budget
         )
         approx_remote = 0.0
-        for rec, _, a_u, positive in _amq_queries(ctx, records, send_xadj, send_adj, lg.vlo):
+        for _, amq, _, a_u, positive in _amq_queries(
+            ctx, received, send_xadj, send_adj, lg.vlo, amq_kind, budget
+        ):
             hits = int(np.count_nonzero(positive))
-            fpr = rec.amq.expected_fpr()
+            fpr = amq.expected_fpr()
             if correct_bias and fpr < 1.0:
                 approx_remote += (hits - a_u.size * fpr) / (1.0 - fpr)
             else:
@@ -266,20 +270,22 @@ def amq_lcc_program(
 
     send_xadj, send_adj = _send_structure(ctx, og, True)
     with ctx.span("global"):
-        records = yield from _amq_global_phase(
+        received = yield from _amq_global_phase(
             ctx, lg, config, send_xadj, send_adj, "amq-lcc", amq_kind, budget
         )
-        for rec, u, a_u, positive in _amq_queries(ctx, records, send_xadj, send_adj, lg.vlo):
+        for v, amq, u, a_u, positive in _amq_queries(
+            ctx, received, send_xadj, send_adj, lg.vlo, amq_kind, budget
+        ):
             hits = int(np.count_nonzero(positive))
             if hits == 0:
                 continue
-            fpr = rec.amq.expected_fpr()
+            fpr = amq.expected_fpr()
             if correct_bias and fpr < 1.0:
                 weight = max(0.0, (hits - a_u.size * fpr) / ((1.0 - fpr) * hits))
             else:
                 weight = 1.0
             # Corners: record vertex v (ghost), owned u, positives w.
-            delta.credit(ctx, np.array([rec.vertex], dtype=np.int64), weight * hits)
+            delta.credit(ctx, np.array([v], dtype=np.int64), weight * hits)
             delta.local[u - lg.vlo] += weight * hits
             delta.credit(ctx, a_u[positive], weight)
         yield

@@ -78,10 +78,8 @@ R7
     :class:`~repro.net.frames.Record` per element rebuilds in Python
     what one ``post_many`` call of CSR slot references does with packed
     :class:`~repro.net.frames.RecordFrame` arrays — same contents, same
-    words charge, a fraction of the interpreter overhead.  Only plain
-    ``Record`` payloads are flagged: opaque per-destination objects
-    (e.g. ``AmqRecord`` Bloom filters) have no frameable array batch
-    and legitimately post one at a time.
+    words charge, a fraction of the interpreter overhead.  A ``.post``
+    whose payload is a ``Record`` is flagged.
 
 The rules are heuristic by design (no type inference); suppress a
 deliberate violation with ``# noqa: R<n>`` on the offending line.

@@ -26,7 +26,6 @@ from .frames import (
     FrameBuilder,
     Record,
     RecordFrame,
-    flatten_records,
     merge_frames,
 )
 from .comm import (
@@ -39,7 +38,7 @@ from .comm import (
     sparse_alltoall,
 )
 from .costmodel import CLOUD, DEFAULT_SPEC, LAN, SUPERMUC, MachineSpec
-from .indirect import ForwardRecord, Grid, GridRouter
+from .indirect import Grid, GridRouter
 from .machine import (
     DeadlockError,
     Machine,
@@ -84,7 +83,6 @@ __all__ = [
     "ForwardFrame",
     "FrameBuilder",
     "merge_frames",
-    "flatten_records",
     "allreduce",
     "alltoallv_dense",
     "barrier",
@@ -97,7 +95,6 @@ __all__ = [
     "LAN",
     "SUPERMUC",
     "MachineSpec",
-    "ForwardRecord",
     "Grid",
     "GridRouter",
     "DeadlockError",

@@ -24,18 +24,18 @@ exactly the "no aggregation" configuration of Fig. 2.
 
 Wire format
 -----------
-Buffered :class:`~repro.net.frames.Record` posts are packed into one
-:class:`~repro.net.frames.RecordFrame` per destination at flush time.
-The vectorized :meth:`BufferedMessageQueue.post_many` takes records as
-slot references into a source CSR and never materializes per-record
-objects.  It plans all flush points of a call from the block sizes,
-sorts the batch once by (segment, destination) and gathers every
-neighborhood once, straight into that order; the flushed frames are
-read-only views of that one gather.  Message counts, sizes, and the
-buffer high-water mark are bit-identical to posting the same records
-one at a time (see ``docs/PERFORMANCE.md``).  Opaque payloads with a
-``words`` attribute (``AmqRecord``, ``ForwardRecord``) still travel as
-the objects they were posted as.
+Every payload is a :class:`~repro.net.frames.RecordFrame` (a
+:class:`~repro.net.frames.ForwardFrame` on the grid row hop), one per
+destination and flush.  :meth:`BufferedMessageQueue.post_many` takes
+records as slot references into a source CSR and never materializes
+per-record objects.  It plans all flush points of a call from the block
+sizes, sorts the batch once by (segment, destination) and gathers every
+block once, straight into that order; the flushed frames are read-only
+views of that one gather.  Message counts, sizes, and the buffer
+high-water mark are bit-identical to posting the same records one
+``post_many`` call at a time (see ``docs/PERFORMANCE.md``).  A record's
+block is any word sequence: a neighborhood, or an AMQ filter's words
+followed by its targets (:mod:`repro.core.approx`).
 """
 
 from __future__ import annotations
@@ -48,28 +48,14 @@ from .comm import barrier, drain
 from .frames import (
     ForwardFrame,
     FrameBuilder,
-    Record,
     RecordFrame,
-    flatten_records,
     gather_blocks,
     merge_frames,
 )
 from .machine import PEContext
 from .messages import HEADER_WORDS, Tag
 
-__all__ = ["Record", "RecordFrame", "BufferedMessageQueue"]
-
-
-def _all_frameable(parts) -> bool:
-    """True when every payload packs losslessly into one RecordFrame."""
-    stack = list(parts)
-    while stack:
-        part = stack.pop()
-        if isinstance(part, (list, tuple)):
-            stack.extend(part)
-        elif not isinstance(part, (Record, RecordFrame)):
-            return False
-    return True
+__all__ = ["RecordFrame", "BufferedMessageQueue"]
 
 
 def _gathered(
@@ -109,7 +95,6 @@ class BufferedMessageQueue:
         self.tag = tag
         self.threshold_words = int(threshold_words)
         self._builders: dict[int, FrameBuilder] = {}
-        self._misc: dict[int, list] = {}
         self._buffer_words: dict[int, int] = {}
         self._total_words = 0
         self._local: list = []
@@ -120,30 +105,6 @@ class BufferedMessageQueue:
     def buffered_words(self) -> int:
         """Current total buffered size ``B = sum_j |B_j|``."""
         return self._total_words
-
-    def post(self, dest: int, record) -> None:
-        """Append a record to buffer ``B_dest``; flush if over threshold.
-
-        Records addressed to the posting PE itself bypass the network
-        (handed back by :meth:`finalize` at zero wire cost).  A
-        :class:`Record` is packed into the destination's frame at flush
-        time; any other payload with a ``words`` attribute rides along
-        unpacked.
-        """
-        if dest == self.ctx.rank:
-            self._local.append(record)
-            self.records_posted += 1
-            return
-        if isinstance(record, Record):
-            self._builders.setdefault(dest, FrameBuilder()).append_record(record)
-        else:
-            self._misc.setdefault(dest, []).append(record)
-        self._buffer_words[dest] = self._buffer_words.get(dest, 0) + record.words
-        self._total_words += record.words
-        self.records_posted += 1
-        self.ctx.metrics.note_buffer(self._total_words)
-        if self._total_words > self.threshold_words:
-            self.flush()
 
     def post_many(
         self,
@@ -163,10 +124,9 @@ class BufferedMessageQueue:
         ``dest_ranks[i]`` (``targets[i] == -1`` for broadcast); slots may
         repeat.  With ``final_dests`` the records are grid row-hop
         forwards: ``dest_ranks`` holds the proxy and each record is
-        charged one extra routing word, exactly like posting
-        :class:`~repro.net.indirect.ForwardRecord` objects.
+        charged one extra routing word.
 
-        Equivalent to posting the records one at a time in batch order —
+        Equivalent to posting the records one per call in batch order —
         same flush boundaries, per-destination record order, buffer
         high-water marks, and wire words — without a Python loop over
         records.  Flush points are found from the block sizes alone, by
@@ -209,12 +169,12 @@ class BufferedMessageQueue:
             return
         rw = xadj[slots + 1] - xadj[slots] + np.int64(HEADER_WORDS) + (targets >= 0)
         if final_dests is not None:
-            rw += 1  # ForwardRecord routing word
+            rw += 1  # the routing word
         cw = np.cumsum(rw)
 
         # Plan the flush points: the first record whose cumulative total
-        # strictly exceeds the threshold closes a segment (the legacy
-        # per-post rule), and the buffer restarts empty after it.
+        # strictly exceeds the threshold closes a segment, and the buffer
+        # restarts empty after it.
         stops: list[int] = []
         base, prev = self._total_words, 0
         while (end := int(np.searchsorted(cw, self.threshold_words - base + prev, "right"))) < n:
@@ -259,35 +219,23 @@ class BufferedMessageQueue:
     def flush(self) -> None:
         """Send every non-empty buffer as one aggregated message.
 
-        Buffered :class:`Record` chunks leave as one
-        :class:`RecordFrame` per destination; opaque payloads ride in a
-        list after the frame.  These sends use the machine's configured
-        transport, so under a :mod:`repro.faults` plan the reliable
-        layer sequences and retransmits them — fault-tolerant programs
-        may use the queue freely (no
-        :func:`~repro.net.reliable.reliable_send` wrapper needed; lint
-        rule R5 only patrols hand-written ``ctx.send``).
+        Each destination's buffered chunks leave as one frame.  These
+        sends use the machine's configured transport, so under a
+        :mod:`repro.faults` plan the reliable layer sequences and
+        retransmits them — fault-tolerant programs may use the queue
+        freely (no :func:`~repro.net.reliable.reliable_send` wrapper
+        needed; lint rule R5 only patrols hand-written ``ctx.send``).
         """
-        if not self._builders and not self._misc:
+        if not self._builders:
             return
-        for dest in sorted(set(self._builders) | set(self._misc)):
-            words = self._buffer_words[dest]
-            builder = self._builders.get(dest)
-            misc = self._misc.get(dest)
-            if builder is not None:
-                payload = builder.build()
-                if misc:
-                    payload = [payload, *misc]
-            else:
-                payload = misc
-            self.ctx.send(dest, self.tag, payload, words)
+        for dest in sorted(self._builders):
+            self.ctx.send(dest, self.tag, self._builders[dest].build(), self._buffer_words[dest])
         self._builders = {}
-        self._misc = {}
         self._buffer_words = {}
         self._total_words = 0
         self.flushes += 1
 
-    def finalize(self) -> Generator[None, None, RecordFrame | list]:
+    def finalize(self) -> Generator[None, None, RecordFrame | ForwardFrame]:
         """Flush remaining buffers, synchronize, and drain received records.
 
         The barrier plays the role of NBX termination detection: after
@@ -295,12 +243,10 @@ class BufferedMessageQueue:
         delivered) all its sends, so the inbox drain is complete.
         Must be called by all PEs (collectively).
 
-        Returns one merged :class:`RecordFrame` when everything received
-        (and self-posted) is frameable — the fast path the counting
-        kernels consume directly; a lone received frame comes back as
-        is, a read-only view of its sender's gather — and a flat list of
-        payload objects otherwise (frames expanded in arrival order, so
-        legacy consumers see exactly the records that were posted).
+        Returns everything received (and self-posted) as one merged
+        frame, in arrival order — a :class:`ForwardFrame` on the grid
+        row hop.  A lone received frame comes back as is, a read-only
+        view of its sender's gather.
         """
         self.flush()
         # NBX discipline (see sparse_alltoall): our flushed frames must
@@ -310,7 +256,4 @@ class BufferedMessageQueue:
         parts = [msg.payload for msg in drain(self.ctx, self.tag)]
         parts.extend(self._local)
         self._local = []
-        if _all_frameable(parts):
-            return merge_frames(parts)
-        return flatten_records(parts)
-
+        return merge_frames(parts)

@@ -21,7 +21,11 @@ bit-identical between the two representations (property-tested in
 
 A broadcast record (the surrogate shape ``(v, A(v))``) stores a
 ``target`` of −1; a targeted record (the Algorithm 2 shape
-``((v, u), A(v))``) stores the owned endpoint ``u``.
+``((v, u), A(v))``) stores the owned endpoint ``u``.  The approximate
+global phase (:mod:`repro.core.approx`) sends a third shape in the same
+frames: the block is a filter's wire words (a Bloom filter's bits, or
+a single-shot filter's Rice code) and then its targets, and the target
+field holds ``|A(v)|``.
 
 Read-only views
 ---------------
@@ -49,7 +53,6 @@ __all__ = [
     "ForwardFrame",
     "FrameBuilder",
     "merge_frames",
-    "flatten_records",
     "concat_xadj",
     "gather_blocks",
 ]
@@ -84,10 +87,6 @@ class Record:
         """Charged size of this record in machine words."""
         extra = 0 if self.target is None else 1
         return int(self.neighbors.size) + HEADER_WORDS + extra
-
-
-def _as_i64(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64)
 
 
 def concat_xadj(sizes: np.ndarray) -> np.ndarray:
@@ -133,9 +132,9 @@ class RecordFrame:
     consumers read them and never write in place.
 
     The sequence protocol (``len``, iteration, indexing) yields
-    :class:`Record` views so object-at-a-time consumers (the AMQ
-    receiver loop, tests, diagnostics) keep working unchanged — but hot
-    paths must use the arrays directly (see ``docs/PERFORMANCE.md``).
+    :class:`Record` views for object-at-a-time consumers (tests,
+    diagnostics) — but hot paths must use the arrays directly (see
+    ``docs/PERFORMANCE.md``).
     """
 
     vertices: np.ndarray
@@ -213,10 +212,8 @@ class RecordFrame:
 class ForwardFrame:
     """A frame wrapped with per-record final destinations (grid row hop).
 
-    The vectorized counterpart of wrapping each record in a
-    :class:`~repro.net.indirect.ForwardRecord`: one routing word per
-    record on the wire, and the proxy regroups by ``final_dests``
-    without unpacking a single record object.
+    One routing word per record on the wire; the proxy regroups by
+    ``final_dests`` without unpacking a single record object.
     """
 
     final_dests: np.ndarray
@@ -228,57 +225,26 @@ class ForwardFrame:
         return self.frame.words + int(self.final_dests.size)
 
 
-def merge_frames(parts: Iterable) -> RecordFrame | ForwardFrame:
-    """Concatenate frames and records (in order) into one frame.
+def merge_frames(parts: Iterable[RecordFrame | ForwardFrame]) -> RecordFrame | ForwardFrame:
+    """Concatenate frames (in order) into one frame.
 
-    Accepts any mix of :class:`RecordFrame`, :class:`Record`, and
-    (nested) lists of either — the payload shapes the aggregation queue
-    produces — and returns a single frame covering every record in
-    encounter order.  Grid row-hop :class:`ForwardFrame` parts merge
-    into one ``ForwardFrame`` and must not be mixed with plain parts.
-    A lone frame part is returned as is; several are copied once into
-    fresh read-only arrays.
+    Grid row-hop :class:`ForwardFrame` parts merge into one
+    ``ForwardFrame`` and must not be mixed with plain parts.  A lone
+    part is returned as is; several are copied once into fresh
+    read-only arrays, and none give the empty frame.
     """
-    parts = list(_iter_parts(parts))
-    if len(parts) == 1 and isinstance(parts[0], (RecordFrame, ForwardFrame)):
+    parts = list(parts)
+    if len(parts) == 1:
         return parts[0]
     builder = FrameBuilder()
     for part in parts:
         final_dests = None
         if isinstance(part, ForwardFrame):
             part, final_dests = part.frame, part.final_dests
-        if isinstance(part, RecordFrame):
-            builder.append_chunk(
-                part.vertices, part.targets, part.xadj, part.neighbors, final_dests
-            )
-        else:
-            builder.append_record(part)
+        builder.append_chunk(
+            part.vertices, part.targets, part.xadj, part.neighbors, final_dests
+        )
     return builder.build()
-
-
-def flatten_records(parts: Iterable) -> list:
-    """Flatten payloads into a flat list, expanding frames to records.
-
-    The legacy-shaped counterpart of :func:`merge_frames`, used when a
-    batch mixes frameable records with opaque payloads (e.g.
-    ``AmqRecord``) that must come back as the objects they were posted
-    as.
-    """
-    out: list = []
-    for part in _iter_parts(parts):
-        if isinstance(part, RecordFrame):
-            out.extend(part.to_records())
-        else:
-            out.append(part)
-    return out
-
-
-def _iter_parts(parts: Iterable):
-    for part in parts:
-        if isinstance(part, (list, tuple)):
-            yield from _iter_parts(part)
-        else:
-            yield part
 
 
 def _concat(frames: list[RecordFrame]) -> RecordFrame:
@@ -311,9 +277,9 @@ class FrameBuilder:
     """Accumulates record chunks and packs them into one frame.
 
     Chunks are appended as arrays (from ``post_many``) or as individual
-    :class:`Record` objects (legacy ``post``); :meth:`build` returns a
-    lone chunk as is (the slices ``post_many`` appended) and
-    concatenates several in append order.  With ``final_dests`` chunks
+    :class:`Record` objects (tests); :meth:`build` returns a lone chunk
+    as is (the slices ``post_many`` appended) and concatenates several
+    in append order.  With ``final_dests`` chunks
     the builder produces a :class:`ForwardFrame` instead (grid row
     hop); the two chunk kinds must not be mixed in one builder.
     """
@@ -346,7 +312,7 @@ class FrameBuilder:
                 dtype=np.int64,
             ),
             np.array([0, record.neighbors.size], dtype=np.int64),
-            _as_i64(record.neighbors),
+            np.asarray(record.neighbors, dtype=np.int64),
         )
 
     def build(self) -> RecordFrame | ForwardFrame:

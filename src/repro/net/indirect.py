@@ -38,17 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Generator
 
 import numpy as np
 
-from .aggregation import BufferedMessageQueue, Record
-from .frames import ForwardFrame, RecordFrame, merge_frames
+from .aggregation import BufferedMessageQueue
+from .frames import ForwardFrame, RecordFrame
 from .machine import PEContext
 from .messages import Tag
 
-__all__ = ["Grid", "GridRouter", "ForwardRecord"]
+__all__ = ["Grid", "GridRouter"]
 
 
 @dataclass(frozen=True)
@@ -105,29 +104,13 @@ class Grid:
         return candidate
 
 
-@dataclass(frozen=True)
-class ForwardRecord:
-    """A record wrapped with its final destination for the row hop.
-
-    The extra destination field costs one machine word on the wire.
-    """
-
-    final_dest: int
-    record: Record
-
-    @property
-    def words(self) -> int:
-        """Wire size: the inner record plus the routing word."""
-        return self.record.words + 1
-
-
 class GridRouter:
     """Two-hop aggregated routing over the logical grid.
 
     Drop-in alternative to a plain :class:`BufferedMessageQueue` for
-    one-shot exchanges: ``post`` during the send phase, then a single
-    collective :meth:`finalize` flushes, lets proxies forward, and
-    returns the records addressed to this PE.
+    one-shot exchanges: ``post_many`` during the send phase, then a
+    single collective :meth:`finalize` flushes, lets proxies forward,
+    and returns the records addressed to this PE.
     """
 
     def __init__(self, ctx: PEContext, tag: Tag, threshold_words: int):
@@ -143,21 +126,9 @@ class GridRouter:
             count=ctx.num_pes,
         )
         ctx.charge(ctx.num_pes)  # the O(p) proxy table above
-        #: Application records posted at this PE (``post`` and
-        #: ``post_many``; a proxy's re-posts are not counted).
+        #: Application records posted at this PE (a proxy's re-posts
+        #: are not counted).
         self.records_posted = 0
-
-    def post(self, dest: int, record: Record) -> None:
-        """Route a record towards ``dest`` via its row proxy."""
-        self.records_posted += 1
-        hop = self.grid.proxy(self.ctx.rank, dest)
-        if hop == dest:
-            # Direct: no intermediate hop (same row/col or degenerate);
-            # send on the column queue so it is not mistaken for a
-            # forwardable row message.
-            self._col_queue.post(dest, record)
-        else:
-            self._row_queue.post(hop, ForwardRecord(final_dest=dest, record=record))
 
     def post_many(
         self,
@@ -173,8 +144,8 @@ class GridRouter:
         Splits the batch by first hop: records whose proxy is their
         destination go straight on the column queue; the rest travel
         the row queue as a :class:`~repro.net.frames.ForwardFrame`
-        (one routing word per record, like :class:`ForwardRecord`).
-        Both queues gather from the same source CSR.
+        (one routing word per record).  Both queues gather from the
+        same source CSR.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         self.records_posted += int(dest_ranks.size)
@@ -190,15 +161,19 @@ class GridRouter:
             final_dests=dest_ranks[idx],
         )
 
-    def _repost(self, fwd: ForwardFrame) -> None:
-        """Proxy step: re-post a forwarded frame toward final destinations.
+    def _forward(self, received: RecordFrame | ForwardFrame) -> None:
+        """Proxy step: re-post the row-hop frame toward final destinations.
 
         Records already at their destination take the queue's self path:
         handed back by ``finalize`` at zero wire cost.
         """
-        frame = fwd.frame
+        if not isinstance(received, ForwardFrame):
+            if received.num_records:
+                raise TypeError("row hop must carry ForwardFrame")
+            return
+        frame = received.frame
         self._col_queue.post_many(
-            fwd.final_dests,
+            received.final_dests,
             frame.vertices,
             frame.targets,
             np.arange(frame.num_records, dtype=np.int64),
@@ -206,37 +181,13 @@ class GridRouter:
             frame.neighbors,
         )
 
-    def _forward(self, received: RecordFrame | list) -> None:
-        """Proxy step: re-post every row-hop payload toward its destination.
-
-        Each maximal run of consecutive :class:`ForwardFrame` payloads
-        is concatenated and re-posted with one ``post_many``.  No yield
-        separates the re-posts and ``post_many`` equals posting its
-        records one at a time, so this is exact.
-        """
-        batches: list = []
-        for is_frame, run in groupby(
-            received, key=lambda part: isinstance(part, ForwardFrame)
-        ):
-            batches.extend([merge_frames(run)] if is_frame else run)
-        if isinstance(received, list):  # a RecordFrame holds no forwards
-            received.clear()  # only the concatenations stay live from here
-        for fwd in batches:
-            if isinstance(fwd, ForwardFrame):
-                self._repost(fwd)
-            elif isinstance(fwd, ForwardRecord):
-                # A record already at its destination takes the self path.
-                self._col_queue.post(fwd.final_dest, fwd.record)
-            else:
-                raise TypeError("row hop must carry ForwardRecord")
-
-    def finalize(self) -> Generator[None, None, RecordFrame | list]:
+    def finalize(self) -> Generator[None, None, RecordFrame]:
         """Flush, forward at proxies, and return records for this PE.
 
         Collective.  Two aggregation rounds: row flush + barrier, then
         each PE re-posts the row records it proxied to their final
-        destinations in one batch per run of received frames (see
-        :meth:`_forward`), column flush + barrier, and a final drain.
+        destinations in one batch (see :meth:`_forward`), column flush +
+        barrier, and a final drain.
         """
         with self.ctx.span("grid-row-hop"):
             self._forward((yield from self._row_queue.finalize()))

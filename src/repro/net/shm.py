@@ -20,8 +20,8 @@ tiny ``(slot, offsets)`` descriptor.  Concretely:
   out-of-band buffers**: the payload's array bodies never enter the
   pickle stream — they are copied once into a pool slot — and the
   remaining metadata pickle is a few hundred bytes.  Any payload shape
-  works (frames, :class:`~repro.net.frames.ForwardFrame`, mixed lists
-  with opaque records); payloads without array buffers simply are not
+  works (frames, :class:`~repro.net.frames.ForwardFrame`, any object a
+  program sends); payloads without array buffers simply are not
   worth a slot and travel the legacy path.
 * :meth:`SharedFramePool.decode` reconstructs the payload with
   ``pickle.loads(meta, buffers=...)`` over **read-only views straight

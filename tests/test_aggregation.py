@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from post_utils import post_record
 from repro.net import BufferedMessageQueue, HEADER_WORDS, Machine, Record
 
 
@@ -21,7 +22,7 @@ def test_no_aggregation_sends_one_message_per_record():
         q = BufferedMessageQueue(ctx, "t", threshold_words=0)
         if ctx.rank == 0:
             for i in range(5):
-                q.post(1, _rec(i))
+                post_record(q, 1, _rec(i))
         recs = yield from q.finalize()
         return len(recs)
 
@@ -35,7 +36,7 @@ def test_aggregation_batches_into_single_message():
         q = BufferedMessageQueue(ctx, "t", threshold_words=10_000)
         if ctx.rank == 0:
             for i in range(50):
-                q.post(1, _rec(i))
+                post_record(q, 1, _rec(i))
         recs = yield from q.finalize()
         return len(recs)
 
@@ -53,7 +54,7 @@ def test_threshold_triggers_flush():
         q = BufferedMessageQueue(ctx, "t", threshold_words=3 * _rec(0).words)
         if ctx.rank == 0:
             for i in range(10):
-                q.post(1, _rec(i))
+                post_record(q, 1, _rec(i))
             flushes_before_finalize = q.flushes
         else:
             flushes_before_finalize = 0
@@ -70,7 +71,7 @@ def test_buffer_high_water_mark_bounded_by_threshold():
         q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
         if ctx.rank == 0:
             for i in range(100):
-                q.post(1, _rec(i))
+                post_record(q, 1, _rec(i))
         yield from q.finalize()
         return None
 
@@ -84,7 +85,7 @@ def test_buffer_high_water_mark_bounded_by_threshold():
 def test_self_posts_bypass_network():
     def prog(ctx):
         q = BufferedMessageQueue(ctx, "t", threshold_words=100)
-        q.post(ctx.rank, _rec(42))
+        post_record(q, ctx.rank, _rec(42))
         recs = yield from q.finalize()
         return [r.vertex for r in recs]
 
@@ -99,7 +100,7 @@ def test_records_keep_payload_integrity():
     def prog(ctx):
         q = BufferedMessageQueue(ctx, "t", threshold_words=0)
         if ctx.rank == 0:
-            q.post(1, Record(7, np.array([1, 4, 9], dtype=np.int64)))
+            post_record(q, 1, Record(7, np.array([1, 4, 9], dtype=np.int64)))
         recs = yield from q.finalize()
         if ctx.rank == 1:
             (r,) = recs
@@ -125,7 +126,7 @@ def test_volume_matches_record_words():
         q = BufferedMessageQueue(ctx, "t", threshold_words=10_000)
         if ctx.rank == 0:
             for i in range(10):
-                q.post(1, _rec(i, size=4))
+                post_record(q, 1, _rec(i, size=4))
         yield from q.finalize()
         return None
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.amq import (
     BloomFilter,
@@ -166,3 +167,64 @@ def test_optimal_rice_parameter_monotone():
     sparse = optimal_rice_parameter(100000, 500)
     assert sparse > dense
     assert optimal_rice_parameter(100, 0) == 0
+
+
+# ---------------------------------------------------------------- wire codec
+#: (keys, budget, seed): budgets from below one cell per key (Rice k = 0)
+#: up to sparse filters with large k.
+_FILTERS = st.tuples(
+    st.lists(st.integers(0, 10**9), max_size=300, unique=True),
+    st.floats(0.5, 64.0),
+    st.integers(0, 2**31),
+)
+_TRAILING = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4)
+_PROBES = st.lists(st.integers(0, 10**9), max_size=200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FILTERS, _TRAILING, _PROBES)
+def test_bloom_codec_roundtrip(filter_args, trailing, probes):
+    keys, budget, seed = filter_args
+    keys = np.array(keys, dtype=np.int64)
+    f = BloomFilter.for_elements(keys.size, bits_per_element=budget, seed=seed)
+    f.add(keys)
+    words = f.to_words()
+    assert words.dtype == np.int64 and len(words) == f.storage_words
+    block = np.concatenate([words, np.array(trailing, dtype=np.int64)])
+    g = BloomFilter.from_words(block, keys.size, bits_per_element=budget, seed=seed)
+    queries = np.concatenate([keys, np.array(probes, dtype=np.int64)])
+    assert np.array_equal(g.query(queries), f.query(queries))
+    assert g.expected_fpr() == f.expected_fpr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FILTERS, _TRAILING, _PROBES)
+def test_ssbf_codec_roundtrip_ignores_trailing_words(filter_args, trailing, probes):
+    keys, budget, seed = filter_args
+    keys = np.array(keys, dtype=np.int64)
+    f = SingleShotBloomFilter.for_elements(keys.size, cells_per_element=budget, seed=seed)
+    f.add(keys)
+    words = f.to_words()
+    assert words.dtype == np.int64 and len(words) == f.storage_words
+    block = np.concatenate([words, np.array(trailing, dtype=np.int64)])
+    g, used = SingleShotBloomFilter.from_words(
+        block, keys.size, cells_per_element=budget, seed=seed
+    )
+    assert used == len(words)
+    queries = np.concatenate([keys, np.array(probes, dtype=np.int64)])
+    assert np.array_equal(g.query(queries), f.query(queries))
+    assert g.expected_fpr() == f.expected_fpr()
+
+
+def test_codecs_reject_truncated_words(rng):
+    keys = rng.choice(10**6, size=200, replace=False)
+    bloom = BloomFilter.for_elements(keys.size, seed=3)
+    bloom.add(keys)
+    with pytest.raises(ValueError):
+        BloomFilter.from_words(bloom.to_words()[:-1], keys.size, seed=3)
+    ssbf = SingleShotBloomFilter.for_elements(keys.size, seed=3)
+    ssbf.add(keys)
+    with pytest.raises(ValueError):
+        SingleShotBloomFilter.from_words(ssbf.to_words()[:-1], keys.size, seed=3)
+    with pytest.raises(ValueError):
+        SingleShotBloomFilter.from_words(np.empty(0, dtype=np.int64), keys.size, seed=3)

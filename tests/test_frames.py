@@ -2,7 +2,8 @@
 
 The contract under test (``docs/PERFORMANCE.md``): the frame path
 (``post_many`` + :class:`RecordFrame` receive) is observationally
-identical to the legacy path (one ``post(Record(...))`` per record) —
+identical to the reference path, "legacy" below (one single-record
+``post_many`` call per record, in batch order) —
 same received contents, same charged words, same flush boundaries, same
 kernel totals — on the simulated :class:`Machine` and on the real
 process backend :class:`ProcessMachine`.
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from post_utils import post_record
 
 from repro.net import (
     HEADER_WORDS,
@@ -20,7 +22,6 @@ from repro.net import (
     Machine,
     Record,
     RecordFrame,
-    flatten_records,
     merge_frames,
 )
 from repro.net.frames import BROADCAST, ForwardFrame, FrameBuilder, gather_blocks
@@ -40,23 +41,6 @@ def _random_batch(rng, num_pes, n):
     np.cumsum(sizes, out=xadj[1:])
     neighbors = rng.integers(0, 1000, size=int(xadj[-1])).astype(np.int64)
     return dests, vertices, targets, xadj, neighbors
-
-
-def _records_of(dests, vertices, targets, xadj, neighbors):
-    out = []
-    for i in range(dests.size):
-        t = int(targets[i])
-        out.append(
-            (
-                int(dests[i]),
-                Record(
-                    int(vertices[i]),
-                    neighbors[xadj[i] : xadj[i + 1]],
-                    target=None if t == BROADCAST else t,
-                ),
-            )
-        )
-    return out
 
 
 def _canon(received):
@@ -103,7 +87,6 @@ def test_merge_of_one_part_returns_it():
     frame = RecordFrame(*_random_batch(rng, 4, 10)[1:])
     fwd = ForwardFrame(np.arange(10, dtype=np.int64), frame)
     assert merge_frames([frame]) is frame
-    assert merge_frames([[frame]]) is frame
     assert merge_frames([fwd]) is fwd
 
 
@@ -119,16 +102,16 @@ def test_merge_builds_xadj_in_one_pass():
         assert not a.flags.writeable
 
 
-def test_merge_and_flatten_agree():
+def test_merge_equals_records_of_parts():
     rng = np.random.default_rng(7)
     frames = []
     for _ in range(3):
         _, v, t, x, a = _random_batch(rng, 4, 10)
         frames.append(RecordFrame(v, t, x, a))
     merged = merge_frames(frames)
-    flat = flatten_records(frames)
-    assert _canon(merged) == _canon(flat)
-    assert merged.words == sum(f.words for f in frames)
+    reference = RecordFrame.from_records([r for f in frames for r in f])
+    assert _canon(merged) == _canon(reference)
+    assert merged.words == reference.words == sum(f.words for f in frames)
 
 
 def test_builder_matches_from_records():
@@ -142,7 +125,7 @@ def test_builder_matches_from_records():
 
 
 # ---------------------------------------------------------------------------
-# Machine equivalence: post_many vs one post() per Record.
+# Machine equivalence: post_many vs one single-record call per record.
 # ---------------------------------------------------------------------------
 
 #: Thresholds covering no aggregation, frequent mid-run flushes, and a
@@ -170,14 +153,19 @@ def _slot_source(rng, xadj, neighbors):
 def _post_batch(queue, mode, calls, dests, vertices, targets, xadj, neighbors):
     """Post a batch via ``calls`` consecutive ``post_many`` calls or per record.
 
+    ``"legacy"`` is the reference: one single-record ``post_many`` per
+    record, in batch order.
     ``"frames"`` posts the batch's own CSR slot by slot; ``"slots"``
     posts from a larger, permuted source CSR (:func:`_slot_source`).
     Splitting the batch makes later calls start with records carried
     over in the builders from earlier ones.
     """
     if mode == "legacy":
-        for dest, rec in _records_of(dests, vertices, targets, xadj, neighbors):
-            queue.post(dest, rec)
+        for i in range(dests.size):
+            one = slice(i, i + 1)
+            queue.post_many(
+                dests[one], vertices[one], targets[one], np.array([i]), xadj, neighbors
+            )
         return
     slots = np.arange(dests.size, dtype=np.int64)
     if mode == "slots":
@@ -192,7 +180,7 @@ def _post_batch(queue, mode, calls, dests, vertices, targets, xadj, neighbors):
 
 
 def exchange_program(ctx, seed, threshold, mode, n=60, calls=1):
-    """Post a pseudo-random batch, legacy- or frame-style, and drain."""
+    """Post a pseudo-random batch, one record per call or batched, and drain."""
     rng = np.random.default_rng(seed * 1000 + ctx.rank)
     batch = _random_batch(rng, ctx.num_pes, n)
     q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
@@ -343,7 +331,7 @@ def test_machine_equivalence_with_empty_and_self_only_batches(seed):
                 np.array([8, 4, 5], dtype=np.int64),
             )
         else:
-            q.post(ctx.rank, Record(9, np.array([4, 5], dtype=np.int64)))
+            post_record(q, ctx.rank, Record(9, np.array([4, 5], dtype=np.int64)))
         received = yield from q.finalize()
         return _canon(received)
 
@@ -392,7 +380,7 @@ def test_count_record_pairs_frame_equals_record_list(seed):
         yield  # pragma: no cover
 
     by_frame = Machine(1).run(prog, frame)
-    by_list = Machine(1).run(prog, merge_frames(frame.to_records()))
+    by_list = Machine(1).run(prog, RecordFrame.from_records(frame.to_records()))
     assert by_frame.values == by_list.values
     assert by_frame.time == by_list.time
 

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from post_utils import post_record
 
 from repro.analysis.runner import run_algorithm
 from repro.graphs import generators as gen
-from repro.net import Grid, GridRouter, Machine, Record
-from repro.net.indirect import ForwardRecord
+from repro.net import ForwardFrame, Grid, GridRouter, Machine, Record, RecordFrame
 
 
 def _rec(v, size=2):
@@ -95,7 +95,7 @@ def test_router_delivers_exactly_once(p):
     def prog(ctx):
         r = GridRouter(ctx, "x", threshold_words=64)
         for d in range(p):
-            r.post(d, _rec(ctx.rank * 100 + d))
+            post_record(r, d, _rec(ctx.rank * 100 + d))
         recs = yield from r.finalize()
         return sorted(rec.vertex for rec in recs)
 
@@ -113,14 +113,14 @@ def test_router_reduces_peer_count_on_hotspot():
 
         q = BufferedMessageQueue(ctx, "d", threshold_words=10_000)
         if ctx.rank != 0:
-            q.post(0, _rec(ctx.rank))
+            post_record(q, 0, _rec(ctx.rank))
         yield from q.finalize()
         return None
 
     def indirect(ctx):
         r = GridRouter(ctx, "i", threshold_words=10_000)
         if ctx.rank != 0:
-            r.post(0, _rec(ctx.rank))
+            post_record(r, 0, _rec(ctx.rank))
         yield from r.finalize()
         return None
 
@@ -144,7 +144,7 @@ def test_router_at_most_doubles_volume():
         r = GridRouter(ctx, "x", threshold_words=10_000)
         for d in range(p):
             if d != ctx.rank:
-                r.post(d, _rec(d, size=8))
+                post_record(r, d, _rec(d, size=8))
         yield from r.finalize()
         return None
 
@@ -156,9 +156,10 @@ def test_router_at_most_doubles_volume():
     assert vol <= 2 * direct_vol + p * (p - 1) * 2 + 200
 
 
-def test_forward_record_words():
-    fr = ForwardRecord(final_dest=3, record=_rec(0, size=4))
-    assert fr.words == _rec(0, size=4).words + 1
+def test_forward_frame_words():
+    frame = RecordFrame.from_records([_rec(0, size=4), _rec(1, size=0)])
+    fwd = ForwardFrame(np.array([3, 5], dtype=np.int64), frame)
+    assert fwd.words == _rec(0, size=4).words + _rec(1, size=0).words + 2
 
 
 def test_router_records_posted_counter():
@@ -166,7 +167,7 @@ def test_router_records_posted_counter():
         r = GridRouter(ctx, "x", threshold_words=64)
         # On the 2x2 grid, rank r+1 is in r's row for even r and needs
         # a proxy for odd r; the batch reaches every PE, self included.
-        r.post((ctx.rank + 1) % ctx.num_pes, _rec(1))
+        post_record(r, (ctx.rank + 1) % ctx.num_pes, _rec(1))
         dests = np.arange(ctx.num_pes, dtype=np.int64)
         r.post_many(
             dests, dests, np.full(4, -1), np.zeros(4, dtype=np.int64),

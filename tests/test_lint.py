@@ -335,12 +335,12 @@ def prog(ctx):
 
 
 def test_r7_exempts_opaque_payloads_and_non_spmd_helpers():
-    # AMQ-style loops post an opaque per-destination object (a Bloom
-    # filter has no frameable array batch) — not flagged.
+    # Only Record payloads are flagged; a loop posting any other object
+    # is not.
     amq = """
 def prog(ctx):
     for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-        rec = AmqRecord(vertex=1, targets=c_dst[start:end], amq=amq)
+        rec = Summary(vertex=1, targets=c_dst[start:end], amq=amq)
         router.post(1, rec)
         ctx.charge(1)
     yield

@@ -114,31 +114,22 @@ def test_record_is_frozen():
         r.vertex = 2  # type: ignore[misc]
 
 
-def test_flatten_records_mixed_payloads():
-    from repro.net import Record, RecordFrame, flatten_records
-
-    single = Record(1, np.arange(2))
-    batch = [Record(2, np.arange(1)), Record(3, np.arange(0))]
-    frame = RecordFrame.from_records([Record(4, np.arange(3))])
-    out = flatten_records([single, batch, frame])
-    assert [r.vertex for r in out] == [1, 2, 3, 4]
-
-
 # ------------------------------------------------------ error branches
 def test_grid_router_rejects_foreign_row_records():
-    """A non-ForwardRecord on the row tag is a protocol violation."""
+    """A plain frame on the row tag is a protocol violation."""
+    from post_utils import post_record
+
     from repro.net import GridRouter, Machine, Record
-    import numpy as np
 
     def prog(ctx):
         router = GridRouter(ctx, "x", threshold_words=64)
-        # Inject a malformed record directly onto the row queue (self
-        # post -> handed back by the row finalize on this same PE).
-        router._row_queue.post(ctx.rank, Record(0, np.empty(0, dtype=np.int64)))
+        # Inject a plain record directly onto the row queue (self post
+        # -> handed back by the row finalize on this same PE).
+        post_record(router._row_queue, ctx.rank, Record(0, np.empty(0, dtype=np.int64)))
         yield from router.finalize()
         return "unreachable"
 
-    with pytest.raises(TypeError, match="ForwardRecord"):
+    with pytest.raises(TypeError, match="ForwardFrame"):
         Machine(1).run(prog)
 
 

@@ -57,28 +57,28 @@ GOLDEN_PROGRAMS = {
         "dfb38eaf76e379f3815ca175e98120a5"
     ),
     "amq-cetric-bloom": (
-        "2c8bb2477e693560b957a039b8e8e58c"
-        "7edb0abcd6a85e1353c6d0bc2cfda6c3"
+        "cbead4d51aaeb3d429c76c27ed20898d"
+        "0562a33480e14027976bf67d35c502cd"
     ),
     "amq-cetric-bloom-indirect": (
-        "d3853f5628a6057b34fa116e7eb91b3e"
-        "01aeeadab7fce07c9fe154859b9263ce"
+        "307c1bbd137e0e3088093c98ea0cf37a"
+        "37cf1635aead5e33258b46b36f9a33d8"
     ),
     "amq-cetric-ssbf": (
-        "355e1455ea5d62c5fbd6a0ee5a6128e4"
-        "3322a05579fa34226d416569c51d0914"
+        "7919d0d268ca95714b05c891e1375198"
+        "57f0652d87c7d389715e82830f543cad"
     ),
     "amq-cetric-ssbf-indirect": (
-        "c4a67c3783e558f9956f326e6ea782a5"
-        "6d2bcbfdc0c764c62ae3a0d6c09f6dd4"
+        "5dd169229a441c389a9a3661c7d40494"
+        "c6838c778b58b1199919d9095e534d68"
     ),
     "amq-lcc-bloom": (
-        "f570a0a8770e61e9e67d7568526cca61"
-        "b55645d5e7aa301279e7860c51567b92"
+        "b3f2ac0f2a7309a0a01f843dfa71c4c9"
+        "331ec9642b6bac0b90e0a29a1b01cf93"
     ),
     "amq-lcc-ssbf": (
-        "663205b867c97da0580c1c5290d61415"
-        "ef85735eec533d1e363d0e6e55c28cb8"
+        "e22406a314750d32432f9f7e348b4b39"
+        "d6c3abada0d552ef273115ca3c29c9aa"
     ),
 }
 

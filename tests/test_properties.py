@@ -8,6 +8,7 @@ delivery, partition laws).
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from post_utils import post_record
 
 from repro.core.backends import resolve_backend
 from repro.core.edge_iterator import edge_iterator, matrix_count
@@ -238,7 +239,7 @@ def test_grid_router_delivery_random_traffic(p, data):
         r = GridRouter(ctx, "t", threshold_words=32)
         for src, dest in traffic:
             if src == ctx.rank:
-                r.post(dest, Record(src * 1000 + dest, np.empty(0, dtype=np.int64)))
+                post_record(r, dest, Record(src * 1000 + dest, np.empty(0, dtype=np.int64)))
         recs = yield from r.finalize()
         return sorted(x.vertex for x in recs)
 
