@@ -1,10 +1,12 @@
-"""Golden fingerprints of the non-counting CETRIC/DITRIC programs.
+"""Golden fingerprints of the non-counting programs.
 
 Exact LCC, enumeration and the two AMQ programs run the same phase
 skeleton as :func:`repro.core.engine.counting_program` with other
-kernels.  Each digest below covers, per run: every PE's return value
-(Δ and LCC arrays, triangle rows, estimates, exact-local and remote
-parts), the modelled time and per-phase breakdown, and the message
+kernels; k-core and connected components run rounds of the halo
+exchange of :mod:`repro.core.preprocessing`.  Each digest below covers,
+per run: every PE's return value (Δ and LCC arrays, triangle rows,
+estimates, exact-local and remote parts, core numbers, labels and
+round counts), the modelled time and per-phase breakdown, and the message
 and volume metrics (total and max messages, total and bottleneck
 volume, plus each PE's clock, words, messages and charged ops).  A
 refactor of the shared skeleton must leave all of them unchanged.
@@ -16,8 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.approx import amq_cetric_program, amq_lcc_program
+from repro.core.components import components_program
 from repro.core.engine import EngineConfig
 from repro.core.enumerate import enumerate_program
+from repro.core.kcore import kcore_program
 from repro.core.lcc import lcc_program
 from repro.graphs import distribute
 from repro.graphs import generators as gen
@@ -80,6 +84,14 @@ GOLDEN_PROGRAMS = {
         "e22406a314750d32432f9f7e348b4b39"
         "d6c3abada0d552ef273115ca3c29c9aa"
     ),
+    "kcore": (
+        "269e33a2af74e426d429ae9449587e35"
+        "a461e04cd3c0033e895ff49f8b836a35"
+    ),
+    "components": (
+        "c67e7b47f592f8132aa6d556d56fcb0f"
+        "2be71f9c53b10429c5bed7b5bbc167f4"
+    ),
 }
 
 #: The AMQ runs without clocks: the same fields minus the modelled time,
@@ -120,10 +132,13 @@ _CONFIGS = {
     "cetric2": EngineConfig(contraction=True, indirect=True),
 }
 GOLDEN_PES = (4, 6)
+_HALO_PROGRAMS = {"kcore": kcore_program, "components": components_program}
 
 
 def _program(name):
     """``(program, args, kwargs)`` of one golden run."""
+    if name in _HALO_PROGRAMS:
+        return _HALO_PROGRAMS[name], (), {}
     family, _, variant = name.partition("-")
     if family in ("lcc", "enumerate"):
         program = lcc_program if family == "lcc" else enumerate_program
