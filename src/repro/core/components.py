@@ -3,7 +3,8 @@
 A second demonstration (next to :mod:`repro.core.kcore`) that the
 machine substrate hosts general vertex-centric analytics: every vertex
 holds a component label initialized to its own id; each synchronous
-round exchanges interface labels with neighbor PEs and relaxes
+round exchanges interface labels with neighbor PEs (the halo exchange
+:func:`~repro.core.preprocessing.exchange_ghost_values`) and relaxes
 
     label(v) <- min(label(v), min_{u in N_v} label(u)),
 
@@ -20,9 +21,9 @@ from typing import Generator
 import numpy as np
 
 from ..graphs.distributed import DistGraph
-from ..net.comm import allreduce, alltoallv_dense
+from ..net.comm import allreduce
 from ..net.machine import PEContext
-from .preprocessing import ghost_send_lists
+from .preprocessing import exchange_ghost_values, ghost_send_lists
 
 __all__ = ["PEComponents", "components_program"]
 
@@ -44,45 +45,20 @@ def components_program(
 ) -> Generator[None, None, PEComponents]:
     """SPMD connected components (run via ``Machine.run``)."""
     lg = dist.view(ctx.rank)
-    ghosts = lg.ghost_vertices
-    labels = lg.owned_vertices().astype(np.int64).copy()
-    ghost_labels = ghosts.copy() if ghosts.size else np.empty(0, dtype=np.int64)
+    labels = lg.owned_vertices()
 
     send_plan = ghost_send_lists(ctx, lg)
+    slots = lg.adj_slots()
+    rows = np.repeat(np.arange(lg.num_local_vertices), lg.degrees)
 
     rounds = 0
     while True:
         rounds += 1
-        payloads = {
-            rank: ((ids, labels[ids - lg.vlo]), 2 * ids.size)
-            for rank, ids in send_plan
-        }
-        msgs = yield from alltoallv_dense(ctx, payloads, tag_label="cc-label")
-        for msg in msgs:
-            if msg.payload is None:
-                continue
-            ids, vals = msg.payload
-            slots = np.searchsorted(ghosts, ids)
-            ghost_labels[slots] = vals
-            ctx.charge(ids.size)
+        ghost_labels = yield from exchange_ghost_values(ctx, lg, send_plan, labels, "cc-label")
 
         # Relax: label(v) <- min over closed neighborhood.
-        nbr = np.empty(lg.adjncy.size, dtype=np.int64)
-        local_mask = lg.is_local(lg.adjncy)
-        nbr[local_mask] = labels[lg.adjncy[local_mask] - lg.vlo]
-        if ghosts.size:
-            gm = ~local_mask
-            nbr[gm] = ghost_labels[np.searchsorted(ghosts, lg.adjncy[gm])]
         new_labels = labels.copy()
-        if lg.adjncy.size:
-            mins = np.minimum.reduceat(
-                np.concatenate([nbr, [np.iinfo(np.int64).max]]),
-                np.minimum(lg.xadj[:-1], nbr.size),
-            )
-            # reduceat on empty blocks picks the next element; mask them out.
-            empty = np.diff(lg.xadj) == 0
-            mins[empty] = np.iinfo(np.int64).max
-            new_labels = np.minimum(labels, mins)
+        np.minimum.at(new_labels, rows, np.concatenate((labels, ghost_labels))[slots])
         ctx.charge(lg.adjncy.size)
         changed = int(np.count_nonzero(new_labels != labels))
         labels = new_labels

@@ -164,7 +164,7 @@ def _local_pair_groups(og: OrientedLocalGraph, *, expanded: bool) -> list[tuple]
     # Owned v -> ghost u: full A(v) with the local-restricted A(u).
     g_src, g_dst = src_slots[~dst_local], dst[~dst_local]
     if g_src.size:
-        g_slots = np.searchsorted(ghosts, g_dst)
+        g_slots = lg.slots_of(g_dst) - lg.num_local_vertices
         groups.append(((*owned, g_src, *ghost, g_slots), g_src + vlo, g_dst))
     # Ghost g -> owned u (u in A(g) is owned by construction): A(g)
     # with full A(u).

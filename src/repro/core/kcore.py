@@ -13,8 +13,8 @@ where ``H`` is the h-index operator (the largest ``h`` such that at
 least ``h`` neighbors have estimate ``>= h``).  The iteration
 converges monotonically from above to the exact core numbers and only
 ever reads neighbor estimates — so each round is one ghost-estimate
-exchange, exactly like the ghost-degree exchange of the counting
-preprocessing.
+exchange, the halo exchange the counting preprocessing runs for ghost
+degrees (:func:`~repro.core.preprocessing.exchange_ghost_values`).
 
 Rounds are synchronous; termination is a global allreduce on the
 per-round change count.
@@ -28,9 +28,9 @@ from typing import Generator
 import numpy as np
 
 from ..graphs.distributed import DistGraph
-from ..net.comm import allreduce, alltoallv_dense
+from ..net.comm import allreduce
 from ..net.machine import PEContext
-from .preprocessing import ghost_send_lists
+from .preprocessing import exchange_ghost_values, ghost_send_lists
 
 __all__ = ["PECores", "kcore_program", "h_index"]
 
@@ -66,38 +66,21 @@ def _batch_h_index(est_of_neighbors: np.ndarray, xadj: np.ndarray) -> np.ndarray
 def kcore_program(ctx: PEContext, dist: DistGraph) -> Generator[None, None, PECores]:
     """SPMD core-number computation (run via ``Machine.run``)."""
     lg = dist.view(ctx.rank)
-    ghosts = lg.ghost_vertices
-    est_local = lg.degrees.astype(np.int64).copy()
-    est_ghost = np.zeros(ghosts.size, dtype=np.int64)
+    est_local = lg.degrees
 
     # Who needs which of my vertices' estimates: the ghost-degree
     # exchange's send lists.
     send_plan = ghost_send_lists(ctx, lg)
+    slots = lg.adj_slots()
 
     rounds = 0
     while True:
         rounds += 1
         # Exchange current estimates of interface vertices.
-        payloads = {
-            rank: ((ids, est_local[ids - lg.vlo]), 2 * ids.size)
-            for rank, ids in send_plan
-        }
-        msgs = yield from alltoallv_dense(ctx, payloads, tag_label="kcore-est")
-        for msg in msgs:
-            if msg.payload is None:
-                continue
-            ids, vals = msg.payload
-            slots = np.searchsorted(ghosts, ids)
-            est_ghost[slots] = vals
-            ctx.charge(ids.size)
+        est_ghost = yield from exchange_ghost_values(ctx, lg, send_plan, est_local, "kcore-est")
 
         # One h-index sweep over the owned vertices.
-        nbr_est = np.empty(lg.adjncy.size, dtype=np.int64)
-        local_mask = lg.is_local(lg.adjncy)
-        nbr_est[local_mask] = est_local[lg.adjncy[local_mask] - lg.vlo]
-        if ghosts.size:
-            gm = ~local_mask
-            nbr_est[gm] = est_ghost[np.searchsorted(ghosts, lg.adjncy[gm])]
+        nbr_est = np.concatenate((est_local, est_ghost))[slots]
         new_est = _batch_h_index(nbr_est, lg.xadj)
         # H-operator never increases estimates below the true core.
         changed = int(np.count_nonzero(new_est != est_local))

@@ -26,7 +26,6 @@ from typing import Generator
 
 import numpy as np
 
-from ..graphs.builders import sorted_unique
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce, alltoallv_dense
@@ -74,39 +73,36 @@ class _GhostDelta:
 
     def __init__(self, lg, dtype) -> None:
         self.lg = lg
-        #: Δ of the owned vertices (aligned with the local slots).
-        self.local = np.zeros(lg.num_local_vertices, dtype=dtype)
-        #: Δ credited to ghosts (aligned with the ghost slots).
-        self.ghost = np.zeros(lg.ghost_vertices.size, dtype=dtype)
+        nloc = lg.num_local_vertices
+        #: Δ of the owned vertices and ghosts, indexed by slot.
+        self.values = np.zeros(nloc + lg.num_ghosts, dtype=dtype)
+        #: Δ of the owned vertices (a view of :attr:`values`).
+        self.local = self.values[:nloc]
+        #: Δ credited to ghosts (a view of :attr:`values`).
+        self.ghost = self.values[nloc:]
 
     def credit(self, ctx: PEContext, vertices: np.ndarray, weight=1) -> None:
         """Add ``weight`` (a scalar or one per vertex) to each listed
         corner, owned or ghost."""
-        lg = self.lg
-        ghosts = lg.ghost_vertices
-        weights = np.broadcast_to(weight, vertices.shape)
-        owned = (vertices >= lg.vlo) & (vertices < lg.vhi)
-        np.add.at(self.local, vertices[owned] - lg.vlo, weights[owned])
-        if ghosts.size and not np.all(owned):
-            slots = np.searchsorted(ghosts, vertices[~owned])
-            np.add.at(self.ghost, slots, weights[~owned])
+        np.add.at(self.values, self.lg.slots_of(vertices), weight)
         ctx.charge(vertices.size)
 
     def push_back(self, ctx: PEContext, tag_label: str) -> Generator[None, None, None]:
         """Send every nonzero ghost Δ to its owner and add what arrives
         (collective; Section IV-E's postprocessing all-to-all)."""
         lg = self.lg
-        ghosts = lg.ghost_vertices
         with ctx.span("delta-exchange"):
-            payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
-            if ghosts.size:
-                nz = self.ghost > 0
-                gids = ghosts[nz]
-                gvals = self.ghost[nz]
-                owner = lg.partition.rank_of(gids) if gids.size else gids
-                for rank in sorted_unique(owner):
-                    sel = owner == rank
-                    payloads[int(rank)] = ((gids[sel], gvals[sel]), 2 * int(sel.sum()))
+            nz = self.ghost > 0
+            gids, gvals = lg.ghost_vertices[nz], self.ghost[nz]
+            # Ghosts ascend, so their owners do: one payload per run.
+            owner = lg.partition.rank_of(gids)
+            starts = np.flatnonzero(np.diff(owner, prepend=-1))
+            payloads = {
+                rank: ((ids, vals), 2 * ids.size)
+                for rank, ids, vals in zip(
+                    owner[starts].tolist(), np.split(gids, starts[1:]), np.split(gvals, starts[1:])
+                )
+            }
             msgs = yield from alltoallv_dense(ctx, payloads, tag_label=tag_label)
             for msg in msgs:
                 if msg.payload is None:

@@ -12,10 +12,16 @@ Paper Section IV-D ("Preprocessing"): before counting, every PE must
    neighborhoods of ghost vertices, obtained by rewiring incoming cut
    edges — no communication needed.
 
-The degree exchange is implemented over the dense all-to-all by
-default, as in the paper's evaluation ("we use a simple dense
-all-to-all operation"), with the sparse variant available
-(``mode="sparse"``) for ablations.
+The degree exchange is one instance of the module's halo exchange,
+:func:`exchange_ghost_values`: each PE pushes a value per owned vertex
+to the PEs holding it as a ghost and gets back its ghosts' values in
+:attr:`~repro.graphs.distributed.LocalGraph.ghost_vertices` order.
+k-core (:mod:`repro.core.kcore`) and connected components
+(:mod:`repro.core.components`) run one such exchange per round over
+the same send lists.  It runs over the dense all-to-all by default, as
+in the paper's evaluation ("we use a simple dense all-to-all
+operation"), with the sparse variant available (``mode="sparse"``) for
+ablations.
 
 All construction work is vectorized and charged to the simulated cost
 model: one operation per adjacency entry touched.
@@ -35,6 +41,7 @@ from .intersect import concat_xadj
 
 __all__ = [
     "exchange_ghost_degrees",
+    "exchange_ghost_values",
     "ghost_send_lists",
     "first_of_runs",
     "OrientedLocalGraph",
@@ -78,44 +85,58 @@ def ghost_send_lists(ctx: PEContext, lg: LocalGraph) -> list[tuple[int, np.ndarr
     return list(zip(ranks[np.r_[0, splits]].tolist(), np.split(ids, splits)))
 
 
+def exchange_ghost_values(
+    ctx: PEContext,
+    lg: LocalGraph,
+    send_lists: list[tuple[int, np.ndarray]],
+    values: np.ndarray,
+    tag_label: str,
+    *,
+    mode: str = "dense",
+) -> Generator[None, None, np.ndarray]:
+    """Push owned values to the PEs holding them as ghosts (collective).
+
+    ``values`` is aligned with the owned slots; for each ``(rank, ids)``
+    of ``send_lists`` (see :func:`ghost_send_lists`) the PE sends
+    ``(ids, values of ids)`` to ``rank``, 2 words per entry.  Charges
+    one operation per received id.  Returns the arriving values aligned
+    with ``lg.ghost_vertices``.
+    """
+    if mode not in ("dense", "sparse"):
+        raise ValueError("mode must be 'dense' or 'sparse'")
+    payloads = {
+        rank: ((ids, values[ids - lg.vlo]), 2 * ids.size) for rank, ids in send_lists
+    }
+    if mode == "dense":
+        msgs = yield from alltoallv_dense(ctx, payloads, tag_label=tag_label)
+    else:
+        triples = [(d, p, w) for d, (p, w) in payloads.items()]
+        msgs = yield from sparse_alltoall(ctx, triples, tag_label=tag_label)
+    received = [msg.payload for msg in msgs if msg.payload is not None]
+    for ids, _ in received:
+        ctx.charge(ids.size)
+    ghost_values = np.zeros(lg.num_ghosts, dtype=values.dtype)
+    if received:
+        ids, vals = (np.concatenate(parts) for parts in zip(*received))
+        ghost_values[lg.slots_of(ids) - lg.num_local_vertices] = vals
+    return ghost_values
+
+
 def exchange_ghost_degrees(
     ctx: PEContext,
     lg: LocalGraph,
     *,
     mode: str = "dense",
 ) -> Generator[None, None, np.ndarray]:
-    """Fetch the degrees of all ghost vertices (collective).
+    """Fetch the degrees of all ghost vertices (collective halo exchange).
 
-    Every PE *pushes*: for each owned vertex ``v`` it sends
-    ``(v, d_v)`` to every PE that owns a neighbor of ``v`` — those are
-    exactly the PEs at which ``v`` is a ghost.  Payload per partner is
-    a pair of arrays (ids, degrees), 2 words per entry.
-
-    Returns the degree array aligned with ``lg.ghost_vertices`` and
-    also stores it on ``lg.ghost_degrees``.
+    Returns them aligned with ``lg.ghost_vertices`` and stores them on
+    ``lg.ghost_degrees``.
     """
-    if mode not in ("dense", "sparse"):
-        raise ValueError("mode must be 'dense' or 'sparse'")
-    payloads = {
-        rank: ((ids, lg.degrees[ids - lg.vlo]), 2 * ids.size)
-        for rank, ids in ghost_send_lists(ctx, lg)
-    }
-    if mode == "dense":
-        msgs = yield from alltoallv_dense(ctx, payloads, tag_label="deg-xchg")
-    else:
-        triples = [(d, p, w) for d, (p, w) in payloads.items()]
-        msgs = yield from sparse_alltoall(ctx, triples, tag_label="deg-xchg")
-    ghosts = lg.ghost_vertices
-    ghost_degrees = np.zeros(ghosts.size, dtype=np.int64)
-    for msg in msgs:
-        if msg.payload is None:
-            continue
-        ids, degs = msg.payload
-        slots = np.searchsorted(ghosts, ids)
-        ghost_degrees[slots] = degs
-        ctx.charge(ids.size)
-    lg.ghost_degrees = ghost_degrees
-    return ghost_degrees
+    lg.ghost_degrees = yield from exchange_ghost_values(
+        ctx, lg, ghost_send_lists(ctx, lg), lg.degrees, "deg-xchg", mode=mode
+    )
+    return lg.ghost_degrees
 
 
 @dataclass
@@ -176,14 +197,7 @@ class OrientedLocalGraph:
         Needed by wedge-checking baselines that must decide which
         endpoint of a candidate closing edge is the ≺-smaller one.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        keys = np.empty(vertices.size, dtype=np.int64)
-        local_mask = self.lg.is_local(vertices)
-        keys[local_mask] = self.local_keys[vertices[local_mask] - self.lg.vlo]
-        if not np.all(local_mask):
-            slots = np.searchsorted(self.lg.ghost_vertices, vertices[~local_mask])
-            keys[~local_mask] = self.ghost_keys[slots]
-        return keys
+        return np.concatenate((self.local_keys, self.ghost_keys))[self.lg.slots_of(vertices)]
 
     def contracted(self) -> tuple[np.ndarray, np.ndarray]:
         """CETRIC's contraction (Algorithm 3 line 8): drop non-cut arcs.
@@ -235,19 +249,8 @@ def build_oriented(
         else np.empty(0, dtype=np.int64)
     )
 
-    # Key of every adjacency entry (local or ghost neighbor).
-    def keys_of(vertices: np.ndarray) -> np.ndarray:
-        keys = np.empty(vertices.size, dtype=np.int64)
-        local_mask = lg.is_local(vertices)
-        keys[local_mask] = local_keys[vertices[local_mask] - lg.vlo]
-        if ghosts.size:
-            gm = ~local_mask
-            slots = np.searchsorted(ghosts, vertices[gm])
-            keys[gm] = ghost_keys[slots]
-        return keys
-
     src_keys = np.repeat(local_keys, lg.degrees)
-    dst_keys = keys_of(lg.adjncy)
+    dst_keys = np.concatenate((local_keys, ghost_keys))[lg.adj_slots()]
     keep = src_keys < dst_keys
     src_slots = np.repeat(
         np.arange(lg.num_local_vertices, dtype=np.int64), lg.degrees

@@ -15,6 +15,15 @@ communication* lives here:
   vertices (obtained by "rewiring incoming cut edges", no
   communication needed).
 
+One slot rule addresses every vertex a PE knows, and this module is
+the only code that applies it: slots ``0 .. |V_i| - 1`` are the owned
+vertices (``v - vlo``), slots ``|V_i| .. |V_i| + |\\partial V_i| - 1``
+the ghosts in :attr:`LocalGraph.ghost_vertices` order.  Per-vertex
+data over both kinds is one array indexed by slot: callers gather
+from ``np.concatenate((owned_values, ghost_values))`` with
+:meth:`LocalGraph.adj_slots` (every adjacency entry) or
+:meth:`LocalGraph.slots_of` (any known ids, checked).
+
 The simulation-only escape hatch :func:`distribute` slices a global
 :class:`~repro.graphs.csr.CSRGraph` into per-PE views — standing in
 for the parallel file/generator input path of the real system.
@@ -134,18 +143,29 @@ class LocalGraph:
         """``|\\partial V_i|``."""
         return self.ghost_vertices.size
 
-    def ghost_slot(self, vertices) -> np.ndarray:
-        """Index of each ghost id within :attr:`ghost_vertices`.
+    def _slots(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slots of ``v`` by the slot rule, unchecked, plus the ghost mask."""
+        slots = v - self._vlo
+        ghost = ~self.is_local(v)
+        slots[ghost] = self.num_local_vertices + np.searchsorted(self.ghost_vertices, v[ghost])
+        return slots, ghost
 
-        Raises if any input is not a ghost of this PE.
+    def adj_slots(self) -> np.ndarray:
+        """Slot of every :attr:`adjncy` entry (its non-local entries are
+        ghosts by definition, so no check is needed)."""
+        return self._slots(self.adjncy)[0]
+
+    def slots_of(self, vertices) -> np.ndarray:
+        """Slot of each owned or ghost id (see the module docstring).
+
+        Raises ``KeyError`` for an id that is neither owned nor a ghost.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        slots = np.searchsorted(self.ghost_vertices, v)
-        ok = (slots < self.ghost_vertices.size) & (
-            self.ghost_vertices[np.minimum(slots, self.ghost_vertices.size - 1)] == v
-        )
-        if v.size and not np.all(ok):
-            raise KeyError("vertex is not a ghost of this PE")
+        slots, ghost = self._slots(v)
+        ghosts = self.ghost_vertices
+        k = np.minimum(slots[ghost] - self.num_local_vertices, ghosts.size - 1)
+        if k.size and not (ghosts.size and np.array_equal(ghosts[k], v[ghost])):
+            raise KeyError(f"vertex is neither owned by nor a ghost of PE {self.rank}")
         return slots
 
     def interface_vertices(self) -> np.ndarray:
@@ -193,23 +213,21 @@ class LocalGraph:
         Returns
         -------
         (gxadj, gadjncy):
-            CSR arrays over ghost *slots* (positions in
-            :attr:`ghost_vertices`); neighborhoods sorted ascending.
+            CSR arrays over the ghosts in :attr:`ghost_vertices` order
+            (ghost ``k`` is slot ``|V_i| + k``); neighborhoods sorted
+            ascending.
         """
-        cut = self.cut_edges()
-        ghosts = self.ghost_vertices
-        if cut.size == 0:
-            return np.zeros(ghosts.size + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(ghosts, cut[:, 1])
-        # cut[:, 0] is already sorted, so a stable sort by slot keeps
-        # each ghost's local neighbours ascending.
-        order = np.argsort(slots, kind="stable")
-        slots_sorted = slots[order]
-        locals_sorted = cut[:, 0][order]
-        counts = np.bincount(slots_sorted, minlength=ghosts.size)
-        gxadj = np.zeros(ghosts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=gxadj[1:])
-        return gxadj, locals_sorted
+        nloc = self.num_local_vertices
+        slots = self.adj_slots()
+        cut = slots >= nloc
+        ghost_slots = slots[cut] - nloc
+        # The owned endpoints come sorted, so a stable sort by ghost
+        # slot keeps each ghost's local neighbours ascending.
+        order = np.argsort(ghost_slots, kind="stable")
+        local_nbrs = np.repeat(self.owned_vertices(), self.degrees)[cut][order]
+        gxadj = np.zeros(self.num_ghosts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ghost_slots, minlength=self.num_ghosts), out=gxadj[1:])
+        return gxadj, local_nbrs
 
     def memory_words(self) -> int:
         """Local storage footprint in machine words."""

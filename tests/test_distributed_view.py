@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import distribute, from_edges, partition_by_vertices
+from repro.graphs.distributed import LocalGraph
 from repro.graphs.generators import disjoint_cliques, gnm, grid2d, rgg2d, ring, rmat
 
 
@@ -75,14 +76,22 @@ def test_disjoint_cliques_have_empty_cut():
     assert dist.max_ghosts() == 0
 
 
-def test_ghost_slot_lookup():
+def test_slots_of_lookup():
     g = ring(8)
     dist = distribute(g, num_pes=4)
-    v0 = dist.view(0)
-    slots = v0.ghost_slot(v0.ghost_vertices)
-    assert slots.tolist() == list(range(v0.num_ghosts))
-    with pytest.raises(KeyError):
-        v0.ghost_slot(np.array([1]))  # owned, not a ghost
+    v1 = dist.view(1)  # owns 2, 3; ghosts 1 (PE0) and 4 (PE2)
+    nloc = v1.num_local_vertices
+    assert v1.slots_of(v1.owned_vertices()).tolist() == [0, 1]  # v - vlo
+    slots = v1.slots_of(v1.ghost_vertices)
+    assert slots.tolist() == [nloc + k for k in range(v1.num_ghosts)]
+    assert v1.slots_of([4, 2, 1]).tolist() == [nloc + 1, 0, nloc]
+    assert v1.slots_of(np.empty(0, dtype=np.int64)).size == 0
+    for unknown in ([0], [5], [2, 7]):  # neither owned nor a ghost
+        with pytest.raises(KeyError):
+            v1.slots_of(np.array(unknown))
+    lonely = LocalGraph(rank=0, partition=dist.partition, xadj=[0, 0, 0], adjncy=[])
+    with pytest.raises(KeyError):  # no ghosts at all
+        lonely.slots_of([3])
 
 
 def test_ghost_ranks_and_neighbor_pes():

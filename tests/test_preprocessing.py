@@ -58,9 +58,12 @@ SEND_LIST_GRAPHS = {
     "star": lambda: gen.star(40),
 }
 
-#: mode -> (module whose exchange is spied, program arguments, values
-#: sent along the ids in the first exchange).  k-core sends its initial
-#: estimates (the degrees), components its initial labels (the ids).
+#: mode -> (module whose ``ghost_send_lists`` is replaced by the
+#: reference, program arguments, values sent along the ids in the first
+#: exchange).  Every mode reaches the collectives through
+#: ``preprocessing``'s halo exchange, so that is where they are spied.
+#: k-core sends its initial estimates (the degrees), components its
+#: initial labels (the ids).
 SEND_LIST_SITES = {
     "dense": (preprocessing, (_exchange_prog, "dense"), _degrees_of),
     "sparse": (preprocessing, (_exchange_prog, "sparse"), _degrees_of),
@@ -94,13 +97,12 @@ def test_send_lists_match_unique_reference(graph, p, mode, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(module, "alltoallv_dense", spy(module.alltoallv_dense, dict))
-    if module is preprocessing:
-        monkeypatch.setattr(
-            preprocessing,
-            "sparse_alltoall",
-            spy(preprocessing.sparse_alltoall, lambda triples: {d: (pl, w) for d, pl, w in triples}),
-        )
+    monkeypatch.setattr(preprocessing, "alltoallv_dense", spy(preprocessing.alltoallv_dense, dict))
+    monkeypatch.setattr(
+        preprocessing,
+        "sparse_alltoall",
+        spy(preprocessing.sparse_alltoall, lambda triples: {d: (pl, w) for d, pl, w in triples}),
+    )
     res = Machine(p).run(program, dist, *args)
     assert res.metrics.summary() == expected
     assert sorted(sent) == list(range(p))
@@ -115,7 +117,7 @@ def test_send_lists_match_unique_reference(graph, p, mode, monkeypatch):
             for a, b in ((got_ids, ids), (got_vals, values_of(lg, ids))):
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
-        if module is preprocessing:
+        if program is _exchange_prog:
             assert np.array_equal(lg.ghost_degrees, g.degrees[lg.ghost_vertices])
             assert lg.ghost_degrees is out
 
