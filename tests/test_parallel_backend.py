@@ -1,5 +1,7 @@
 """Tests for the process-parallel backend (real OS processes + pipes)."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from repro.core.engine import EngineConfig, counting_program
 from repro.core.lcc import lcc_program, lcc_sequential
 from repro.graphs import distribute
 from repro.graphs import generators as gen
-from repro.net import Machine, MachineSpec, OutOfMemoryError
+from repro.net import Machine, MachineSpec, OutOfMemoryError, allreduce
 from repro.net.parallel import ProcessMachine, RemoteDist
+from repro.net.reliable import fault_tolerant, reliable_send
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +190,29 @@ def test_unavailable_backend_warns_once_across_workers(monkeypatch, capfd):
         logging.getLogger("repro.kernels").removeHandler(handler)
         backends._LOADERS.pop("accel-definitely-missing", None)
         backends._FAILED.pop("accel-definitely-missing", None)
+
+
+@fault_tolerant
+def _machine_hooks_program(ctx):
+    """Touches every hook ``PEContext`` reads from its machine."""
+    restored = ctx.restore("ring")
+    with ctx.span("ring"):
+        reliable_send(ctx, (ctx.rank + 1) % ctx.num_pes, "ring", 10 * ctx.rank, 1)
+        msg = yield from ctx.recv("ring")
+        total = yield from allreduce(ctx, msg.payload + ctx.rank, operator.add)
+    saved = ctx.checkpoint("ring", total)
+    return restored, saved, msg.src, msg.payload, total, sorted(ctx.metrics.phase_times)
+
+
+def test_process_machine_honours_the_machine_contract():
+    """Tracing, collectives, checkpoints without a store and
+    ``reliable_send`` behave the same on both machines."""
+    par = ProcessMachine(2).run(_machine_hooks_program)
+    sim = Machine(2).run(_machine_hooks_program)
+    assert par.values == sim.values == [
+        (None, False, 1, 10, 11, ["ring"]),
+        (None, False, 0, 0, 11, ["ring"]),
+    ]
+    for pm, sm in zip(par.metrics.per_pe, sim.metrics.per_pe):
+        assert (pm.messages_sent, pm.words_sent) == (sm.messages_sent, sm.words_sent)
+        assert [s.name for s in pm.spans] == [s.name for s in sm.spans] == ["ring"]
