@@ -36,10 +36,10 @@ RULES: dict[str, str] = {
         "label, or the observability layer records nothing mergeable"
     ),
     "R7": (
-        "per-record Record post inside a Python loop over unpacked "
-        "arrays — post the CSR slots with one post_many(dest_ranks, "
-        "vertices, targets, slots, xadj, adj) call, which charges "
-        "identical words without per-element interpreter cost"
+        "per-element post_many inside a Python loop over unpacked "
+        "arrays — post the batch's CSR slots with one post_many("
+        "dest_ranks, vertices, targets, slots, xadj, adj) call, which "
+        "charges identical words without per-element interpreter cost"
     ),
     "R8": (
         "collective sequence can diverge across ranks (static deadlock): "

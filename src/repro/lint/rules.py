@@ -74,12 +74,12 @@ R14
 R7
     The message hot path must stay vectorized: unpacking numpy arrays
     element-wise (``.tolist()``, ``zip(a.tolist(), ...)``,
-    ``range(len(a))``, ``range(a.size)``) just to ``post`` one
-    :class:`~repro.net.frames.Record` per element rebuilds in Python
-    what one ``post_many`` call of CSR slot references does with packed
+    ``range(len(a))``, ``range(a.size)``) just to call ``post_many``
+    once per element rebuilds in Python what one ``post_many`` call of
+    the whole batch's CSR slot references does with packed
     :class:`~repro.net.frames.RecordFrame` arrays — same contents, same
-    words charge, a fraction of the interpreter overhead.  A ``.post``
-    whose payload is a ``Record`` is flagged.
+    words charge, a fraction of the interpreter overhead.  A
+    ``.post_many`` call inside such a loop is flagged.
 
 The rules are heuristic by design (no type inference); suppress a
 deliberate violation with ``# noqa: R<n>`` on the offending line.
@@ -206,16 +206,6 @@ def _is_ctx_recv(call: ast.Call) -> bool:
 
 def _is_send_call(call: ast.Call) -> bool:
     return isinstance(call.func, ast.Attribute) and call.func.attr == "send"
-
-
-def _is_record_ctor(node: ast.AST) -> bool:
-    """``Record(...)`` or ``<mod>.Record(...)`` — the frameable payload."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "Record"
-    return isinstance(func, ast.Attribute) and func.attr == "Record"
 
 
 def _array_derived_iter(expr: ast.AST) -> bool:
@@ -447,46 +437,26 @@ class _Checker(ast.NodeVisitor):
                 return True
         return False
 
-    # -- R7: per-record posting over unpacked arrays ---------------------
+    # -- R7: per-element posting over unpacked arrays --------------------
     def _check_r7(self, loop: ast.For) -> None:
-        body_nodes = list(_walk_no_nested_functions(loop.body))
-        # Loop-local names bound to a Record(...) construction.
-        record_names = {
-            t.id
-            for n in body_nodes
-            if isinstance(n, ast.Assign) and _is_record_ctor(n.value)
-            for t in n.targets
-            if isinstance(t, ast.Name)
-        }
-
-        def payload_is_record(arg: ast.AST) -> bool:
-            for n in ast.walk(arg):
-                if _is_record_ctor(n):
-                    return True
-                if isinstance(n, ast.Name) and n.id in record_names:
-                    return True
-            return False
-
-        for n in body_nodes:
+        for n in _walk_no_nested_functions(loop.body):
             if not (
                 isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Attribute)
-                and n.func.attr == "post"
+                and n.func.attr == "post_many"
             ):
                 continue
             if getattr(n, "_repro_r7", False):
                 continue  # already reported under an enclosing loop
-            if any(payload_is_record(a) for a in n.args):
-                n._repro_r7 = True  # type: ignore[attr-defined]
-                self._emit(
-                    n,
-                    "R7",
-                    "per-record '.post(Record(...))' in a Python loop over "
-                    "unpacked arrays — post the batch's CSR slots with one "
-                    "'post_many(dest_ranks, vertices, targets, slots, "
-                    "xadj, adj)' call instead (identical contents and "
-                    "words charge)",
-                )
+            n._repro_r7 = True  # type: ignore[attr-defined]
+            self._emit(
+                n,
+                "R7",
+                "'.post_many(...)' in a Python loop over unpacked arrays — "
+                "post the whole batch's CSR slots with one "
+                "'post_many(dest_ranks, vertices, targets, slots, xadj, "
+                "adj)' call instead (identical contents and words charge)",
+            )
 
     # -- R13: direct mutation of engine state from SPMD code -------------
     def visit_Assign(self, node: ast.Assign) -> None:

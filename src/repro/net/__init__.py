@@ -23,7 +23,6 @@
 from .aggregation import BufferedMessageQueue
 from .frames import (
     ForwardFrame,
-    FrameBuilder,
     Record,
     RecordFrame,
     merge_frames,
@@ -81,7 +80,6 @@ __all__ = [
     "Record",
     "RecordFrame",
     "ForwardFrame",
-    "FrameBuilder",
     "merge_frames",
     "allreduce",
     "alltoallv_dense",

@@ -45,13 +45,7 @@ from typing import Generator
 import numpy as np
 
 from .comm import barrier, drain
-from .frames import (
-    ForwardFrame,
-    FrameBuilder,
-    RecordFrame,
-    gather_blocks,
-    merge_frames,
-)
+from .frames import ForwardFrame, RecordFrame, gather_blocks, merge_frames
 from .machine import PEContext
 from .messages import HEADER_WORDS, Tag
 
@@ -94,7 +88,10 @@ class BufferedMessageQueue:
         self.ctx = ctx
         self.tag = tag
         self.threshold_words = int(threshold_words)
-        self._builders: dict[int, FrameBuilder] = {}
+        #: Per destination, the buffered frames in post order: read-only
+        #: slices of ``post_many``'s gathers (``ForwardFrame`` on the
+        #: grid row hop).
+        self._chunks: dict[int, list[RecordFrame | ForwardFrame]] = {}
         self._buffer_words: dict[int, int] = {}
         self._total_words = 0
         self._local: list = []
@@ -134,9 +131,9 @@ class BufferedMessageQueue:
         threshold-crossing record closes a segment).  One stable sort by
         (segment, destination) then orders the records, and one
         :func:`~repro.net.frames.gather_blocks` copies every neighborhood
-        straight into that order: each group is appended to its builder
-        as read-only slices of the gather, and a destination's lone
-        chunk leaves as those slices.
+        straight into that order: each group is buffered as a read-only
+        frame slice of the gather, and a destination's lone slice leaves
+        as is.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         k = int(dest_ranks.size)
@@ -200,13 +197,15 @@ class BufferedMessageQueue:
             lo, hi = starts[g], starts[g + 1]
             gxadj = sub.xadj[lo : hi + 1] - offsets[g]
             gxadj.flags.writeable = False
-            self._builders.setdefault(dest, FrameBuilder()).append_chunk(
+            chunk = RecordFrame(
                 sub.vertices[lo:hi],
                 sub.targets[lo:hi],
                 gxadj,
                 sub.neighbors[offsets[g] : offsets[g + 1]],
-                final_dests=fd[lo:hi] if fd is not None else None,
             )
+            if fd is not None:
+                chunk = ForwardFrame(fd[lo:hi], chunk)
+            self._chunks.setdefault(dest, []).append(chunk)
             self._buffer_words[dest] = self._buffer_words.get(dest, 0) + words
             self._total_words += words
             if hi in flush_after:
@@ -219,18 +218,19 @@ class BufferedMessageQueue:
     def flush(self) -> None:
         """Send every non-empty buffer as one aggregated message.
 
-        Each destination's buffered chunks leave as one frame.  These
+        Each destination's buffered slices leave as one frame
+        (:func:`~repro.net.frames.merge_frames`).  These
         sends use the machine's configured transport, so under a
         :mod:`repro.faults` plan the reliable layer sequences and
         retransmits them — fault-tolerant programs may use the queue
         freely (no :func:`~repro.net.reliable.reliable_send` wrapper
         needed; lint rule R5 only patrols hand-written ``ctx.send``).
         """
-        if not self._builders:
+        if not self._chunks:
             return
-        for dest in sorted(self._builders):
-            self.ctx.send(dest, self.tag, self._builders[dest].build(), self._buffer_words[dest])
-        self._builders = {}
+        for dest in sorted(self._chunks):
+            self.ctx.send(dest, self.tag, merge_frames(self._chunks[dest]), self._buffer_words[dest])
+        self._chunks = {}
         self._buffer_words = {}
         self._total_words = 0
         self.flushes += 1

@@ -51,7 +51,6 @@ __all__ = [
     "Record",
     "RecordFrame",
     "ForwardFrame",
-    "FrameBuilder",
     "merge_frames",
     "concat_xadj",
     "gather_blocks",
@@ -151,10 +150,17 @@ class RecordFrame:
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "RecordFrame":
         """Pack a list of :class:`Record` objects (legacy adapter)."""
-        builder = FrameBuilder()
-        for record in records:
-            builder.append_record(record)
-        return builder.build()
+        records = list(records)
+        blocks = [np.asarray(r.neighbors, dtype=np.int64) for r in records]
+        return cls(
+            np.array([r.vertex for r in records], dtype=np.int64),
+            np.array(
+                [BROADCAST if r.target is None else r.target for r in records],
+                dtype=np.int64,
+            ),
+            concat_xadj([b.size for b in blocks]),
+            np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64),
+        )
 
     @property
     def num_records(self) -> int:
@@ -229,22 +235,23 @@ def merge_frames(parts: Iterable[RecordFrame | ForwardFrame]) -> RecordFrame | F
     """Concatenate frames (in order) into one frame.
 
     Grid row-hop :class:`ForwardFrame` parts merge into one
-    ``ForwardFrame`` and must not be mixed with plain parts.  A lone
-    part is returned as is; several are copied once into fresh
-    read-only arrays, and none give the empty frame.
+    ``ForwardFrame`` (their ``final_dests`` concatenated too); mixing
+    them with plain parts raises :class:`ValueError`.  A lone part is
+    returned as is; several are copied once into fresh read-only
+    arrays, and none give the empty frame.
     """
     parts = list(parts)
     if len(parts) == 1:
         return parts[0]
-    builder = FrameBuilder()
-    for part in parts:
-        final_dests = None
-        if isinstance(part, ForwardFrame):
-            part, final_dests = part.frame, part.final_dests
-        builder.append_chunk(
-            part.vertices, part.targets, part.xadj, part.neighbors, final_dests
-        )
-    return builder.build()
+    forward = sum(isinstance(part, ForwardFrame) for part in parts)
+    if forward == 0:
+        return _concat(parts)
+    if forward < len(parts):
+        raise ValueError("cannot merge ForwardFrame and RecordFrame parts")
+    return ForwardFrame(
+        np.concatenate([part.final_dests for part in parts]),
+        _concat([part.frame for part in parts]),
+    )
 
 
 def _concat(frames: list[RecordFrame]) -> RecordFrame:
@@ -271,58 +278,3 @@ def _concat(frames: list[RecordFrame]) -> RecordFrame:
     for a in (merged.vertices, merged.targets, merged.xadj, merged.neighbors):
         a.flags.writeable = False
     return merged
-
-
-class FrameBuilder:
-    """Accumulates record chunks and packs them into one frame.
-
-    Chunks are appended as arrays (from ``post_many``) or as individual
-    :class:`Record` objects (tests); :meth:`build` returns a lone chunk
-    as is (the slices ``post_many`` appended) and concatenates several
-    in append order.  With ``final_dests`` chunks
-    the builder produces a :class:`ForwardFrame` instead (grid row
-    hop); the two chunk kinds must not be mixed in one builder.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: list[RecordFrame] = []
-        self._final_dests: list[np.ndarray] = []
-
-    def append_chunk(
-        self,
-        vertices: np.ndarray,
-        targets: np.ndarray,
-        xadj: np.ndarray,
-        neighbors: np.ndarray,
-        final_dests: np.ndarray | None = None,
-    ) -> None:
-        """Append a batch of records given as raw arrays (``xadj[0] == 0``)."""
-        if self._chunks and (final_dests is None) != (not self._final_dests):
-            raise ValueError("cannot mix forward and plain chunks")
-        self._chunks.append(RecordFrame(vertices, targets, xadj, neighbors))
-        if final_dests is not None:
-            self._final_dests.append(final_dests)
-
-    def append_record(self, record: Record) -> None:
-        """Append one legacy :class:`Record` (packed on build)."""
-        self.append_chunk(
-            np.array([record.vertex], dtype=np.int64),
-            np.array(
-                [record.target if record.target is not None else BROADCAST],
-                dtype=np.int64,
-            ),
-            np.array([0, record.neighbors.size], dtype=np.int64),
-            np.asarray(record.neighbors, dtype=np.int64),
-        )
-
-    def build(self) -> RecordFrame | ForwardFrame:
-        """Pack everything appended so far into one frame (and reset)."""
-        frame = _concat(self._chunks)
-        final_dests = self._final_dests
-        self.__init__()
-        if final_dests:
-            return ForwardFrame(
-                final_dests[0] if len(final_dests) == 1 else np.concatenate(final_dests),
-                frame,
-            )
-        return frame

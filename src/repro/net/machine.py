@@ -206,7 +206,7 @@ class PEContext:
                     recovery_time=m.recovery_seconds - rec0,
                 )
             )
-            tracer = getattr(self._machine, "tracer", None)
+            tracer = self._machine.tracer
             if tracer is not None:
                 tracer.phase(self.rank, name, start, end)
 
@@ -238,16 +238,10 @@ class PEContext:
             words=int(words),
             send_time=self.metrics.clock,
         )
-        tracer = getattr(self._machine, "tracer", None)
+        tracer = self._machine.tracer
         if tracer is not None:
             tracer.send(self.metrics.clock, self.rank, dest, tag, int(words))
-        # Transport shims (ProcessMachine, MpiContext) have no network
-        # layer and deliver directly.
-        transmit = getattr(self._machine, "_transmit", None)
-        if transmit is not None:
-            transmit(msg)
-        else:
-            self._machine._deliver(msg)
+        self._machine._transmit(msg)
 
     def try_recv(self, tag: Tag) -> Message | None:
         """Consume the oldest pending message with ``tag``, if any.
@@ -259,9 +253,7 @@ class PEContext:
         if not q:
             return None
         msg = q.popleft()
-        note_consumed = getattr(self._machine, "_note_consumed", None)
-        if note_consumed is not None:
-            note_consumed(msg)
+        self._machine._note_consumed(msg)
         if msg.send_time > self.metrics.clock:
             self.metrics.wait_seconds += msg.send_time - self.metrics.clock
             self.metrics.clock = msg.send_time
@@ -270,7 +262,7 @@ class PEContext:
         self.metrics.comm_seconds += dt
         self.metrics.messages_received += 1
         self.metrics.words_received += msg.words
-        tracer = getattr(self._machine, "tracer", None)
+        tracer = self._machine.tracer
         if tracer is not None:
             tracer.recv(self.metrics.clock, self.rank, msg.src, msg.tag, msg.words)
         self._machine._note_progress()
@@ -302,12 +294,12 @@ class PEContext:
         slow-link message arrives).  The collectives in
         :mod:`repro.net.comm` and the aggregation queues call this
         automatically.  Under instant delivery (the alpha-beta model,
-        ``ProcessMachine``, MPI shims) there is nothing in flight and
-        this yields zero times and adds no scheduling step.
+        ``ProcessMachine``) there is nothing in flight and this yields
+        zero times and adds no scheduling step.
         """
         machine = self._machine
         while True:
-            in_flight = getattr(machine, "_in_flight", None)
+            in_flight = machine._in_flight
             if in_flight is None or in_flight[self.rank] <= 0:
                 break
             self._blocked_sends = True
@@ -326,10 +318,7 @@ class PEContext:
         naming the diverging ranks otherwise.
         """
         self._collective_seq += 1
-        # Transport shims (ProcessMachine, MpiContext) have no verifier.
-        note = getattr(self._machine, "_note_collective_entry", None)
-        if note is not None:
-            note(self.rank, self._collective_seq, label)
+        self._machine._note_collective_entry(self.rank, self._collective_seq, label)
         return self._collective_seq
 
     # ------------------------------------------------------------------
@@ -347,14 +336,14 @@ class PEContext:
         them globally consistent — programs never observe a checkpoint
         that some other PE missed.
         """
-        store = getattr(self._machine, "checkpoint_store", None)
+        store = self._machine.checkpoint_store
         if store is None:
             return False
         words = store.save(self.rank, name, state)
         self.metrics.clock += self._slowdown * self.spec.message_time(words)
         if getattr(store, "supports_partner_replication", False):
             mate = store.partner_of(self.rank)
-            contexts = getattr(self._machine, "_contexts", None)
+            contexts = self._machine._contexts
             if mate != self.rank and contexts:
                 # Buddy scheme: the snapshot is also shipped to the
                 # partner rank as a real message — both endpoints pay,
@@ -366,9 +355,7 @@ class PEContext:
                 bdt = buddy._slowdown * ship
                 buddy.metrics.clock += bdt
                 buddy.metrics.comm_seconds += bdt
-        note_ckpt = getattr(self._machine, "_note_checkpoint", None)
-        if note_ckpt is not None:
-            note_ckpt(self.rank)
+        self._machine._note_checkpoint(self.rank)
         self._machine._note_progress()
         return True
 
@@ -383,7 +370,7 @@ class PEContext:
         checkpoint.  Reading a snapshot back is charged like receiving
         its size from stable storage.
         """
-        store = getattr(self._machine, "checkpoint_store", None)
+        store = self._machine.checkpoint_store
         if store is None:
             return None
         hit = store.load(self.rank, name)

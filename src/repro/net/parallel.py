@@ -5,7 +5,7 @@ backend — deterministic, metric-complete, cost-modelled.  This module
 provides a second backend with the same contract that actually
 executes every PE in its own OS process, exchanging real pickled
 messages over pipes: the execution path a user with a multicore box
-(or, with an MPI transport, a cluster) would adopt.
+would adopt.
 
 Design
 ------
@@ -248,7 +248,14 @@ def _make_channels(mpctx, num_pes: int):
 
 
 class _QueueBus:
-    """Machine shim used by :class:`_WorkerContext` for send delivery.
+    """The machine behind a :class:`_WorkerContext`: the pipe transport.
+
+    It declares everything :class:`~repro.net.machine.PEContext` and
+    :func:`~repro.net.reliable.reliable_send` read from their machine.
+    A worker has no tracer, fault plan, checkpoint store, wire
+    protocol, in-flight accounting or protocol verifier, so those are
+    ``None``/empty and the bookkeeping hooks do nothing;
+    :meth:`_transmit` puts the message into the destination's pipe.
 
     With a pool attached, every outgoing payload is offered to
     :meth:`SharedFramePool.encode` first; on success the queue carries
@@ -265,6 +272,13 @@ class _QueueBus:
     different payload is encoded.  Corollary of zero-copy messaging:
     payload objects must not be mutated after being sent.
     """
+
+    tracer = None
+    fault_plan = None
+    checkpoint_store = None
+    _wire = None
+    _in_flight = None
+    _contexts = ()
 
     def __init__(self, channels, pool: SharedFramePool | None = None):
         self._channels = channels
@@ -311,7 +325,7 @@ class _QueueBus:
                 self._cache_ref, self._cache_desc = ref, descriptor
         return descriptor, nbytes, spilled
 
-    def _deliver(self, msg) -> None:
+    def _transmit(self, msg) -> None:
         # send_bytes returns only once the frame is fully in the
         # destination pipe (the synchronous-put happens-before the
         # barriers need), pumping our own inbox while blocked.
@@ -328,7 +342,16 @@ class _QueueBus:
         data = pickle.dumps(msg, protocol=5)
         self._channels[msg.dest].send_bytes(data, self.pump)
 
-    def _note_progress(self) -> None:  # pragma: no cover - trivial
+    def _note_progress(self) -> None:
+        pass
+
+    def _note_consumed(self, msg) -> None:
+        pass
+
+    def _note_collective_entry(self, rank: int, seq: int, label: str) -> None:
+        pass
+
+    def _note_checkpoint(self, rank: int) -> None:
         pass
 
 

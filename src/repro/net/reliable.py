@@ -129,7 +129,7 @@ class ReliableTransport:
         #: entries the receiver had already consumed (they are part of
         #: its checkpointed state); ``replay_to`` re-delivers the rest
         #: after a crash.  Disabled (empty) without a recovery manager.
-        self._log_enabled = getattr(machine, "_recovery_manager", None) is not None
+        self._log_enabled = machine._recovery_manager is not None
         self._send_log: dict[tuple[int, int], dict[int, Message]] = {}
         #: Per-channel seqs the receiver consumed since its last
         #: checkpoint (pruned from the log at the next checkpoint).
@@ -554,8 +554,8 @@ def reliable_send(
     runtime counterpart of lint rule R5.
     """
     machine = ctx._machine
-    wire = getattr(machine, "_wire", None)
-    plan = getattr(machine, "fault_plan", None)
+    wire = machine._wire
+    plan = machine.fault_plan
     if (
         plan is not None
         and plan.any_message_faults

@@ -312,7 +312,7 @@ class SimEngine:
         live = self._live
         for rank in range(machine.num_pes):
             self._schedule_resume(rank, 0.0)
-        manager = getattr(machine, "_recovery_manager", None)
+        manager = machine._recovery_manager
         if manager is not None:
             manager.start(self)
         plan = machine.fault_plan
@@ -359,7 +359,7 @@ class SimEngine:
             # The rank finished (or already crashed) before the
             # scheduled time; a dead PE cannot crash again.
             return
-        manager = getattr(machine, "_recovery_manager", None)
+        manager = machine._recovery_manager
         if manager is not None:
             manager.on_crash(crash.rank)
             return
@@ -382,7 +382,7 @@ class SimEngine:
             return
         plan = machine.fault_plan
         if plan is not None and plan.crash_due(rank, machine._progress):
-            manager = getattr(machine, "_recovery_manager", None)
+            manager = machine._recovery_manager
             if manager is not None:
                 manager.on_crash(rank)
                 return

@@ -24,7 +24,7 @@ from repro.net import (
     RecordFrame,
     merge_frames,
 )
-from repro.net.frames import BROADCAST, ForwardFrame, FrameBuilder, gather_blocks
+from repro.net.frames import BROADCAST, ForwardFrame, gather_blocks
 from repro.net.parallel import ProcessMachine
 
 
@@ -118,10 +118,32 @@ def test_builder_matches_from_records():
     rng = np.random.default_rng(11)
     _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 20)
     frame = RecordFrame(vertices, targets, xadj, neighbors)
-    b = FrameBuilder()
-    for rec in frame:
-        b.append_record(rec)
-    assert _canon(b.build()) == _canon(frame)
+    assert _canon(RecordFrame.from_records(list(frame))) == _canon(frame)
+
+
+def test_merge_rejects_mixed_forward_and_plain_parts():
+    rng = np.random.default_rng(13)
+    _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 6)
+    plain = RecordFrame(vertices, targets, xadj, neighbors)
+    forward = ForwardFrame(np.zeros(plain.num_records, dtype=np.int64), plain)
+    for parts in ([plain, forward], [forward, plain], [forward, forward, plain]):
+        with pytest.raises(ValueError, match="ForwardFrame"):
+            merge_frames(parts)
+
+
+def test_merge_concatenates_forward_final_dests():
+    rng = np.random.default_rng(14)
+    parts = [
+        ForwardFrame(
+            rng.integers(0, 9, size=n), RecordFrame(*_random_batch(rng, 4, n)[1:])
+        )
+        for n in (3, 0, 5)
+    ]
+    merged = merge_frames(parts)
+    assert isinstance(merged, ForwardFrame)
+    assert merged.final_dests.tolist() == [d for p in parts for d in p.final_dests.tolist()]
+    assert _canon(merged.frame) == [r for p in parts for r in _canon(p.frame)]
+    assert merged.words == sum(p.words for p in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ def prog(ctx):
 """,
     "R7": """
 def prog(ctx):
-    for v, nbh in zip(vertices.tolist(), neighborhoods):
-        router.post(1, Record(vertex=v, neighbors=nbh))
+    for v, s in zip(vertices.tolist(), slots):
+        router.post_many([1], [v], [-1], [s], xadj, adj)
         ctx.charge(1)
     yield
 """,
@@ -306,20 +306,20 @@ def prog(ctx):
 
 
 def test_r7_flags_all_array_unpacking_idioms():
-    # A Record bound to a name inside the loop body counts as the payload.
-    named = """
+    # Arrays sliced to one element per call are still per-element posts.
+    ranged = """
 def prog(ctx):
     for i in range(len(vertices)):
-        rec = Record(vertex=vertices[i], neighbors=adj[i])
-        queue.post(int(dst[i]), rec)
+        queue.post_many(dst[i : i + 1], vertices[i : i + 1], targets[i : i + 1],
+                        slots[i : i + 1], xadj, adj)
         ctx.charge(1)
     yield
 """
-    assert [f.code for f in lint_source(named)] == ["R7"]
+    assert [f.code for f in lint_source(ranged)] == ["R7"]
     sized = """
 def prog(ctx):
     for i in range(dst.size):
-        queue.post(int(dst[i]), net.Record(vertex=v[i], neighbors=a[i]))
+        net.queue.post_many([int(dst[i])], [int(v[i])], [-1], [i], xadj, adj)
         ctx.charge(1)
     yield
 """
@@ -327,7 +327,7 @@ def prog(ctx):
     enumerated = """
 def prog(ctx):
     for i, v in enumerate(vs.tolist()):
-        queue.post(1, Record(vertex=v, neighbors=adj[i]))
+        queue.post_many([1], [v], [-1], [i], xadj, adj)
         ctx.charge(1)
     yield
 """
@@ -335,30 +335,30 @@ def prog(ctx):
 
 
 def test_r7_exempts_opaque_payloads_and_non_spmd_helpers():
-    # Only Record payloads are flagged; a loop posting any other object
-    # is not.
-    amq = """
+    # R7 patrols the queue's post_many only; a loop handing opaque
+    # payloads to some other object's post is not flagged.
+    opaque = """
 def prog(ctx):
     for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-        rec = Summary(vertex=1, targets=c_dst[start:end], amq=amq)
-        router.post(1, rec)
+        mailbox.post(1, Summary(vertex=1, targets=c_dst[start:end]))
         ctx.charge(1)
     yield
 """
-    assert lint_source(amq) == []
+    assert lint_source(opaque) == []
     # A fan-out helper that never touches ctx is outside SPMD scope
     # and R7 does not apply.
     helper = """
-def post_all(self, dest_ranks, records):
-    for dest, record in zip(dest_ranks.tolist(), records):
-        self.post(int(dest), record)
+def post_all(self, dest_ranks, slots, xadj, adj):
+    for dest, slot in zip(dest_ranks.tolist(), slots):
+        self.post_many([dest], [slot], [-1], [slot], xadj, adj)
 """
     assert lint_source(helper) == []
-    # Loops over plain Python iterables are fine even with Record posts.
+    # Loops over plain Python iterables are fine even with per-element
+    # post_many calls.
     plain = """
 def prog(ctx):
-    for dest, rec in pending:
-        queue.post(dest, Record(vertex=rec[0], neighbors=rec[1]))
+    for dest, v, slot in pending:
+        queue.post_many([dest], [v], [-1], [slot], xadj, adj)
         ctx.charge(1)
     yield
 """
@@ -369,7 +369,7 @@ def test_r7_noqa_escape():
     src = """
 def prog(ctx):
     for v in vs.tolist():
-        queue.post(1, Record(vertex=v, neighbors=empty))  # noqa: R7
+        queue.post_many([1], [v], [-1], [0], xadj, adj)  # noqa: R7
         ctx.charge(1)
     yield
 """

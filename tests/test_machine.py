@@ -1,7 +1,11 @@
 """Tests for the simulated machine: scheduling, clocks, causality."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.net import (
     CLOUD,
     DEFAULT_SPEC,
@@ -274,3 +278,38 @@ def test_contended_engine_traces_are_byte_identical_across_reruns():
     r2, j2 = one_run()
     assert j1 == j2
     assert r1.time == r2.time and r1.events == r2.events
+
+
+def _machine_getattr_calls(root: Path) -> list[str]:
+    """``getattr`` calls on the machine object (``self._machine``,
+    ``ctx._machine`` or a name ``machine``) in the modules under ``root``."""
+
+    def is_machine(node):
+        if isinstance(node, ast.Name):
+            return node.id == "machine"
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_machine"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "ctx")
+        )
+
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and node.args
+                and is_machine(node.args[0])
+            ):
+                offenders.append(f"{path.relative_to(root.parent)}:{node.lineno}")
+    return offenders
+
+
+@pytest.mark.parametrize("package", ["net", "sim"])
+def test_machine_attributes_are_read_not_probed(package):
+    """``Machine`` and the process backend's bus declare every attribute
+    and hook their callers read, so nothing probes the machine."""
+    assert _machine_getattr_calls(Path(repro.__file__).parent / package) == []

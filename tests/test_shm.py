@@ -205,7 +205,7 @@ def test_broadcast_fanout_shares_one_slot(pool):
     bus = _QueueBus(channels, pool)
     frame = _frame(3)
     for dest in range(1, 4):
-        bus._deliver(
+        bus._transmit(
             Message(
                 src=0, dest=dest, tag=("t",), payload=frame,
                 words=frame.words, send_time=0.0,
@@ -241,12 +241,12 @@ def test_control_message_after_cache_gc_stays_unpooled(pool):
     channels = [_SinkChannel() for _ in range(2)]
     bus = _QueueBus(channels, pool)
     frame = _frame(4)
-    bus._deliver(
+    bus._transmit(
         Message(src=0, dest=1, tag=("t",), payload=frame, words=frame.words,
                 send_time=0.0)
     )
     del frame  # cache weakref now resolves to None
-    bus._deliver(
+    bus._transmit(
         Message(src=0, dest=1, tag=("barrier",), payload=None, words=1,
                 send_time=0.0)
     )
