@@ -257,12 +257,9 @@ def merge_frames(parts: Iterable[RecordFrame | ForwardFrame]) -> RecordFrame | F
 def _concat(frames: list[RecordFrame]) -> RecordFrame:
     """One frame holding the records of ``frames`` in order.
 
-    A lone frame comes back as is.  Otherwise every array is copied
-    once, and ``xadj`` in one pass: each frame's ``xadj[1:]`` shifted
-    by the neighbor words of the frames before it.
+    Every array is copied once, and ``xadj`` in one pass: each frame's
+    ``xadj[1:]`` shifted by the neighbor words of the frames before it.
     """
-    if len(frames) == 1:
-        return frames[0]
     if not frames:
         return RecordFrame.empty()
     counts = [f.num_records for f in frames]
