@@ -448,6 +448,25 @@ def test_zero_fault_reliable_overhead_within_budget():
         assert reliable.time <= 1.10 * direct.time
 
 
+def _lossy_toy_plan():
+    return FaultPlan(
+        29, drop_rate=0.05, duplicate_rate=0.03, delay_rate=0.02, reorder_rate=0.02
+    )
+
+
+def _lossy_toy(ctx):
+    """A loss-tolerant ring: counts whatever reaches it, no collectives."""
+    for i in range(20):
+        ctx.send((ctx.rank + 1) % ctx.num_pes, ("t", i), i, 2)
+    got = 0
+    for i in range(20):
+        while ctx.pending(("t", i)):
+            ctx.try_recv(("t", i))
+            got += 1
+        yield
+    return got
+
+
 def test_event_engine_fault_traces_byte_identical_including_lossy():
     """Satellite: same seed + fault plan => byte-identical Chrome traces
     and identical simulated_time across reruns, on the event engine,
@@ -459,26 +478,12 @@ def test_event_engine_fault_traces_byte_identical_including_lossy():
 
     def one_run(transport):
         tracer = Tracer()
-        plan = FaultPlan(
-            29, drop_rate=0.05, duplicate_rate=0.03, delay_rate=0.02, reorder_rate=0.02
-        )
-        machine = Machine(3, fault_plan=plan, transport=transport, tracer=tracer)
+        machine = Machine(3, fault_plan=_lossy_toy_plan(), transport=transport, tracer=tracer)
         if transport == "reliable":
             result = machine.run(counting_program, dist, DITRIC_CONFIG)
         else:
             # Lossy delivery breaks collectives; use a loss-tolerant toy.
-            def prog(ctx):
-                for i in range(20):
-                    ctx.send((ctx.rank + 1) % ctx.num_pes, ("t", i), i, 2)
-                got = 0
-                for i in range(20):
-                    while ctx.pending(("t", i)):
-                        ctx.try_recv(("t", i))
-                        got += 1
-                    yield
-                return got
-
-            result = machine.run(prog)
+            result = machine.run(_lossy_toy)
         return result, chrome_trace_json(result.metrics, tracer, run_name="faulty")
 
     for transport in ("reliable", "lossy"):
@@ -645,3 +650,76 @@ def test_stuck_programs_under_crash_plans_match_golden(name):
                 )
                 h.update(f"{p}|{rank}|{at_event}|{outcome}\n".encode())
     assert h.hexdigest() == GOLDEN_STUCK_CRASH_PLANS[name]
+
+
+def _run_digest(res):
+    """sha256 over every simulated observable of one finished run."""
+    h = hashlib.sha256(
+        f"{res.values!r}|{res.time.hex()}|{res.events}"
+        f"|{res.metrics.summary()!r}|{res.recovery!r}\n".encode()
+    )
+    for pe in res.metrics.per_pe:
+        h.update(
+            f"{pe.clock.hex()}|{pe.messages_sent}|{pe.words_sent}"
+            f"|{pe.messages_received}|{pe.words_received}"
+            f"|{pe.retransmits}|{pe.duplicates_discarded}\n".encode()
+        )
+    return h.hexdigest()
+
+
+def _contended_run(algorithm, setup):
+    """One chaos-graph run at p=3 on the contended network."""
+    from repro.faults import TimedCrash
+    from repro.sim.network import Network
+
+    config = CHAOS_ALGORITHMS[algorithm]
+    dist = distribute(default_chaos_graph(), num_pes=3)
+    contended = Network(model="contended")
+    if setup == "direct":
+        return Machine(3, network=contended).run(counting_program, dist, config)
+    if setup == "reliable":
+        plan = FaultPlan(29, drop_rate=0.08, duplicate_rate=0.04, delay_rate=0.03)
+        machine = Machine(3, network=contended, fault_plan=plan)
+        return machine.run(counting_program, dist, config)
+    dry = Machine(3, network=contended, recovery="localized")
+    crash_time = 0.5 * dry.run(counting_program, dist, config).time
+    plan = FaultPlan(0, crash_at_time=(TimedCrash(1, crash_time),))
+    machine = Machine(3, network=contended, fault_plan=plan, recovery="localized")
+    return machine.run(counting_program, dist, config)
+
+
+#: sha256 digests (``_run_digest``) of the event-engine transport
+#: paths: direct, reliable (drops, duplicates and delays that fill the
+#: selective-repeat hold buffer) and localized recovery with one timed
+#: crash, plus the lossy toy under both network models.
+GOLDEN_CONTENDED = {
+    ("ditric", "direct"): "f34a33e04f1c73dda41c6125518ea3494d78e2a859ffb14cbc5fa62f882bf5b0",
+    ("ditric", "reliable"): "7e3d4dfbc178a95de836d57a0949bbe806a36aac6696c890e620ca14e0a9fd68",
+    ("ditric", "localized"): "cb7c327516edc4d676f1ddaec91012dd44ff04de6d243c0d75681b9abc7481d9",
+    ("cetric", "direct"): "55bb1d74011f79115d16c049558cbd7e39291452f71b1bf0f21d4f2376b4e620",
+    ("cetric", "reliable"): "c033fe09609d6904dc930debf524eaad7010ba511e40980e2d224b51f7075847",
+    ("cetric", "localized"): "806f4f028bea0cbaaf709e845d1027c22f6a81d69f2c8e08219313593e0156a5",
+    ("lossy", "alpha-beta"): "70a9a3db7fea8a300b0587ea9a183f004a4921183ea3c491be500d37ac73b934",
+    ("lossy", "contended"): "a44f2187a172109a562a4b3a1b7c29b53fc2067a6e32eddcef44dfe00cff3e69",
+}
+
+
+@pytest.mark.parametrize("setup", ["direct", "reliable", "localized"])
+@pytest.mark.parametrize("algorithm", ["ditric", "cetric"])
+def test_contended_transport_paths_match_golden(algorithm, setup):
+    res = _contended_run(algorithm, setup)
+    if setup == "reliable":
+        assert res.metrics.total_retransmits > 0
+    if setup == "localized":
+        assert res.recovery.crashes == 1
+    assert _run_digest(res) == GOLDEN_CONTENDED[algorithm, setup]
+
+
+@pytest.mark.parametrize("model", ["alpha-beta", "contended"])
+def test_lossy_toy_matches_golden(model):
+    from repro.sim.network import Network
+
+    machine = Machine(
+        3, network=Network(model=model), fault_plan=_lossy_toy_plan(), transport="lossy"
+    )
+    assert _run_digest(machine.run(_lossy_toy)) == GOLDEN_CONTENDED["lossy", model]
