@@ -47,10 +47,10 @@ from __future__ import annotations
 import os
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Generator
 
-from ..sim.engine import EngineStats, SimEngine, deliver_later
+from ..sim.engine import EngineStats, SimEngine
 from ..sim.network import Network, NetworkStats
 from .costmodel import DEFAULT_SPEC, MachineSpec
 from .messages import Message, Tag
@@ -98,8 +98,9 @@ class ProtocolError(RuntimeError):
     either two PEs entered different collectives at the same position of
     their collective-entry sequence (collective-order divergence — the
     bug class that deadlocks or silently miscounts on a real MPI
-    machine), or messages were still undelivered when every program had
-    returned (send/recv conservation failure).  See
+    machine), messages were still undelivered when every program had
+    returned (send/recv conservation failure), or some send did not
+    settle its sender's in-flight count exactly once.  See
     ``docs/SPMD_CONTRACT.md`` for the full contract.
     """
 
@@ -341,7 +342,7 @@ class PEContext:
             return False
         words = store.save(self.rank, name, state)
         self.metrics.clock += self._slowdown * self.spec.message_time(words)
-        if getattr(store, "supports_partner_replication", False):
+        if store.supports_partner_replication:
             mate = store.partner_of(self.rank)
             contexts = self._machine._contexts
             if mate != self.rank and contexts:
@@ -521,7 +522,7 @@ class Machine:
             )
         if (
             fault_plan is not None
-            and getattr(fault_plan, "crash_at_time", ())
+            and fault_plan.crash_at_time
             and self.network.model != "contended"
         ):
             raise ValueError(
@@ -561,7 +562,7 @@ class Machine:
 
             if checkpoint_store is None:
                 checkpoint_store = BuddyCheckpointStore(num_pes)
-            elif not getattr(checkpoint_store, "supports_partner_replication", False):
+            elif not checkpoint_store.supports_partner_replication:
                 raise ValueError(
                     "localized recovery restores from partner replicas; "
                     "pass a partner-replication-capable store "
@@ -584,11 +585,14 @@ class Machine:
         self._progress = 0
 
     # Internal hooks -----------------------------------------------------
-    def _deliver(self, msg: Message, *, front: bool = False) -> None:
-        """Append ``msg`` to its destination inbox and wake the receiver.
+    def _deliver(self, msg: Message, *, front: bool = False, settle: bool = True) -> None:
+        """Land ``msg`` in its destination inbox: every transport's way in.
 
-        ``front=True`` (fault-plan reordering) overtakes the queued
-        messages of the same tag, when there are any.
+        Appends the message, wakes the receiver and settles the
+        sender's in-flight count.  ``front=True`` (fault-plan
+        reordering) overtakes the queued messages of the same tag, when
+        there are any.  ``settle=False`` marks wire duplicates and
+        recovery replays, whose primary copy settles instead.
         """
         q = self._contexts[msg.dest]._inbox[msg.tag]
         if front and q:
@@ -598,6 +602,8 @@ class Machine:
         self._note_progress()
         if self._engine is not None:
             self._engine.on_deliver(msg.dest, msg.tag)
+        if settle:
+            self._settle_send(msg.src)
 
     def _transmit(self, msg: Message) -> None:
         """Carry one application send over the configured transport."""
@@ -606,36 +612,29 @@ class Machine:
         if self._wire is not None:
             self._wire.transmit(msg)
         else:
-            self._inject(msg, msg.send_time)
+            self._inject(msg)
 
-    def _inject(self, msg: Message, t: float, *, front: bool = False, settle: bool = True) -> None:
+    def _inject(self, msg: Message, *, front: bool = False, settle: bool = True) -> None:
         """A wire-complete message enters the network toward its inbox.
 
         Under instant delivery this is the familiar direct append.
-        Under the contended model the network is consulted *at
-        simulated time* ``t`` (via an engine event, so link capacity is
-        claimed in time order) and the inbox append becomes a delivery
-        event at the computed arrival.  ``settle=False`` marks wire
-        duplicates, which must not decrement the sender's in-flight
-        count a second time.
+        Under the contended model one engine event at ``msg.send_time``
+        claims link capacity (so claims happen in time order) and posts
+        the delivery at the computed arrival, with the message's causal
+        timestamp rewritten to that arrival (queueing included).
         """
-        if self._engine is not None and self.network.model == "contended":
-            self._engine.call_at(
-                t, lambda: self._claim_and_deliver(msg, t, front=front, settle=settle)
+        if self._in_flight is None:
+            self._deliver(msg, front=front, settle=settle)
+            return
+
+        def claim() -> None:
+            arrival = self.network.arrival_time(msg.src, msg.dest, msg.words, msg.send_time)
+            out = replace(msg, send_time=arrival)
+            self._engine.post_delivery(
+                arrival, lambda: self._deliver(out, front=front, settle=settle)
             )
-        else:
-            self._deliver(msg, front=front)
-            if settle:
-                self._settle_send(msg.src)
 
-    def _claim_and_deliver(self, msg: Message, t: float, *, front: bool, settle: bool) -> None:
-        arrival = self.network.arrival_time(msg.src, msg.dest, msg.words, t)
-        deliver_later(self, msg, arrival, front=front, settle=settle)
-
-    def _finish_delivery(self, msg: Message, *, front: bool = False, settle: bool = True) -> None:
-        self._deliver(msg, front=front)
-        if settle:
-            self._settle_send(msg.src)
+        self._engine.call_at(msg.send_time, claim)
 
     def _settle_send(self, src: int) -> None:
         """One of ``src``'s in-flight messages reached its fate."""
@@ -756,7 +755,7 @@ class Machine:
         return "\n".join(lines)
 
     def _check_teardown(self) -> None:
-        """Protocol-check epilogue: conservation + matched collectives."""
+        """Protocol-check epilogue: matched collectives, settled sends, conservation."""
         entry_counts = {rank: len(log) for rank, log in enumerate(self._collective_log)}
         if len(set(entry_counts.values())) > 1:
             details = ", ".join(
@@ -765,6 +764,12 @@ class Machine:
             raise ProtocolError(
                 f"collective-entry counts diverge at teardown ({details}); "
                 f"some PE skipped or repeated a collective"
+            )
+        if self._in_flight is not None and any(self._in_flight):
+            unsettled = {r: n for r, n in enumerate(self._in_flight) if n}
+            raise ProtocolError(
+                f"send completion violated at teardown: in-flight counts "
+                f"{unsettled} are not zero; every send must settle exactly once"
             )
         leftovers = {
             rank: {tag: len(q) for tag, q in ctx._inbox.items() if q}

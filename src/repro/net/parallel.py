@@ -523,10 +523,10 @@ class ProcessMachine:
         Route large payloads through the zero-copy pool (default on
         where ``multiprocessing.shared_memory`` works).
     ``shm_slots`` / ``REPRO_SHM_SLOTS``
-        Number of pool slots (default 64).  A full pool never blocks —
+        Number of pool slots (default 256).  A full pool never blocks —
         senders spill to the pickled path and count a ``shm_spills``.
     ``shm_slot_bytes`` / ``REPRO_SHM_SLOT_BYTES``
-        Bytes per slot (default 4 MiB); payloads above this always
+        Bytes per slot (default 16 MiB); payloads above this always
         spill.
     ``start_method``
         ``multiprocessing`` start method for the workers: ``"fork"``

@@ -16,7 +16,10 @@ goes through one of two transports:
     cost model, so resilience overhead shows up in simulated time and
     in the ``retransmits`` / ``timeouts`` / ``messages_dropped`` /
     ``duplicates_discarded`` counters of
-    :class:`~repro.net.metrics.PEMetrics`.
+    :class:`~repro.net.metrics.PEMetrics`.  One receive protocol
+    (:meth:`ReliableTransport._arrive`) serves both network models;
+    under instant delivery copies always arrive in channel order, so
+    only the event engine (contended network) fills its hold buffer.
 
 :class:`LossyTransport`
     The raw adversary: drops lose messages for good, duplicates and
@@ -116,8 +119,8 @@ class ReliableTransport:
         self._next_seq: dict[tuple[int, int], int] = {}
         self._expected: dict[tuple[int, int], int] = {}
         self._acked: dict[tuple[int, int], int] = {}
-        #: Selective-repeat receive buffer (contended/event mode only):
-        #: out-of-order arrivals parked per channel until the gap fills.
+        #: Selective-repeat receive buffer: out-of-order arrivals parked
+        #: per channel until the gap fills (event engine only).
         self._held: dict[tuple[int, int], dict[int, tuple[Message, bool]]] = {}
         #: Wire-level totals (for diagnostics; app-level conservation
         #: is unaffected because this transport repairs every fault).
@@ -156,100 +159,85 @@ class ReliableTransport:
         retransmission costs charged to the sender and the backoff
         delay added to the delivery timestamp.  Under the contended
         network model the protocol instead runs on real engine events
-        — retransmission *timers* fire in simulated time, and
-        out-of-order arrivals (a retransmit overtaken by a later
-        message on an uncongested link) are re-sequenced by a
-        selective-repeat receive buffer before they reach the inbox.
+        — retransmission *timers* fire in simulated time.  Both paths
+        hand every arriving copy to the one receive protocol,
+        :meth:`_arrive`.
         """
         machine = self.machine
         spec = machine.spec
         plan = self.plan
-        sender = machine._contexts[msg.src]
-        tracer = machine.tracer
         chan = (msg.src, msg.dest)
         seq = self._next_seq.get(chan, 0)
         self._next_seq[chan] = seq + 1
+        out = replace(msg, channel_seq=seq)
         if self._log_enabled:
             # Keyed by seq so a respawned rank's re-send of the same
             # message overwrites its log entry instead of duplicating it.
-            self._send_log.setdefault(chan, {})[seq] = replace(msg, channel_seq=seq)
+            self._send_log.setdefault(chan, {})[seq] = out
+        timeout = self.config.timeout_factor * spec.message_time(msg.words)
 
-        if machine._engine is not None and machine.network.model == "contended":
-            wire_time = spec.message_time(msg.words)
-            timeout = self.config.timeout_factor * wire_time
-            out = replace(msg, channel_seq=seq)
+        if machine._in_flight is not None:
             machine._engine.call_at(
-                msg.send_time,
-                lambda: self._attempt_des(out, 1, msg.send_time, timeout),
+                msg.send_time, lambda: self._attempt_des(out, 1, msg.send_time, timeout)
             )
             return
 
         t = msg.send_time
         if plan is not None:
-            wire_time = spec.message_time(msg.words)
-            timeout = self.config.timeout_factor * wire_time
             attempts = 1
             while plan.should_drop():
-                self.wire_dropped += 1
-                sender.metrics.messages_dropped += 1
-                if tracer is not None:
-                    tracer.drop(t, msg.src, msg.dest, msg.tag, msg.words)
-                if attempts >= self.config.max_attempts:
-                    raise TransportError(
-                        f"message {msg.src}->{msg.dest} tag={msg.tag!r} lost "
-                        f"{attempts} times; retry budget exhausted"
-                    )
+                self._lost(out, attempts, t)
                 # Wait out the timeout, then pay for the retransmission.
                 t += timeout
                 timeout *= self.config.backoff
-                sender.metrics.timeouts += 1
-                sender.metrics.retransmits += 1
-                retransmit_dt = sender._slowdown * wire_time
-                sender.metrics.clock += retransmit_dt
-                sender.metrics.retransmit_seconds += retransmit_dt
-                if tracer is not None:
-                    tracer.retry(t, msg.src, msg.dest, msg.tag, msg.words)
+                self._retransmit(out, t)
                 attempts += 1
             t += plan.delay_seconds(spec.alpha)
 
-        delivered = replace(msg, send_time=t, channel_seq=seq)
-        self._arrive(delivered)
+        delivered = replace(out, send_time=t)
+        self._arrive(delivered, duplicate=False)
         if plan is not None and plan.should_duplicate():
             # The wire delivers a stale copy one message-time later.
             self.wire_duplicates += 1
             self._arrive(
-                replace(delivered, send_time=t + spec.message_time(msg.words))
+                replace(delivered, send_time=t + spec.message_time(msg.words)),
+                duplicate=True,
             )
 
+    def _lost(self, msg: Message, attempts: int, t: float) -> None:
+        """The wire dropped attempt number ``attempts`` of ``msg`` at ``t``."""
+        _count_drop(self, msg, t)
+        if attempts >= self.config.max_attempts:
+            raise TransportError(
+                f"message {msg.src}->{msg.dest} tag={msg.tag!r} lost "
+                f"{attempts} times; retry budget exhausted"
+            )
+
+    def _retransmit(self, msg: Message, t: float) -> None:
+        """The sender's timeout for ``msg`` expired at ``t``: send it again."""
+        machine = self.machine
+        sender = machine._contexts[msg.src]
+        sender.metrics.timeouts += 1
+        sender.metrics.retransmits += 1
+        retransmit_dt = sender._slowdown * machine.spec.message_time(msg.words)
+        sender.metrics.clock += retransmit_dt
+        sender.metrics.retransmit_seconds += retransmit_dt
+        if machine.tracer is not None:
+            machine.tracer.retry(t, msg.src, msg.dest, msg.tag, msg.words)
+
     # ------------------------------------------------------------------
-    # Event-driven protocol (contended network model)
+    # Event-driven sends (contended network model)
     # ------------------------------------------------------------------
     def _attempt_des(self, msg: Message, attempts: int, t: float, timeout: float) -> None:
         """One transmission attempt at simulated time ``t`` (engine event)."""
         machine = self.machine
         plan = self.plan
         spec = machine.spec
-        sender = machine._contexts[msg.src]
-        tracer = machine.tracer
         if plan is not None and plan.should_drop():
-            self.wire_dropped += 1
-            sender.metrics.messages_dropped += 1
-            if tracer is not None:
-                tracer.drop(t, msg.src, msg.dest, msg.tag, msg.words)
-            if attempts >= self.config.max_attempts:
-                raise TransportError(
-                    f"message {msg.src}->{msg.dest} tag={msg.tag!r} lost "
-                    f"{attempts} times; retry budget exhausted"
-                )
+            self._lost(msg, attempts, t)
 
             def retry() -> None:
-                sender.metrics.timeouts += 1
-                sender.metrics.retransmits += 1
-                retransmit_dt = sender._slowdown * spec.message_time(msg.words)
-                sender.metrics.clock += retransmit_dt
-                sender.metrics.retransmit_seconds += retransmit_dt
-                if tracer is not None:
-                    tracer.retry(t + timeout, msg.src, msg.dest, msg.tag, msg.words)
+                self._retransmit(msg, t + timeout)
                 self._attempt_des(msg, attempts + 1, t + timeout, timeout * self.config.backoff)
 
             machine._engine.call_at(t + timeout, retry)
@@ -263,16 +251,14 @@ class ReliableTransport:
             arrival = machine.network.arrival_time(msg.src, msg.dest, msg.words, inject_t)
             machine._engine.post_delivery(
                 arrival,
-                lambda: self._arrive_des(replace(msg, send_time=arrival), duplicate=False),
+                lambda: self._arrive(replace(msg, send_time=arrival), duplicate=False),
             )
             if plan is not None and plan.should_duplicate():
                 self.wire_duplicates += 1
                 dup_arrival = arrival + spec.message_time(msg.words)
                 machine._engine.post_delivery(
                     dup_arrival,
-                    lambda: self._arrive_des(
-                        replace(msg, send_time=dup_arrival), duplicate=True
-                    ),
+                    lambda: self._arrive(replace(msg, send_time=dup_arrival), duplicate=True),
                 )
 
         if inject_t > t:
@@ -282,21 +268,26 @@ class ReliableTransport:
         else:
             inject()
 
-    def _arrive_des(self, msg: Message, *, duplicate: bool) -> None:
-        """Receive-side protocol under the event engine.
+    # ------------------------------------------------------------------
+    # Receive protocol (both network models)
+    # ------------------------------------------------------------------
+    def _arrive(self, msg: Message, *, duplicate: bool) -> None:
+        """Receive side: discard stale copies, hold gaps, deliver in order.
 
         ``duplicate`` marks injected wire copies, which never settle
-        the sender's in-flight count (the primary copy does).
+        the sender's in-flight count (the primary copy does).  Under
+        instant delivery copies arrive in channel order, so only the
+        event engine ever fills the hold buffer.
         """
         machine = self.machine
         chan = (msg.src, msg.dest)
-        receiver = machine._contexts[msg.dest]
-        seq = msg.channel_seq or 0
+        seq = msg.channel_seq
         expected = self._expected.get(chan, 0)
-        held = self._held.setdefault(chan, {})
+        held = self._held.get(chan, {})
         if seq < expected or seq in held:
             # Stale or redundant copy: the receiver pays for pulling it
             # off the wire, then discards it.
+            receiver = machine._contexts[msg.dest]
             receiver.metrics.duplicates_discarded += 1
             dup_dt = receiver._slowdown * machine.spec.message_time(msg.words)
             receiver.metrics.clock += dup_dt
@@ -310,7 +301,7 @@ class ReliableTransport:
             # retransmitted.  Hold this one; the sender's in-flight
             # count settles only when it truly reaches the inbox (so
             # ``sync_sends`` cannot conclude an exchange early).
-            held[seq] = (msg, duplicate)
+            self._held.setdefault(chan, {})[seq] = (msg, duplicate)
             machine._note_progress()
             return
         self._deliver_in_order(msg, settle=not duplicate)
@@ -323,49 +314,19 @@ class ReliableTransport:
     def _deliver_in_order(self, msg: Message, *, settle: bool) -> None:
         machine = self.machine
         chan = (msg.src, msg.dest)
-        receiver = machine._contexts[msg.dest]
-        self._expected[chan] = (msg.channel_seq or 0) + 1
-        machine._deliver(msg)
-        if settle:
-            machine._settle_send(msg.src)
-        acked = self._acked.get(chan, 0) + 1
-        self._acked[chan] = acked
-        if acked % self.config.ack_every == 0:
-            ack_time = machine.spec.message_time(ACK_WORDS)
-            receiver.metrics.clock += receiver._slowdown * ack_time
-            receiver.metrics.comm_seconds += receiver._slowdown * ack_time
-            sender = machine._contexts[msg.src]
-            sender.metrics.clock += sender._slowdown * ack_time
-            sender.metrics.comm_seconds += sender._slowdown * ack_time
-
-    def _arrive(self, msg: Message) -> None:
-        """Receive-side protocol: dedup, deliver, ack bookkeeping."""
-        machine = self.machine
-        chan = (msg.src, msg.dest)
-        receiver = machine._contexts[msg.dest]
-        expected = self._expected.get(chan, 0)
-        if msg.channel_seq is not None and msg.channel_seq < expected:
-            # Duplicate: the receiver pays for pulling it off the wire,
-            # then discards it before it reaches the program's inbox.
-            receiver.metrics.duplicates_discarded += 1
-            dup_dt = receiver._slowdown * machine.spec.message_time(msg.words)
-            receiver.metrics.clock += dup_dt
-            receiver.metrics.retransmit_seconds += dup_dt
-            machine._note_progress()
-            return
-        self._expected[chan] = (msg.channel_seq or 0) + 1
-        machine._deliver(msg)
+        self._expected[chan] = msg.channel_seq + 1
+        machine._deliver(msg, settle=settle)
         acked = self._acked.get(chan, 0) + 1
         self._acked[chan] = acked
         if acked % self.config.ack_every == 0:
             # Cumulative ack: one control message, both endpoints pay.
             ack_time = machine.spec.message_time(ACK_WORDS)
+            receiver = machine._contexts[msg.dest]
             receiver.metrics.clock += receiver._slowdown * ack_time
             receiver.metrics.comm_seconds += receiver._slowdown * ack_time
             sender = machine._contexts[msg.src]
             sender.metrics.clock += sender._slowdown * ack_time
             sender.metrics.comm_seconds += sender._slowdown * ack_time
-
 
     # ------------------------------------------------------------------
     # Localized recovery (sender-based logging + replay)
@@ -439,7 +400,7 @@ class ReliableTransport:
                 sender.metrics.recovery_seconds += resend_dt
                 machine._engine.post_delivery(
                     at_time,
-                    lambda m=out: machine._finish_delivery(m, settle=False),
+                    lambda m=out: machine._deliver(m, settle=False),
                 )
                 replayed += 1
             self._expected[chan] = max(
@@ -496,12 +457,7 @@ class LossyTransport:
         machine = self.machine
         plan = self.plan
         if plan.should_drop():
-            self.wire_dropped += 1
-            machine._contexts[msg.src].metrics.messages_dropped += 1
-            if machine.tracer is not None:
-                machine.tracer.drop(
-                    msg.send_time, msg.src, msg.dest, msg.tag, msg.words
-                )
+            _count_drop(self, msg, msg.send_time)
             machine._note_progress()
             # A dropped message is gone: it settles immediately (the
             # lossy contract is that sync_sends does not wait for it).
@@ -511,13 +467,22 @@ class LossyTransport:
         out = replace(msg, send_time=msg.send_time + delay) if delay else msg
         # Reorder: the message overtakes everything queued for its tag
         # class at delivery time (the program sees it first).
-        machine._inject(out, out.send_time, front=plan.should_reorder())
+        machine._inject(out, front=plan.should_reorder())
         if plan.should_duplicate():
             self.wire_duplicates += 1
             dup = replace(
                 out, send_time=out.send_time + machine.spec.message_time(msg.words)
             )
-            machine._inject(dup, dup.send_time, settle=False)
+            machine._inject(dup, settle=False)
+
+
+def _count_drop(wire: "ReliableTransport | LossyTransport", msg: Message, t: float) -> None:
+    """Account one message attempt the wire lost at time ``t``."""
+    wire.wire_dropped += 1
+    machine = wire.machine
+    machine._contexts[msg.src].metrics.messages_dropped += 1
+    if machine.tracer is not None:
+        machine.tracer.drop(t, msg.src, msg.dest, msg.tag, msg.words)
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +524,7 @@ def reliable_send(
     if (
         plan is not None
         and plan.any_message_faults
-        and not getattr(wire, "is_reliable", False)
+        and (wire is None or not wire.is_reliable)
     ):
         from .machine import ProtocolError
 

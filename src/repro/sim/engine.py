@@ -69,7 +69,7 @@ consecutive zero-progress events (``des``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable
 
@@ -422,17 +422,3 @@ class SimEngine:
             f"(livelock guard: some PE keeps yielding without ever blocking, "
             f"charging, or communicating)"
         )
-
-
-def deliver_later(machine, msg, arrival: float, *, front: bool = False, settle: bool = True) -> None:
-    """Schedule ``msg`` to enter its destination inbox at ``arrival``.
-
-    Helper shared by the machine and the transports: rewrites the
-    message's causal timestamp to the network arrival time (so the
-    receiver's clock fast-forwards to when the wire actually finished,
-    queueing included) and posts the delivery event.
-    """
-    out = replace(msg, send_time=arrival) if arrival != msg.send_time else msg
-    machine._engine.post_delivery(
-        arrival, lambda: machine._finish_delivery(out, front=front, settle=settle)
-    )

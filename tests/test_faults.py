@@ -21,6 +21,7 @@ from repro.faults import (
     CrashEvent,
     FaultPlan,
     ReliableConfig,
+    TimedCrash,
     TransportError,
     format_campaign,
     run_campaign,
@@ -39,6 +40,7 @@ from repro.net import (
     render_timeline,
 )
 from repro.net.reliable import fault_tolerant
+from repro.sim.network import Network
 
 
 # ----------------------------------------------------------------------
@@ -669,9 +671,6 @@ def _run_digest(res):
 
 def _contended_run(algorithm, setup):
     """One chaos-graph run at p=3 on the contended network."""
-    from repro.faults import TimedCrash
-    from repro.sim.network import Network
-
     config = CHAOS_ALGORITHMS[algorithm]
     dist = distribute(default_chaos_graph(), num_pes=3)
     contended = Network(model="contended")
@@ -717,8 +716,6 @@ def test_contended_transport_paths_match_golden(algorithm, setup):
 
 @pytest.mark.parametrize("model", ["alpha-beta", "contended"])
 def test_lossy_toy_matches_golden(model):
-    from repro.sim.network import Network
-
     machine = Machine(
         3, network=Network(model=model), fault_plan=_lossy_toy_plan(), transport="lossy"
     )

@@ -16,6 +16,7 @@ from repro.net import (
     barrier,
     sparse_alltoall,
 )
+from repro.sim.network import Network
 
 
 def _divergent_program(ctx):
@@ -175,3 +176,27 @@ def test_engine_runs_clean_under_protocol_check():
         counting_program, dist, CETRIC_CONFIG
     )
     assert res.values[0].triangles_total == 56
+
+
+def test_unsettled_send_fails_teardown(monkeypatch):
+    """Every send settles its sender's in-flight count exactly once."""
+    settle = Machine._settle_send
+    skipped = []
+
+    def skip_first(self, src):
+        if not skipped and self._in_flight is not None:
+            skipped.append(src)
+            return
+        settle(self, src)
+
+    def prog(ctx):
+        ctx.send((ctx.rank + 1) % ctx.num_pes, "ring", None, 1)
+        yield from ctx.recv("ring")
+        return None
+
+    network = Network(model="contended")
+    assert Machine(3, network=network, protocol_check=True).run(prog).values == [None] * 3
+    monkeypatch.setattr(Machine, "_settle_send", skip_first)
+    with pytest.raises(ProtocolError, match="settle exactly once"):
+        Machine(3, network=network, protocol_check=True).run(prog)
+    assert len(skipped) == 1
