@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import repro
 
 ROOT = Path(__file__).parent.parent
@@ -75,3 +77,16 @@ def test_examples_directory_contract():
     readme = (ROOT / "README.md").read_text()
     for ex in examples:
         assert ex.name in readme, f"{ex.name} missing from README"
+
+
+def test_no_build_metadata_is_tracked():
+    """``*.egg-info`` is build output; a tracked copy goes stale."""
+    import shutil
+    import subprocess
+
+    if shutil.which("git") is None or not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    listed = subprocess.run(
+        ["git", "ls-files"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert [p for p in listed if ".egg-info" in p] == []
