@@ -24,7 +24,7 @@ chaos-localized:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --seeds 5 --drop-rates 0,0.02 \
 		--algorithms ditric,cetric --recovery localized
 
-# ruff (style) + repro.lint (SPMD protocol rules R1-R12, see
+# ruff (style) + repro.lint (SPMD protocol rules R1-R14, see
 # docs/SPMD_CONTRACT.md).  ruff is optional locally; CI installs it.
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \

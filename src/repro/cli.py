@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     be.set_defaults(func=_cmd_backends)
 
-    li = sub.add_parser("lint", help="static SPMD protocol checks (R1-R12)")
+    li = sub.add_parser("lint", help="static SPMD protocol checks (R1-R14)")
     li.add_argument("paths", nargs="*", default=["src"], help="files/dirs to lint")
     li.add_argument("--list-rules", action="store_true", help="print rule catalogue")
     li.add_argument("--strict", action="store_true", help="fail on stale baseline entries too")
