@@ -136,10 +136,11 @@ def havoqgt_program(
         }
         yield from alltoallv_dense(ctx, payloads, tag_label="hvq-delegate")
 
-    # Sorted arc keys for O(log d)-style closure checks.
-    nloc = lg.num_local_vertices
+    # Sorted arc keys for O(log d)-style closure checks, in global ids:
+    # visitors name the closing arc's endpoints in them.
+    ids = lg.ids
     src = np.repeat(lg.owned_vertices(), np.diff(og.oxadj))
-    arc_keys = src * np.int64(bound) + og.oadjncy
+    arc_keys = src * np.int64(bound) + ids[og.oadjncy]
     out_deg = np.diff(og.oxadj)
     avg_logdeg = float(np.log2(out_deg.max(initial=0) + 2.0))
     ctx.charge(og.oadjncy.size)
@@ -161,8 +162,8 @@ def havoqgt_program(
             # the ≺-smaller endpoint owns the potential closing arc.
             ku = og.order_keys_of(u)
             kw = og.order_keys_of(w)
-            a = np.where(ku < kw, u, w)
-            b = np.where(ku < kw, w, u)
+            a = ids[np.where(ku < kw, u, w)]
+            b = ids[np.where(ku < kw, w, u)]
             a_local = lg.is_local(a)
             count += _closure_count(
                 ctx, arc_keys, a[a_local], b[a_local], bound, avg_logdeg, visitor_overhead

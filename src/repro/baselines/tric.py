@@ -32,9 +32,10 @@ from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce, alltoallv_dense
 from ..net.frames import RecordFrame, merge_frames
 from ..net.machine import PEContext
-from ..core.engine import _surrogate_filter
-from ..core.intersect import concat_xadj, gather_blocks
-from ..core.kernels import count_csr_pairs, count_record_pairs
+from ..core.engine import _cut_arcs, _local_phase_pairs, _surrogate_filter
+from ..core.intersect import gather_blocks
+from ..core.kernels import count_record_pairs
+from ..core.preprocessing import orient_by_keys
 
 __all__ = ["tric_program", "PETricCounts"]
 
@@ -47,20 +48,6 @@ class PETricCounts:
     local_count: int
     remote_count: int
     staged_words: int
-
-
-def _id_oriented(lg) -> tuple[np.ndarray, np.ndarray]:
-    """Out-neighborhoods under the plain vertex-ID order (no exchange).
-
-    ``A(v) = {u in N_v : u > v}`` — computable without ghost degrees,
-    which is why TriC has essentially no preprocessing phase.
-    """
-    src = np.repeat(lg.owned_vertices(), lg.degrees)
-    keep = lg.adjncy > src
-    counts = np.bincount(
-        (src[keep] - lg.vlo), minlength=lg.num_local_vertices
-    )
-    return concat_xadj(counts), lg.adjncy[keep]
 
 
 def tric_program(
@@ -77,30 +64,19 @@ def tric_program(
     bound = dist.num_vertices + 1
 
     with ctx.span("preprocessing"):
-        oxadj, oadjncy = _id_oriented(lg)
-        ctx.charge(lg.adjncy.size)
+        # The plain vertex-ID order, A(v) = {u in N_v : u > v}: computable
+        # without ghost degrees, which is why TriC has essentially no
+        # preprocessing phase.
+        og = orient_by_keys(ctx, lg, lg.owned_vertices(), lg.ghost_vertices)
 
     with ctx.span("local"):
-        nloc = lg.num_local_vertices
-        src_slots = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(oxadj))
-        dst_local = lg.is_local(oadjncy)
-        local_count = count_csr_pairs(
-            ctx,
-            oxadj,
-            oadjncy,
-            src_slots[dst_local],
-            oxadj,
-            oadjncy,
-            oadjncy[dst_local] - vlo,
-            bound,
-        )
+        local_count = _local_phase_pairs(ctx, og, expanded=False)
         yield
 
     with ctx.span("global"):
         # Stage *everything* up front (static aggregation).
-        c_src = src_slots[~dst_local]
-        c_dst = oadjncy[~dst_local]
-        dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
+        oxadj, oadjncy = og.oxadj, lg.ids[og.oadjncy]
+        c_src, _, dst_ranks = _cut_arcs(lg, oxadj, oadjncy)
         sends = _surrogate_filter(c_src, dst_ranks, enabled=True)
         ctx.charge(c_src.size)
         # One frame per destination: the surrogate records sorted

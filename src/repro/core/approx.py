@@ -148,11 +148,12 @@ def _amq_queries(
     vlo: int,
     amq_kind: Literal["bloom", "ssbf"],
     budget: float,
-) -> list[tuple[int, BloomFilter | SingleShotBloomFilter, int, np.ndarray, np.ndarray]]:
+) -> list[tuple[int, BloomFilter | SingleShotBloomFilter, int, slice, np.ndarray]]:
     """Decode every received filter (sized like :func:`_make_amq` from
     ``|A(v)|`` in the target field) and query it with the ``A(u)`` of each
-    of its owned targets ``u``: ``(v, filter, u, A(u), positive mask)`` per
-    non-empty ``A(u)``.  Decoding charges nothing, like receiving."""
+    of its owned targets ``u``: ``(v, filter, u, block, positive mask)``
+    per non-empty ``A(u) = send_adj[block]``.  Decoding charges nothing,
+    like receiving."""
     out = []
     bounds = received.xadj.tolist()
     for i, (v, size) in enumerate(zip(received.vertices.tolist(), received.targets.tolist())):
@@ -163,11 +164,11 @@ def _amq_queries(
         else:
             amq, used = SingleShotBloomFilter.from_words(block, size, budget, seed=v)
         for u in block[used:].tolist():
-            a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
-            if a_u.size == 0:
+            a_u = slice(send_xadj[u - vlo], send_xadj[u - vlo + 1])
+            if a_u.start == a_u.stop:
                 continue
-            positive = amq.query(a_u)
-            ctx.charge(a_u.size)
+            positive = amq.query(send_adj[a_u])
+            ctx.charge(positive.size)
             out.append((v, amq, u, a_u, positive))
     return out
 
@@ -201,18 +202,19 @@ def amq_cetric_program(
         yield
 
     send_xadj, send_adj = _send_structure(ctx, og, True)
+    send_adj = lg.ids[send_adj]
     with ctx.span("global"):
         received = yield from _amq_global_phase(
             ctx, lg, config, send_xadj, send_adj, "amq-nbh", amq_kind, budget
         )
         approx_remote = 0.0
-        for _, amq, _, a_u, positive in _amq_queries(
+        for _, amq, _, _, positive in _amq_queries(
             ctx, received, send_xadj, send_adj, lg.vlo, amq_kind, budget
         ):
             hits = int(np.count_nonzero(positive))
             fpr = amq.expected_fpr()
             if correct_bias and fpr < 1.0:
-                approx_remote += (hits - a_u.size * fpr) / (1.0 - fpr)
+                approx_remote += (hits - positive.size * fpr) / (1.0 - fpr)
             else:
                 approx_remote += hits
         yield
@@ -268,7 +270,8 @@ def amq_lcc_program(
             delta.credit(ctx, corners, 1.0)
         yield
 
-    send_xadj, send_adj = _send_structure(ctx, og, True)
+    send_xadj, send_slots = _send_structure(ctx, og, True)
+    send_adj = lg.ids[send_slots]
     with ctx.span("global"):
         received = yield from _amq_global_phase(
             ctx, lg, config, send_xadj, send_adj, "amq-lcc", amq_kind, budget
@@ -281,13 +284,13 @@ def amq_lcc_program(
                 continue
             fpr = amq.expected_fpr()
             if correct_bias and fpr < 1.0:
-                weight = max(0.0, (hits - a_u.size * fpr) / ((1.0 - fpr) * hits))
+                weight = max(0.0, (hits - positive.size * fpr) / ((1.0 - fpr) * hits))
             else:
                 weight = 1.0
             # Corners: record vertex v (ghost), owned u, positives w.
-            delta.credit(ctx, np.array([v], dtype=np.int64), weight * hits)
+            delta.credit(ctx, lg.slots_of([v]), weight * hits)
             delta.local[u - lg.vlo] += weight * hits
-            delta.credit(ctx, a_u[positive], weight)
+            delta.credit(ctx, send_slots[a_u][positive], weight)
         yield
 
     yield from delta.push_back(ctx, "amq-delta")

@@ -58,7 +58,7 @@ def components_program(
 
         # Relax: label(v) <- min over closed neighborhood.
         new_labels = labels.copy()
-        np.minimum.at(new_labels, rows, np.concatenate((labels, ghost_labels))[slots])
+        np.minimum.at(new_labels, rows, lg.by_slot(labels, ghost_labels)[slots])
         ctx.charge(lg.adjncy.size)
         changed = int(np.count_nonzero(new_labels != labels))
         labels = new_labels

@@ -139,8 +139,10 @@ def _local_pair_groups(og: OrientedLocalGraph, *, expanded: bool) -> list[tuple]
 
     Returns ``(pairs, a, b)`` triples: ``pairs`` is the ``(left_xadj,
     left_adj, left_slots, right_xadj, right_adj, right_slots)`` batch of
-    :func:`count_csr_pairs`, and ``a``/``b`` hold the global ids of each
-    pair's two endpoints (the closing vertex is the intersection).
+    :func:`count_csr_pairs` over the slot-row CSRs of
+    :meth:`~repro.core.preprocessing.OrientedLocalGraph.slot_rows`, and
+    ``a``/``b`` hold the slots of each pair's two endpoints (the closing
+    vertex is the intersection).
 
     ``expanded=False`` (DITRIC): arcs ``(v, u)`` with both endpoints
     owned, full ``A`` sets — finds type-1 triangles only.
@@ -149,35 +151,28 @@ def _local_pair_groups(og: OrientedLocalGraph, *, expanded: bool) -> list[tuple]
     Algorithm 3 lines 5-7, with ghost ``A`` sets restricted to local
     vertices — finds all type-1 and type-2 triangles.
     """
-    lg = og.lg
-    vlo = lg.vlo
-    owned, ghost = (og.oxadj, og.oadjncy), (og.goxadj, og.goadjncy)
-    src_slots = np.repeat(np.arange(lg.num_local_vertices, dtype=np.int64), np.diff(og.oxadj))
-    dst = og.oadjncy
-    dst_local = lg.is_local(dst)
+    owned, ghost = og.slot_rows()
+    slots = np.arange(og.lg.ids.size, dtype=np.int64)
+    src, dst = np.repeat(slots, np.diff(owned[0])), og.oadjncy
+    local = og.lg.is_owned(dst)
+
+    def group(left, a, right, b):
+        return (*left, a, *right, b), a, b
+
     # Owned v -> owned u (both variants): full A(v) with full A(u).
-    l_src, l_dst = src_slots[dst_local], dst[dst_local]
-    groups = [((*owned, l_src, *owned, l_dst - vlo), l_src + vlo, l_dst)]
-    if not expanded:
-        return groups
-    ghosts = lg.ghost_vertices
-    # Owned v -> ghost u: full A(v) with the local-restricted A(u).
-    g_src, g_dst = src_slots[~dst_local], dst[~dst_local]
-    if g_src.size:
-        g_slots = lg.slots_of(g_dst) - lg.num_local_vertices
-        groups.append(((*owned, g_src, *ghost, g_slots), g_src + vlo, g_dst))
-    # Ghost g -> owned u (u in A(g) is owned by construction): A(g)
-    # with full A(u).
-    if ghosts.size:
-        gh_src = np.repeat(np.arange(ghosts.size, dtype=np.int64), np.diff(og.goxadj))
-        gh_dst = og.goadjncy
-        groups.append(((*ghost, gh_src, *owned, gh_dst - vlo), ghosts[gh_src], gh_dst))
+    groups = [group(owned, src[local], owned, dst[local])]
+    if expanded:
+        # Owned v -> ghost u: full A(v) with the local-restricted A(u).
+        groups.append(group(owned, src[~local], ghost, dst[~local]))
+        # Ghost g -> owned u (u in A(g) is owned by construction): A(g)
+        # with full A(u).
+        groups.append(group(ghost, np.repeat(slots, np.diff(ghost[0])), owned, og.goadjncy))
     return groups
 
 
 def _local_phase_pairs(ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool) -> int:
     """Triangles available without communication (see :func:`_local_pair_groups`)."""
-    bound = og.num_vertices + 1
+    bound = og.lg.ids.size
     groups = _local_pair_groups(og, expanded=expanded)
     return sum(count_csr_pairs(ctx, *pairs, bound) for pairs, _, _ in groups)
 
@@ -185,8 +180,8 @@ def _local_phase_pairs(ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool
 def _local_phase_triangles(
     ctx: PEContext, og: OrientedLocalGraph, *, expanded: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The local phase's triangles as corner triples ``(a, b, closing)``."""
-    bound = og.num_vertices + 1
+    """The local phase's triangles as corner slot triples ``(a, b, closing)``."""
+    bound = og.lg.ids.size
     a_out, b_out, c_out = [], [], []
     for pairs, a, b in _local_pair_groups(og, expanded=expanded):
         counts, closing = csr_pairs_elements(ctx, *pairs, bound)
@@ -201,8 +196,9 @@ def _local_phase_triangles(
 def _send_structure(
     ctx: PEContext, og: OrientedLocalGraph, contraction: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR the global phase ships: contracted to the cut arcs (the
-    ``contraction`` phase of CETRIC) or the full oriented one (DITRIC)."""
+    """The CSR the global phase ships, in slots (``ids[...]`` leaves the PE):
+    contracted to the cut arcs (the ``contraction`` phase of CETRIC) or
+    the full oriented one (DITRIC)."""
     if not contraction:
         return og.oxadj, og.oadjncy
     with ctx.span("contraction"):
@@ -289,23 +285,23 @@ def _triangle_phases(
 
     The skeleton of the element-returning programs (enumeration, exact
     LCC): ``found(a, b, c)`` receives each phase's triangles as corner
-    arrays — the local phase's, then those this PE closes on records
-    received under ``tag`` — and every triangle is reported exactly
-    once machine-wide.
+    slot arrays — the local phase's, then those this PE closes on
+    records received under ``tag`` — and every triangle is reported
+    exactly once machine-wide.
     """
     og = yield from _preprocess(ctx, lg, config)
     with ctx.span("local"):
         found(*_local_phase_triangles(ctx, og, expanded=config.contraction))
         yield
     send_xadj, send_adj = _send_structure(ctx, og, config.contraction)
+    send_adj = lg.ids[send_adj]
+    del og
     with ctx.span("global"):
         router, _, _ = _post_cut_neighborhoods(ctx, lg, config, send_xadj, send_adj, tag)
         records = yield from router.finalize()
-        found(
-            *record_pairs_elements(
-                ctx, records, send_xadj, send_adj, lg.vlo, lg.vhi, og.num_vertices + 1
-            )
-        )
+        bound = lg.partition.num_vertices + 1
+        corners = record_pairs_elements(ctx, records, send_xadj, send_adj, lg.vlo, lg.vhi, bound)
+        found(*(lg.slots_of(ids) for ids in corners))
         del records  # a received view pins its sender's whole gather
         yield
 
@@ -367,6 +363,9 @@ def counting_program(
             yield
     else:
         send_xadj, send_adj = og.oxadj, og.oadjncy
+    # DITRIC ships its whole oriented CSR: drop the slot-valued copy.
+    send_adj = lg.ids[send_adj]
+    del og, snap
 
     with ctx.span("global"):
         router, records_sent, posted_words = _post_cut_neighborhoods(

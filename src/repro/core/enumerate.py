@@ -53,13 +53,14 @@ def enumerate_program(
     config: EngineConfig = EngineConfig(contraction=True),
 ) -> Generator[None, None, PETriangles]:
     """SPMD triangle enumeration (CETRIC- or DITRIC-flavoured)."""
+    lg = dist.view(ctx.rank)
     parts: list[np.ndarray] = []
 
     def keep_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         if a.size:
-            parts.append(_rows(a, b, c))
+            parts.append(_rows(lg.ids[a], lg.ids[b], lg.ids[c]))
 
-    yield from _triangle_phases(ctx, dist.view(ctx.rank), config, "enum-nbh", keep_rows)
+    yield from _triangle_phases(ctx, lg, config, "enum-nbh", keep_rows)
     mine = (
         np.concatenate(parts, axis=0) if parts else np.empty((0, 3), dtype=np.int64)
     )

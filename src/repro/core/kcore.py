@@ -49,7 +49,7 @@ def h_index(values: np.ndarray) -> int:
 class PECores:
     """Per-PE outcome of the distributed k-core program."""
 
-    #: Exact core numbers of the owned vertices (aligned with slots).
+    #: Exact core numbers of the owned vertices (row ``v - vlo``).
     cores: np.ndarray
     #: Number of synchronous rounds until the fixpoint.
     rounds: int
@@ -80,7 +80,7 @@ def kcore_program(ctx: PEContext, dist: DistGraph) -> Generator[None, None, PECo
         est_ghost = yield from exchange_ghost_values(ctx, lg, send_plan, est_local, "kcore-est")
 
         # One h-index sweep over the owned vertices.
-        nbr_est = np.concatenate((est_local, est_ghost))[slots]
+        nbr_est = lg.by_slot(est_local, est_ghost)[slots]
         new_est = _batch_h_index(nbr_est, lg.xadj)
         # H-operator never increases estimates below the true core.
         changed = int(np.count_nonzero(new_est != est_local))

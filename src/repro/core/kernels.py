@@ -206,7 +206,7 @@ def count_record_pairs(
     """Receiver-side counting: ``sum |A(v) ∩ A(u)|`` over a received frame.
 
     ``local_xadj``/``local_adj`` is the receiver's oriented (or
-    contracted) CSR over owned-vertex slots.  For every record
+    contracted) CSR, row ``u - vlo``, in global ids.  For every record
     ``(v, A(v))`` and every ``u ∈ A(v) ∩ V_i``, intersect the record's
     array with the local ``A(u)`` (Algorithm 2 lines 6-7 /
     Algorithm 3 lines 14-16).

@@ -56,7 +56,7 @@ def lcc_sequential(graph: CSRGraph) -> np.ndarray:
 class PELcc:
     """Per-PE outcome of the distributed LCC program."""
 
-    #: Exact Δ(v) for this PE's owned vertices (aligned with the slot).
+    #: Exact Δ(v) for this PE's owned vertices (row ``v - vlo``).
     delta: np.ndarray
     #: LCC of owned vertices.
     lcc: np.ndarray
@@ -68,32 +68,30 @@ class _GhostDelta:
     """Per-vertex triangle credits Δ of one PE: owned vertices and ghosts.
 
     A triangle found here may have ghost corners; their credits collect
-    in :attr:`ghost` until :meth:`push_back` sends them to the owners.
+    in the ghost slots until :meth:`push_back` sends them to the owners.
     """
 
     def __init__(self, lg, dtype) -> None:
         self.lg = lg
-        nloc = lg.num_local_vertices
         #: Δ of the owned vertices and ghosts, indexed by slot.
-        self.values = np.zeros(nloc + lg.num_ghosts, dtype=dtype)
+        self.values = np.zeros(lg.ids.size, dtype=dtype)
         #: Δ of the owned vertices (a view of :attr:`values`).
-        self.local = self.values[:nloc]
-        #: Δ credited to ghosts (a view of :attr:`values`).
-        self.ghost = self.values[nloc:]
+        self.local = self.values[lg.owned_slots]
 
-    def credit(self, ctx: PEContext, vertices: np.ndarray, weight=1) -> None:
-        """Add ``weight`` (a scalar or one per vertex) to each listed
-        corner, owned or ghost."""
-        np.add.at(self.values, self.lg.slots_of(vertices), weight)
-        ctx.charge(vertices.size)
+    def credit(self, ctx: PEContext, slots: np.ndarray, weight=1) -> None:
+        """Add ``weight`` (a scalar or one per corner) to each listed
+        corner slot, owned or ghost."""
+        np.add.at(self.values, slots, weight)
+        ctx.charge(slots.size)
 
     def push_back(self, ctx: PEContext, tag_label: str) -> Generator[None, None, None]:
         """Send every nonzero ghost Δ to its owner and add what arrives
         (collective; Section IV-E's postprocessing all-to-all)."""
         lg = self.lg
         with ctx.span("delta-exchange"):
-            nz = self.ghost > 0
-            gids, gvals = lg.ghost_vertices[nz], self.ghost[nz]
+            ghost = lg.ghost_part(self.values)
+            nz = ghost > 0
+            gids, gvals = lg.ghost_vertices[nz], ghost[nz]
             # Ghosts ascend, so their owners do: one payload per run.
             owner = lg.partition.rank_of(gids)
             starts = np.flatnonzero(np.diff(owner, prepend=-1))

@@ -46,6 +46,7 @@ __all__ = [
     "first_of_runs",
     "OrientedLocalGraph",
     "build_oriented",
+    "orient_by_keys",
     "DEGREE_XCHG_PHASE",
 ]
 
@@ -115,11 +116,11 @@ def exchange_ghost_values(
     received = [msg.payload for msg in msgs if msg.payload is not None]
     for ids, _ in received:
         ctx.charge(ids.size)
-    ghost_values = np.zeros(lg.num_ghosts, dtype=values.dtype)
+    arrived = np.zeros(lg.ids.size, dtype=values.dtype)
     if received:
         ids, vals = (np.concatenate(parts) for parts in zip(*received))
-        ghost_values[lg.slots_of(ids) - lg.num_local_vertices] = vals
-    return ghost_values
+        arrived[lg.slots_of(ids)] = vals
+    return lg.ghost_part(arrived)
 
 
 def exchange_ghost_degrees(
@@ -143,17 +144,17 @@ def exchange_ghost_degrees(
 class OrientedLocalGraph:
     """A PE's degree-oriented view, ready for counting.
 
-    Arrays (all global vertex ids, neighborhoods sorted by id):
+    Neighbour entries are slots of the PE's slot table
+    (:attr:`~repro.graphs.distributed.LocalGraph.ids`), sorted:
 
     * ``oxadj`` / ``oadjncy`` — ``A(v) = {x in N_v | x > v}`` for every
-      owned vertex ``v`` (Algorithm 3 line 3); slot of ``v`` is
-      ``v - vlo``.
+      owned vertex ``v`` (Algorithm 3 line 3), row ``v - vlo``.
     * ``goxadj`` / ``goadjncy`` — ``A(g) = {x in N_g | x > g, x in V_i}``
-      for every ghost ``g`` (Algorithm 3 line 4), indexed by ghost
-      slot; present only when built with ``with_ghosts=True``
-      (CETRIC's expanded local graph).
-    * ``key_bound`` and the degree arrays let callers evaluate the
-      total order for any locally known vertex.
+      for every ghost ``g`` (Algorithm 3 line 4), in ghost order;
+      present only when built with ``with_ghosts=True`` (CETRIC's
+      expanded local graph).
+    * ``local_keys`` / ``ghost_keys`` — the order keys of the owned
+      vertices and the ghosts (:meth:`order_keys_of` by slot).
     """
 
     lg: LocalGraph
@@ -161,43 +162,48 @@ class OrientedLocalGraph:
     oadjncy: np.ndarray
     goxadj: np.ndarray | None
     goadjncy: np.ndarray | None
-    #: Order keys of owned vertices (aligned with local slots).
+    #: Order keys of owned vertices (aligned with the rows).
     local_keys: np.ndarray
-    #: Order keys of ghosts (aligned with ghost slots).
+    #: Order keys of ghosts (aligned with ghost_vertices).
     ghost_keys: np.ndarray
 
-    @property
-    def vlo(self) -> int:
-        """First owned vertex id (slot 0)."""
-        return self.lg.vlo
-
-    @property
-    def num_vertices(self) -> int:
-        """Global vertex count (key/offset bound for batch kernels)."""
-        return self.lg.partition.num_vertices
-
     def out_neighborhood(self, v: int) -> np.ndarray:
-        """``A(v)`` of an owned vertex."""
+        """``A(v)`` of an owned vertex, in global ids (``KeyError`` for
+        any other)."""
         s = v - self.lg.vlo
-        return self.oadjncy[self.oxadj[s] : self.oxadj[s + 1]]
+        if not 0 <= s < self.lg.num_local_vertices:
+            raise KeyError(f"vertex {v} is not local to PE {self.lg.rank}")
+        return self.lg.ids[self.oadjncy[self.oxadj[s] : self.oxadj[s + 1]]]
 
     def out_degrees(self) -> np.ndarray:
         """``d^+`` of all owned vertices."""
         return np.diff(self.oxadj)
 
-    def ghost_out_neighborhood(self, slot: int) -> np.ndarray:
-        """``A(g)`` of the ghost in the given slot (local-restricted)."""
+    def ghost_out_neighborhood(self, k: int) -> np.ndarray:
+        """``A(g)`` of the ``k``-th ghost (local-restricted), in global ids."""
         if self.goxadj is None:
             raise RuntimeError("built without ghost neighborhoods")
-        return self.goadjncy[self.goxadj[slot] : self.goxadj[slot + 1]]
+        return self.lg.ids[self.goadjncy[self.goxadj[k] : self.goxadj[k + 1]]]
 
-    def order_keys_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Total-order keys for any locally known (owned or ghost) vertices.
+    def order_keys_of(self, slots: np.ndarray) -> np.ndarray:
+        """Total-order keys of the given slots.
 
         Needed by wedge-checking baselines that must decide which
         endpoint of a candidate closing edge is the ≺-smaller one.
         """
-        return np.concatenate((self.local_keys, self.ghost_keys))[self.lg.slots_of(vertices)]
+        return self.lg.by_slot(self.local_keys, self.ghost_keys)[slots]
+
+    def slot_rows(self) -> tuple[tuple, tuple | None]:
+        """The owned and the ghost rows as ``(xadj, adjncy)`` CSRs with one
+        row per slot; the other kind's rows are empty.  The ghost CSR is
+        ``None`` when built without ghost neighborhoods."""
+        lg = self.lg
+        no_owned = np.zeros(lg.num_local_vertices, dtype=np.int64)
+        no_ghosts = np.zeros(lg.num_ghosts, dtype=np.int64)
+        owned = (concat_xadj(lg.by_slot(self.out_degrees(), no_ghosts)), self.oadjncy)
+        if self.goxadj is None:
+            return owned, None
+        return owned, (concat_xadj(lg.by_slot(no_owned, np.diff(self.goxadj))), self.goadjncy)
 
     def contracted(self) -> tuple[np.ndarray, np.ndarray]:
         """CETRIC's contraction (Algorithm 3 line 8): drop non-cut arcs.
@@ -205,19 +211,51 @@ class OrientedLocalGraph:
         Returns ``(cxadj, cadjncy)`` where the neighborhood of owned
         vertex ``v`` keeps only out-neighbors *not* local to this PE.
         """
-        mask = ~self.lg.is_local(self.oadjncy)
-        src_slots = np.repeat(
-            np.arange(self.lg.num_local_vertices, dtype=np.int64),
-            np.diff(self.oxadj),
-        )
-        counts = np.bincount(src_slots[mask], minlength=self.lg.num_local_vertices)
-        cxadj = concat_xadj(counts)
-        return cxadj, self.oadjncy[mask]
+        cut = ~self.lg.is_owned(self.oadjncy)
+        return _kept_rows(self.oxadj, self.oadjncy, cut)
 
 
 def _order_keys(degrees: np.ndarray, ids: np.ndarray, bound: int) -> np.ndarray:
     """``(degree, id)`` encoded so numeric ``<`` realizes the total order."""
     return degrees.astype(np.int64) * np.int64(bound) + ids.astype(np.int64)
+
+
+def _kept_rows(xadj: np.ndarray, adj: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(xadj, adj)`` restricted to the entries ``keep`` selects."""
+    rows = np.repeat(np.arange(xadj.size - 1, dtype=np.int64), np.diff(xadj))
+    return concat_xadj(np.bincount(rows[keep], minlength=xadj.size - 1)), adj[keep]
+
+
+def orient_by_keys(
+    ctx: PEContext,
+    lg: LocalGraph,
+    local_keys: np.ndarray,
+    ghost_keys: np.ndarray,
+    *,
+    with_ghosts: bool = False,
+) -> OrientedLocalGraph:
+    """Orient the local view along the order of the given keys (no
+    communication): ``A(v)`` keeps the neighbours ``x`` with
+    ``key(v) < key(x)``.
+
+    ``with_ghosts=True`` additionally builds the ghosts' local-restricted
+    out-neighborhoods — the expanded local graph of CETRIC's local
+    phase.  Work charged: one op per adjacency entry scanned.
+    """
+    keys = lg.by_slot(local_keys, ghost_keys)
+    adj = lg.adj_slots()
+    oxadj, oadjncy = _kept_rows(lg.xadj, adj, np.repeat(local_keys, lg.degrees) < keys[adj])
+    ctx.charge(adj.size)  # one pass over the local adjacency
+
+    goxadj = goadjncy = None
+    if with_ghosts:
+        gxadj, gadj = lg.ghost_local_neighborhoods(adj)
+        # Keep x with x > g under the order: key(x) > key(g).
+        keep = np.repeat(ghost_keys, np.diff(gxadj)) < keys[gadj]
+        goxadj, goadjncy = _kept_rows(gxadj, gadj, keep)
+        ctx.charge(gadj.size)
+
+    return OrientedLocalGraph(lg, oxadj, oadjncy, goxadj, goadjncy, local_keys, ghost_keys)
 
 
 def build_oriented(
@@ -230,55 +268,12 @@ def build_oriented(
 
     Requires ``lg.ghost_degrees`` to be filled (run
     :func:`exchange_ghost_degrees` first) unless the PE has no ghosts.
-
-    ``with_ghosts=True`` additionally builds the ghosts' local-restricted
-    out-neighborhoods — the expanded local graph of CETRIC's local
-    phase.  Work charged: one op per adjacency entry scanned.
+    See :func:`orient_by_keys` for ``with_ghosts``.
     """
     ghosts = lg.ghost_vertices
     if ghosts.size and lg.ghost_degrees is None:
         raise RuntimeError("ghost degrees missing; run exchange_ghost_degrees")
-    n = lg.partition.num_vertices
-    bound = n + 1
-
-    local_ids = lg.owned_vertices()
-    local_keys = _order_keys(lg.degrees, local_ids, bound)
-    ghost_keys = (
-        _order_keys(lg.ghost_degrees, ghosts, bound)
-        if ghosts.size
-        else np.empty(0, dtype=np.int64)
-    )
-
-    src_keys = np.repeat(local_keys, lg.degrees)
-    dst_keys = np.concatenate((local_keys, ghost_keys))[lg.adj_slots()]
-    keep = src_keys < dst_keys
-    src_slots = np.repeat(
-        np.arange(lg.num_local_vertices, dtype=np.int64), lg.degrees
-    )
-    counts = np.bincount(src_slots[keep], minlength=lg.num_local_vertices)
-    oxadj = concat_xadj(counts)
-    oadjncy = lg.adjncy[keep]
-    ctx.charge(lg.adjncy.size)  # one pass over the local adjacency
-
-    goxadj = goadjncy = None
-    if with_ghosts:
-        gxadj, gadjncy = lg.ghost_local_neighborhoods()
-        # Keep x with x > g under the order: key(x) > key(g).
-        g_src_keys = np.repeat(ghost_keys, np.diff(gxadj))
-        g_dst_keys = local_keys[gadjncy - lg.vlo]
-        gkeep = g_src_keys < g_dst_keys
-        g_src_slots = np.repeat(np.arange(ghosts.size, dtype=np.int64), np.diff(gxadj))
-        gcounts = np.bincount(g_src_slots[gkeep], minlength=ghosts.size)
-        goxadj = concat_xadj(gcounts)
-        goadjncy = gadjncy[gkeep]
-        ctx.charge(gadjncy.size)
-
-    return OrientedLocalGraph(
-        lg=lg,
-        oxadj=oxadj,
-        oadjncy=oadjncy,
-        goxadj=goxadj,
-        goadjncy=goadjncy,
-        local_keys=local_keys,
-        ghost_keys=ghost_keys,
-    )
+    bound = lg.partition.num_vertices + 1
+    local_keys = _order_keys(lg.degrees, lg.owned_vertices(), bound)
+    ghost_keys = _order_keys(lg.ghost_degrees, ghosts, bound) if ghosts.size else ghosts
+    return orient_by_keys(ctx, lg, local_keys, ghost_keys, with_ghosts=with_ghosts)

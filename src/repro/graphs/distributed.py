@@ -15,14 +15,17 @@ communication* lives here:
   vertices (obtained by "rewiring incoming cut edges", no
   communication needed).
 
-One slot rule addresses every vertex a PE knows, and this module is
-the only code that applies it: slots ``0 .. |V_i| - 1`` are the owned
-vertices (``v - vlo``), slots ``|V_i| .. |V_i| + |\\partial V_i| - 1``
-the ghosts in :attr:`LocalGraph.ghost_vertices` order.  Per-vertex
-data over both kinds is one array indexed by slot: callers gather
-from ``np.concatenate((owned_values, ghost_values))`` with
-:meth:`LocalGraph.adj_slots` (every adjacency entry) or
-:meth:`LocalGraph.slots_of` (any known ids, checked).
+One slot table addresses every vertex a PE knows, and this module is
+the only code that translates between slots and global ids: slot ``s``
+is position ``s`` of :attr:`LocalGraph.ids`, the sorted union of the
+owned range and the ghosts, so the owned vertices fill the contiguous
+:attr:`LocalGraph.owned_slots` and a sorted neighbourhood stays sorted
+once relabelled.  A PE's own adjacency is relabelled once per program
+(:meth:`LocalGraph.adj_slots`), ids that arrive in messages are looked
+up, checked, with :meth:`LocalGraph.slots_of`, and ``ids[slots]`` gives
+global ids back where data leaves the PE or is returned.  Per-vertex
+data over owned vertices and ghosts is one slot-indexed array
+(:meth:`LocalGraph.by_slot`; :meth:`LocalGraph.ghost_part` inverts it).
 
 The simulation-only escape hatch :func:`distribute` slices a global
 :class:`~repro.graphs.csr.CSRGraph` into per-PE views — standing in
@@ -56,9 +59,9 @@ class LocalGraph:
         the paper's code).
     xadj, adjncy:
         Adjacency array of the owned vertices.  ``xadj`` has
-        ``|V_i| + 1`` entries; vertex ``v`` (global id) maps to local
-        slot ``v - vlo``.  ``adjncy`` holds *global* neighbor ids,
-        sorted ascending within each neighborhood.
+        ``|V_i| + 1`` entries; vertex ``v`` (global id) is row
+        ``v - vlo``.  ``adjncy`` holds *global* neighbor ids, sorted
+        ascending within each neighborhood.
     """
 
     rank: int
@@ -77,6 +80,7 @@ class LocalGraph:
             raise ValueError("xadj length must be |V_i| + 1")
         self._vlo, self._vhi = lo, hi
         self._ghosts: np.ndarray | None = None
+        self._ids: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -123,9 +127,8 @@ class LocalGraph:
         return self.adjncy[self.xadj[s] : self.xadj[s + 1]]
 
     def degree_of(self, v: int) -> int:
-        """Degree of an owned vertex."""
-        s = v - self._vlo
-        return int(self.xadj[s + 1] - self.xadj[s])
+        """Degree of an owned vertex (``KeyError`` for any other)."""
+        return self.neighbors(v).size
 
     # ------------------------------------------------------------------
     # Ghost / interface / cut structure
@@ -143,30 +146,53 @@ class LocalGraph:
         """``|\\partial V_i|``."""
         return self.ghost_vertices.size
 
-    def _slots(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slots of ``v`` by the slot rule, unchecked, plus the ghost mask."""
-        slots = v - self._vlo
-        ghost = ~self.is_local(v)
-        slots[ghost] = self.num_local_vertices + np.searchsorted(self.ghost_vertices, v[ghost])
-        return slots, ghost
+    @property
+    def owned_slots(self) -> slice:
+        """The contiguous slots of the owned vertices."""
+        below = int(np.searchsorted(self.ghost_vertices, self._vlo))
+        return slice(below, below + self.num_local_vertices)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Global id of every slot: ``sorted(V_i ∪ ∂V_i)`` (cached)."""
+        if self._ids is None:
+            self._ids = self.by_slot(self.owned_vertices(), self.ghost_vertices)
+        return self._ids
+
+    def is_owned(self, slots: np.ndarray) -> np.ndarray:
+        """Vectorized ``slot in owned_slots`` test."""
+        own = self.owned_slots
+        return (slots >= own.start) & (slots < own.stop)
 
     def adj_slots(self) -> np.ndarray:
-        """Slot of every :attr:`adjncy` entry (its non-local entries are
-        ghosts by definition, so no check is needed)."""
-        return self._slots(self.adjncy)[0]
+        """Slot of every :attr:`adjncy` entry, through a transient n-entry
+        map over the ids (relabel once per program; nothing is cached)."""
+        index = np.empty(self.partition.num_vertices, dtype=np.int64)
+        index[self.ids] = np.arange(self.ids.size, dtype=np.int64)
+        return index[self.adjncy]
 
     def slots_of(self, vertices) -> np.ndarray:
-        """Slot of each owned or ghost id (see the module docstring).
+        """Slot of each owned or ghost id that arrived in a message.
 
         Raises ``KeyError`` for an id that is neither owned nor a ghost.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        slots, ghost = self._slots(v)
-        ghosts = self.ghost_vertices
-        k = np.minimum(slots[ghost] - self.num_local_vertices, ghosts.size - 1)
-        if k.size and not (ghosts.size and np.array_equal(ghosts[k], v[ghost])):
+        ids = self.ids
+        slots = np.searchsorted(ids, v)
+        k = np.minimum(slots, ids.size - 1)
+        if v.size and not (ids.size and np.array_equal(ids[k], v)):
             raise KeyError(f"vertex is neither owned by nor a ghost of PE {self.rank}")
         return slots
+
+    def by_slot(self, owned: np.ndarray, ghost: np.ndarray) -> np.ndarray:
+        """One slot-indexed array from values aligned with the owned
+        vertices and with :attr:`ghost_vertices` (``ghost``'s dtype)."""
+        return np.insert(ghost, self.owned_slots.start, owned)
+
+    def ghost_part(self, values: np.ndarray) -> np.ndarray:
+        """The ghosts' entries of a slot-indexed array, in
+        :attr:`ghost_vertices` order."""
+        return np.delete(values, self.owned_slots)
 
     def interface_vertices(self) -> np.ndarray:
         """Global ids of owned vertices adjacent to at least one ghost."""
@@ -202,31 +228,31 @@ class LocalGraph:
     # ------------------------------------------------------------------
     # CETRIC support: the expanded local graph
     # ------------------------------------------------------------------
-    def ghost_local_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
+    def ghost_local_neighborhoods(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Local neighborhoods of ghosts: ``N_g \\cap V_i`` for each ghost.
 
         Built purely from local data by inverting cut edges ("rewiring
         incoming cut edges" in Section IV-D): every cut arc
         ``(v, g)`` contributes ``v`` to ghost ``g``'s local
-        neighborhood.
+        neighborhood.  ``slots`` is :meth:`adj_slots`.
 
         Returns
         -------
         (gxadj, gadjncy):
-            CSR arrays over the ghosts in :attr:`ghost_vertices` order
-            (ghost ``k`` is slot ``|V_i| + k``); neighborhoods sorted
-            ascending.
+            CSR arrays over the ghosts in :attr:`ghost_vertices` order,
+            holding slots; neighborhoods sorted ascending.
         """
-        nloc = self.num_local_vertices
-        slots = self.adj_slots()
-        cut = slots >= nloc
-        ghost_slots = slots[cut] - nloc
+        own = self.owned_slots
+        cut = ~self.is_owned(slots)
+        ghost_slots = slots[cut]
         # The owned endpoints come sorted, so a stable sort by ghost
         # slot keeps each ghost's local neighbours ascending.
         order = np.argsort(ghost_slots, kind="stable")
-        local_nbrs = np.repeat(self.owned_vertices(), self.degrees)[cut][order]
+        owned = np.arange(own.start, own.stop, dtype=np.int64)
+        local_nbrs = np.repeat(owned, self.degrees)[cut][order]
+        counts = np.bincount(ghost_slots, minlength=self.ids.size)
         gxadj = np.zeros(self.num_ghosts + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ghost_slots, minlength=self.num_ghosts), out=gxadj[1:])
+        np.cumsum(self.ghost_part(counts), out=gxadj[1:])
         return gxadj, local_nbrs
 
     def memory_words(self) -> int:

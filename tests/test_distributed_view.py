@@ -58,6 +58,14 @@ def test_degree_of_matches_global():
             assert view.degree_of(int(v)) == g.degree(int(v))
 
 
+def test_degree_of_rejects_vertices_not_owned():
+    g = gnm(60, 300, seed=2)
+    v1 = distribute(g, num_pes=5).view(1)  # owns 12..23
+    for v in (10, 11, 24, -1):
+        with pytest.raises(KeyError):
+            v1.degree_of(v)
+
+
 def test_cut_edges_mirrored_across_pes():
     g = gnm(50, 250, seed=3)
     dist = distribute(g, num_pes=4)
@@ -80,11 +88,11 @@ def test_slots_of_lookup():
     g = ring(8)
     dist = distribute(g, num_pes=4)
     v1 = dist.view(1)  # owns 2, 3; ghosts 1 (PE0) and 4 (PE2)
-    nloc = v1.num_local_vertices
-    assert v1.slots_of(v1.owned_vertices()).tolist() == [0, 1]  # v - vlo
-    slots = v1.slots_of(v1.ghost_vertices)
-    assert slots.tolist() == [nloc + k for k in range(v1.num_ghosts)]
-    assert v1.slots_of([4, 2, 1]).tolist() == [nloc + 1, 0, nloc]
+    assert v1.ids.tolist() == [1, 2, 3, 4]  # sorted(owned ∪ ghosts)
+    assert v1.owned_slots == slice(1, 3)
+    assert v1.slots_of(v1.owned_vertices()).tolist() == [1, 2]
+    assert v1.slots_of(v1.ghost_vertices).tolist() == [0, 3]
+    assert v1.slots_of([4, 2, 1]).tolist() == [3, 1, 0]
     assert v1.slots_of(np.empty(0, dtype=np.int64)).size == 0
     for unknown in ([0], [5], [2, 7]):  # neither owned nor a ghost
         with pytest.raises(KeyError):
@@ -106,17 +114,18 @@ def test_ghost_local_neighborhoods_invert_cut_edges():
     g = from_edges(np.array([[0, 4], [1, 4], [2, 5], [0, 1]]), num_vertices=6)
     dist = distribute(g, num_pes=2)  # PE0 owns 0..2, PE1 owns 3..5
     v0 = dist.view(0)
-    gxadj, gadj = v0.ghost_local_neighborhoods()
+    gxadj, gadj = v0.ghost_local_neighborhoods(v0.adj_slots())
     # ghosts of PE0: [4, 5]; N_4 ∩ V_0 = {0,1}; N_5 ∩ V_0 = {2}
     assert v0.ghost_vertices.tolist() == [4, 5]
-    assert gadj[gxadj[0] : gxadj[1]].tolist() == [0, 1]
-    assert gadj[gxadj[1] : gxadj[2]].tolist() == [2]
+    assert v0.ids[gadj[gxadj[0] : gxadj[1]]].tolist() == [0, 1]
+    assert v0.ids[gadj[gxadj[1] : gxadj[2]]].tolist() == [2]
 
 
 def test_ghost_local_neighborhoods_empty_cut():
     g = disjoint_cliques(2, 4)
     dist = distribute(g, num_pes=2)
-    gxadj, gadj = dist.view(0).ghost_local_neighborhoods()
+    lg = dist.view(0)
+    gxadj, gadj = lg.ghost_local_neighborhoods(lg.adj_slots())
     assert gadj.size == 0
 
 
@@ -170,6 +179,6 @@ def test_id_bookkeeping_matches_unique_and_lexsort(case):
         cut = lg.cut_edges()
         slots = np.searchsorted(ghosts, cut[:, 1])
         order = np.lexsort((cut[:, 0], slots))
-        gxadj, gadjncy = lg.ghost_local_neighborhoods()
-        assert np.array_equal(gadjncy, cut[order, 0])
+        gxadj, gadjncy = lg.ghost_local_neighborhoods(lg.adj_slots())
+        assert np.array_equal(lg.ids[gadjncy], cut[order, 0])
         assert np.array_equal(gxadj[1:], np.cumsum(np.bincount(slots, minlength=ghosts.size)))

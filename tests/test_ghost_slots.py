@@ -1,7 +1,7 @@
-"""The slot rule of the distributed view and the one halo exchange.
+"""The slot table of the distributed view and the one halo exchange.
 
-A PE addresses every vertex it knows by slot: owned ``v`` at
-``v - vlo``, the ``k``-th ghost at ``|V_i| + k``
+A PE addresses every vertex it knows by slot, its position in
+``ids = sorted(owned ∪ ghosts)``
 (:class:`repro.graphs.distributed.LocalGraph`).  Owned values reach the
 PEs holding them as ghosts through
 :func:`repro.core.preprocessing.exchange_ghost_values` alone.
@@ -37,9 +37,8 @@ def _distributed(graph, p):
 
 
 def _reference_slot(lg, v):
-    if lg.vlo <= v < lg.vhi:
-        return v - lg.vlo
-    return lg.num_local_vertices + lg.ghost_vertices.tolist().index(v)
+    known = sorted(set(lg.owned_vertices().tolist()) | set(lg.ghost_vertices.tolist()))
+    return known.index(v)
 
 
 @pytest.mark.parametrize("p", PES)
@@ -55,6 +54,22 @@ def test_adj_slots_match_per_entry_reference(graph, p):
 
 @pytest.mark.parametrize("p", PES)
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_slot_table_relabels_adjacency_in_order(graph, p):
+    _, dist = _distributed(graph, p)
+    for lg in dist.views:
+        ids, slots = lg.ids, lg.adj_slots()
+        assert ids[slots].tobytes() == lg.adjncy.tobytes()
+        # Every block ascends, as the global neighbourhoods do.
+        for s in range(lg.num_local_vertices):
+            assert np.all(np.diff(slots[lg.xadj[s] : lg.xadj[s + 1]]) > 0)
+        # The owned vertices fill one contiguous run of slots.
+        own = lg.owned_slots
+        assert np.array_equal(ids[own], lg.owned_vertices())
+        assert np.array_equal(lg.is_owned(np.arange(ids.size)), np.isin(ids, lg.owned_vertices()))
+
+
+@pytest.mark.parametrize("p", PES)
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
 def test_gather_over_slots_matches_owned_or_ghost_lookup(graph, p, rng):
     _, dist = _distributed(graph, p)
     for lg in dist.views:
@@ -64,7 +79,9 @@ def test_gather_over_slots_matches_owned_or_ghost_lookup(graph, p, rng):
         expected = [
             own[v - lg.vlo] if lg.vlo <= v < lg.vhi else ghost_of[v] for v in lg.adjncy.tolist()
         ]
-        assert np.concatenate((own, ghost))[lg.adj_slots()].tolist() == expected
+        values = lg.by_slot(own, ghost)
+        assert values[lg.adj_slots()].tolist() == expected
+        assert np.array_equal(lg.ghost_part(values), ghost)
 
 
 def _halo_prog(ctx, dist, values, mode):
@@ -88,36 +105,56 @@ def test_exchange_ghost_values_returns_owner_values(graph, p, mode, dtype, rng):
         assert np.array_equal(got, values[lg.ghost_vertices])
 
 
-def _ghost_searchsorted_calls(root: Path) -> list[str]:
-    """``searchsorted`` calls on ``ghost_vertices`` or a name ``ghosts``
-    in every module under ``root`` except ``graphs/distributed.py``."""
-
-    def is_ghost_ids(node):
-        return (isinstance(node, ast.Name) and node.id == "ghosts") or (
-            isinstance(node, ast.Attribute) and node.attr == "ghost_vertices"
-        )
-
+def _outside_distributed_view(root: Path, flagged) -> list[str]:
+    """``path:line`` of every AST node ``flagged`` selects, in every module
+    under ``root`` except ``graphs/distributed.py``."""
     offenders = []
     for path in sorted(root.rglob("*.py")):
         if path.relative_to(root) == Path("graphs", "distributed.py"):
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "searchsorted"
-            ):
-                continue
-            # np.searchsorted(ghosts, ...), np.searchsorted(a=ghosts, ...)
-            # or ghosts.searchsorted(...)
-            subjects = [node.func.value, *node.args[:1]]
-            subjects += [kw.value for kw in node.keywords if kw.arg == "a"]
-            if any(is_ghost_ids(s) for s in subjects):
-                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.relative_to(root)}:{n.lineno}" for n in ast.walk(tree) if flagged(n)]
     return offenders
 
 
+def _is_ghost_searchsorted(node) -> bool:
+    """``searchsorted`` on ``ghost_vertices`` or a name ``ghosts``:
+    ``np.searchsorted(ghosts, ...)``, ``np.searchsorted(a=ghosts, ...)`` or
+    ``ghosts.searchsorted(...)``."""
+
+    def is_ghost_ids(n):
+        return (isinstance(n, ast.Name) and n.id == "ghosts") or (
+            isinstance(n, ast.Attribute) and n.attr == "ghost_vertices"
+        )
+
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "searchsorted"
+    ):
+        return False
+    subjects = [node.func.value, *node.args[:1]]
+    subjects += [kw.value for kw in node.keywords if kw.arg == "a"]
+    return any(is_ghost_ids(s) for s in subjects)
+
+
+def _is_concatenate_gather(node) -> bool:
+    """A subscript of a ``concatenate(...)`` call: the hand-made slot
+    gather ``np.concatenate((owned, ghost))[slots]``."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)):
+        return False
+    func = node.value.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "concatenate"
+
+
 def test_ghost_ids_are_resolved_only_by_the_distributed_view():
-    """The slot rule lives in one module: everything else asks
+    """The slot table lives in one module: everything else asks
     ``LocalGraph.adj_slots``/``slots_of`` instead of searching the ghosts."""
-    assert _ghost_searchsorted_calls(Path(repro.__file__).parent) == []
+    assert _outside_distributed_view(Path(repro.__file__).parent, _is_ghost_searchsorted) == []
+
+
+def test_slot_values_are_gathered_only_by_the_distributed_view():
+    """Owned and ghost values become one slot-indexed array through
+    ``LocalGraph.by_slot``, never a hand-made concatenate-gather."""
+    assert _outside_distributed_view(Path(repro.__file__).parent, _is_concatenate_gather) == []

@@ -53,17 +53,19 @@ def _orient_prog(ctx, dist):
 
 
 def _global_arrays(og):
-    """The digested arrays of one PE, neighbour entries as global ids."""
+    """The digested arrays of one PE, neighbour entries as global ids
+    (the view holds slots; ``ids[slots]`` are the global ids)."""
+    ids = og.lg.ids
     cxadj, cadj = og.contracted()
     return [
         og.oxadj,
-        og.oadjncy,
+        ids[og.oadjncy],
         og.goxadj,
-        og.goadjncy,
+        ids[og.goadjncy],
         og.local_keys,
         og.ghost_keys,
         cxadj,
-        cadj,
+        ids[cadj],
     ]
 
 

@@ -158,6 +158,15 @@ def test_distributed_orientation_matches_sequential(p, random_graph):
             assert og.out_neighborhood(int(v)).tolist() == seq.neighbors(int(v)).tolist()
 
 
+def test_out_neighborhood_rejects_vertices_not_owned():
+    g = gen.gnm(60, 300, seed=2)
+    dist = distribute(g, num_pes=5)
+    og = Machine(5).run(_orient_prog, dist, False).values[1]  # owns 12..23
+    for v in (10, 11, 24, -1):
+        with pytest.raises(KeyError):
+            og.out_neighborhood(v)
+
+
 def test_orientation_requires_ghost_degrees():
     g = gen.ring(8)
     dist = distribute(g, num_pes=2)
@@ -204,9 +213,9 @@ def test_contracted_drops_exactly_local_arcs(random_graph):
     for rank, og in enumerate(res.values):
         lg = dist.view(rank)
         cxadj, cadj = og.contracted()
-        assert np.all(~lg.is_local(cadj))  # only cut arcs remain
+        assert np.all(~lg.is_owned(cadj))  # only cut arcs remain
         # Counts add up: oriented = contracted + local arcs.
-        local_arcs = int(np.count_nonzero(lg.is_local(og.oadjncy)))
+        local_arcs = int(np.count_nonzero(lg.is_owned(og.oadjncy)))
         assert cadj.size == og.oadjncy.size - local_arcs
 
 
@@ -219,9 +228,8 @@ def test_order_keys_of_matches_degree_order(random_graph):
     global_keys = g.degrees.astype(np.int64) * (n + 1) + np.arange(n)
     for rank, og in enumerate(res.values):
         lg = dist.view(rank)
-        known = np.concatenate([lg.owned_vertices(), lg.ghost_vertices])
-        if known.size:
-            assert np.array_equal(og.order_keys_of(known), global_keys[known])
+        slots = np.arange(lg.ids.size)
+        assert np.array_equal(og.order_keys_of(slots), global_keys[lg.ids])
 
 
 def test_out_degrees_property(random_graph):
