@@ -24,7 +24,7 @@ from conftest import run_once, save_artifact
 from repro.analysis.tables import format_table
 from repro.core.approx import amq_cetric_program, colorful, doulion
 from repro.core.edge_iterator import edge_iterator
-from repro.core.engine import EngineConfig, counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.graphs.datasets import dataset
 from repro.graphs.distributed import distribute
 from repro.net import Machine
@@ -36,7 +36,7 @@ def _experiment():
     g = dataset("friendster", scale=1.0)
     truth = edge_iterator(g).triangles
     dist = distribute(g, num_pes=P)
-    exact = Machine(P).run(counting_program, dist, EngineConfig(contraction=True))
+    exact = Machine(P).run(counting_program, dist, CONFIGS["cetric"])
     rows = []
     for kind, budgets in (("bloom", (4.0, 8.0, 16.0)), ("ssbf", (8.0, 16.0, 32.0))):
         for budget in budgets:

@@ -20,15 +20,13 @@ from conftest import run_once, save_artifact
 
 from repro.analysis.tables import format_table
 from repro.faults import FaultPlan
-from repro.core.cetric import CETRIC_CONFIG
-from repro.core.ditric import DITRIC_CONFIG
-from repro.core.engine import counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.graphs.datasets import dataset
 from repro.graphs.distributed import distribute
 from repro.net import Machine
 
 PE_COUNTS = (4, 8)
-ALGORITHMS = (("ditric", DITRIC_CONFIG), ("cetric", CETRIC_CONFIG))
+ALGORITHMS = ("ditric", "cetric")
 OVERHEAD_CEILING = 0.10
 DROP_RATE = 0.05
 
@@ -38,7 +36,8 @@ def _experiment():
     rows = []
     for p in PE_COUNTS:
         dist = distribute(g, num_pes=p)
-        for name, config in ALGORITHMS:
+        for name in ALGORITHMS:
+            config = CONFIGS[name]
             direct = Machine(p).run(counting_program, dist, config)
             reliable = Machine(p, transport="reliable").run(
                 counting_program, dist, config

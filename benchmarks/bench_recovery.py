@@ -30,8 +30,7 @@ from conftest import run_once, save_artifact
 
 from repro.analysis.tables import format_table
 from repro.core.checkpoint import CheckpointStore, run_with_recovery
-from repro.core.ditric import DITRIC_CONFIG
-from repro.core.engine import counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.faults import FaultPlan, TimedCrash
 from repro.faults.chaos import _survivor_phase_reexecutions
 from repro.graphs.distributed import distribute
@@ -42,7 +41,7 @@ from repro.sim.network import Network
 
 PE_COUNTS = (64, 256)
 CRASH_FRACTION = 0.5
-CONFIG = DITRIC_CONFIG
+CONFIG = CONFIGS["ditric"]
 
 
 def _localized_machine(p, plan=None):

@@ -18,7 +18,7 @@ Run with::
 from repro.analysis.tables import format_table
 from repro.core.approx import amq_cetric_program, colorful, doulion
 from repro.core.edge_iterator import edge_iterator
-from repro.core.engine import EngineConfig, counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.graphs import dataset, distribute
 from repro.net import Machine
 
@@ -29,7 +29,7 @@ def main() -> None:
     graph = dataset("friendster", scale=0.5)
     truth = edge_iterator(graph).triangles
     dist = distribute(graph, num_pes=P)
-    exact = Machine(P).run(counting_program, dist, EngineConfig(contraction=True))
+    exact = Machine(P).run(counting_program, dist, CONFIGS["cetric"])
     exact_volume = exact.metrics.bottleneck_volume
     print(
         f"input: {graph.name} (n={graph.num_vertices:,}, m={graph.num_edges:,}); "

@@ -17,7 +17,7 @@ Run with::
 
 import numpy as np
 
-from repro.core.engine import EngineConfig
+from repro.core.engine import CONFIGS
 from repro.core.enumerate import enumerate_program, gather_all_triangles
 from repro.graphs import dataset, distribute, from_edges
 from repro.net import Machine
@@ -53,7 +53,7 @@ def max_truss(graph, triangles):
         # Iteratively remove edges with support < k-2.
         while True:
             dist = distribute(current, num_pes=P)
-            res = Machine(P).run(enumerate_program, dist, EngineConfig(contraction=True))
+            res = Machine(P).run(enumerate_program, dist, CONFIGS["cetric"])
             tri = gather_all_triangles(res.values)
             e, s = edge_supports(current, tri)
             keep = s >= k - 2
@@ -70,7 +70,7 @@ def max_truss(graph, triangles):
 def main() -> None:
     graph = dataset("orkut", scale=0.25)
     dist = distribute(graph, num_pes=P)
-    res = Machine(P).run(enumerate_program, dist, EngineConfig(contraction=True))
+    res = Machine(P).run(enumerate_program, dist, CONFIGS["cetric"])
     triangles = gather_all_triangles(res.values)
     print(
         f"input: {graph.name} (n={graph.num_vertices:,}, m={graph.num_edges:,}); "

@@ -15,11 +15,8 @@ from typing import Any, Callable
 
 from ..baselines.havoqgt import havoqgt_program
 from ..baselines.tric import tric_program
-from ..core.cetric import CETRIC2_CONFIG, CETRIC_CONFIG
-from ..core.ditric import DITRIC2_CONFIG, DITRIC_CONFIG
 from ..core.edge_iterator import edge_iterator
-from ..core.engine import EngineConfig, counting_program
-from ..core.naive_distributed import NAIVE_AGGREGATED_CONFIG, NAIVE_CONFIG
+from ..core.engine import CONFIGS, counting_program
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph, distribute
 from ..net.costmodel import DEFAULT_SPEC, MachineSpec
@@ -34,23 +31,10 @@ __all__ = [
     "memory_limited_spec",
 ]
 
-#: Engine-based algorithm configurations by public name.
-_ENGINE_CONFIGS: dict[str, EngineConfig] = {
-    "naive": NAIVE_CONFIG,
-    "naive-aggregated": NAIVE_AGGREGATED_CONFIG,
-    "ditric": DITRIC_CONFIG,
-    "ditric2": DITRIC2_CONFIG,
-    "cetric": CETRIC_CONFIG,
-    "cetric2": CETRIC2_CONFIG,
-}
-
-#: All runnable algorithm names (plus "sequential").
-ALGORITHMS: tuple[str, ...] = (
-    "sequential",
-    *_ENGINE_CONFIGS,
-    "tric",
-    "havoqgt",
-)
+#: All runnable algorithm names: the engine variants of
+#: :data:`~repro.core.engine.CONFIGS` plus the sequential counter and
+#: the two baselines.
+ALGORITHMS: tuple[str, ...] = ("sequential", *CONFIGS, "tric", "havoqgt")
 
 
 @dataclass
@@ -190,8 +174,8 @@ def run_algorithm(
 
     program: Callable
     args: tuple
-    if algorithm in _ENGINE_CONFIGS:
-        cfg = _ENGINE_CONFIGS[algorithm]
+    if algorithm in CONFIGS:
+        cfg = CONFIGS[algorithm]
         if config_overrides:
             from dataclasses import replace
 

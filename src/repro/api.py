@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis.runner import ALGORITHMS, RunResult, run_algorithm
-from .core.engine import EngineConfig
+from .core.engine import CONFIGS, EngineConfig
 from .core.lcc import lcc_program, lcc_sequential
 from .graphs.csr import CSRGraph
 from .graphs.distributed import distribute
@@ -66,7 +66,7 @@ def local_clustering_coefficients(
     *,
     num_pes: int | None = None,
     spec: MachineSpec = DEFAULT_SPEC,
-    config: EngineConfig | None = None,
+    config: EngineConfig = CONFIGS["cetric"],
 ) -> np.ndarray:
     """Exact LCC of every vertex (Section IV-E extension).
 
@@ -77,6 +77,5 @@ def local_clustering_coefficients(
     if num_pes is None:
         return lcc_sequential(graph)
     dist = distribute(graph, num_pes=num_pes)
-    cfg = config if config is not None else EngineConfig(contraction=True)
-    result = Machine(num_pes, spec).run(lcc_program, dist, cfg)
+    result = Machine(num_pes, spec).run(lcc_program, dist, config)
     return np.concatenate([v.lcc for v in result.values])

@@ -6,8 +6,6 @@ are re-exported here.
 
 from .approx import amq_cetric_program, amq_lcc_program, colorful, doulion
 from .components import PEComponents, components_program
-from .cetric import CETRIC2_CONFIG, CETRIC_CONFIG, cetric2_program, cetric_program
-from .ditric import DITRIC2_CONFIG, DITRIC_CONFIG, ditric2_program, ditric_program
 from .edge_iterator import (
     SequentialResult,
     edge_iterator,
@@ -15,12 +13,11 @@ from .edge_iterator import (
     matrix_count,
     triangle_edges,
 )
-from .engine import EngineConfig, PECounts, counting_program
+from .engine import CONFIGS, EngineConfig, PECounts, counting_program
 from .enumerate import enumerate_program, gather_all_triangles
 from .hybrid import HybridResult, run_hybrid, thread_speedup
 from .kcore import PECores, h_index, kcore_program
 from .lcc import lcc_from_delta, lcc_program, lcc_sequential
-from .naive_distributed import naive_program
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees
 from .intersect import (
     BatchIntersections,
@@ -54,14 +51,7 @@ __all__ = [
     "components_program",
     "colorful",
     "doulion",
-    "CETRIC_CONFIG",
-    "CETRIC2_CONFIG",
-    "cetric_program",
-    "cetric2_program",
-    "DITRIC_CONFIG",
-    "DITRIC2_CONFIG",
-    "ditric_program",
-    "ditric2_program",
+    "CONFIGS",
     "EngineConfig",
     "PECounts",
     "counting_program",
@@ -76,7 +66,6 @@ __all__ = [
     "lcc_from_delta",
     "lcc_program",
     "lcc_sequential",
-    "naive_program",
     "OrientedLocalGraph",
     "build_oriented",
     "exchange_ghost_degrees",

@@ -46,6 +46,7 @@ from ..net.frames import RecordFrame, concat_xadj
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator
 from .engine import (
+    CONFIGS,
     EngineConfig,
     _cut_arcs,
     _local_phase_pairs,
@@ -180,7 +181,7 @@ def amq_cetric_program(
     amq_kind: Literal["bloom", "ssbf"] = "bloom",
     budget: float = 8.0,
     correct_bias: bool = True,
-    config: EngineConfig = EngineConfig(contraction=True),
+    config: EngineConfig = CONFIGS["cetric"],
 ) -> Generator[None, None, PEApproxCounts]:
     """CETRIC with the approximate (AMQ) global phase.
 
@@ -261,7 +262,7 @@ def amq_lcc_program(
     of ``s`` queries at FPR ``f``), so the pair's total contribution
     matches the unbiased estimator of :func:`amq_cetric_program`.
     """
-    config = EngineConfig(contraction=True)
+    config = CONFIGS["cetric"]
     lg = dist.view(ctx.rank)
     og = yield from _preprocess(ctx, lg, config)
     delta = _GhostDelta(lg, np.float64)

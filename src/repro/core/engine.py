@@ -1,20 +1,24 @@
 """The distributed counting engine behind DITRIC and CETRIC.
 
 One parametrized SPMD program implements the whole algorithm family of
-Section IV; the public entry points (:mod:`repro.core.ditric`,
-:mod:`repro.core.cetric`, :mod:`repro.core.naive_distributed`) are
-configurations of it:
+Section IV.  :data:`CONFIGS` names its variants, and
+``counting_program(ctx, dist, CONFIGS[name])`` is the entry point for
+each of them:
 
-=================== ============ =========== ========== ===========
-variant             contraction  aggregation indirect   surrogate
-=================== ============ =========== ========== ===========
-Algorithm 2 (naive) no           off         no         off
-Algorithm 2 + aggr  no           on          no         off
-DITRIC              no           on          no         on
-DITRIC²             no           on          yes        on
-CETRIC              yes          on          no         on
-CETRIC²             yes          on          yes        on
-=================== ============ =========== ========== ===========
+=================== ================== ============ =========== ========== ===========
+variant             ``CONFIGS`` key    contraction  aggregation indirect   surrogate
+=================== ================== ============ =========== ========== ===========
+Algorithm 2 (naive) naive              no           off         no         off
+Algorithm 2 + aggr  naive-aggregated   no           on          no         off
+DITRIC              ditric             no           on          no         on
+DITRIC²             ditric2            no           on          yes        on
+CETRIC              cetric             yes          on          no         on
+CETRIC²             cetric2            yes          on          yes        on
+=================== ================== ============ =========== ========== ===========
+
+Algorithm 2 without aggregation ships each neighbourhood as its own
+message (the Fig. 2 "no aggregation" series) and, without the
+surrogate filter, may send one neighbourhood to the same PE twice.
 
 Phases are attributed to the labels Fig. 7 uses: ``preprocessing``
 (degree exchange, orientation, and — for CETRIC — building the
@@ -84,7 +88,7 @@ from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_de
 
 # gather_blocks is re-exported, not called: benchmarks/e2e/layers.py looks
 # it up here until ROADMAP item 1 retargets that entry to the queue.
-__all__ = ["EngineConfig", "PECounts", "counting_program", "gather_blocks"]
+__all__ = ["CONFIGS", "EngineConfig", "PECounts", "counting_program", "gather_blocks"]
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,17 @@ class EngineConfig:
         if not self.aggregate:
             return 0
         return max(16, int(self.threshold_factor * max(local_arcs, 1)))
+
+
+#: The algorithm variants of the module table, by public name.
+CONFIGS: dict[str, EngineConfig] = {
+    "naive": EngineConfig(aggregate=False, surrogate=False),
+    "naive-aggregated": EngineConfig(surrogate=False),
+    "ditric": EngineConfig(),
+    "ditric2": EngineConfig(indirect=True),
+    "cetric": EngineConfig(contraction=True),
+    "cetric2": EngineConfig(contraction=True, indirect=True),
+}
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce
 from ..net.machine import PEContext
-from .engine import EngineConfig, _triangle_phases
+from .engine import CONFIGS, EngineConfig, _triangle_phases
 
 __all__ = ["PETriangles", "enumerate_program", "gather_all_triangles"]
 
@@ -50,7 +50,7 @@ def _rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def enumerate_program(
     ctx: PEContext,
     dist: DistGraph,
-    config: EngineConfig = EngineConfig(contraction=True),
+    config: EngineConfig = CONFIGS["cetric"],
 ) -> Generator[None, None, PETriangles]:
     """SPMD triangle enumeration (CETRIC- or DITRIC-flavoured)."""
     lg = dist.view(ctx.rank)

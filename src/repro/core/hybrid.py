@@ -35,7 +35,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.distributed import distribute
 from ..net.costmodel import DEFAULT_SPEC, MachineSpec
 from ..net.machine import Machine
-from .engine import EngineConfig, counting_program
+from .engine import CONFIGS, EngineConfig, counting_program
 
 __all__ = ["HybridResult", "thread_speedup", "run_hybrid", "SIGMA_DEFAULT", "PHI_DEFAULT"]
 
@@ -79,7 +79,7 @@ def run_hybrid(
     cores: int,
     threads: int,
     *,
-    config: EngineConfig = EngineConfig(indirect=True),
+    config: EngineConfig = CONFIGS["ditric2"],
     spec: MachineSpec = DEFAULT_SPEC,
     sigma: float = SIGMA_DEFAULT,
     phi: float = PHI_DEFAULT,

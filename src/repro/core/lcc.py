@@ -31,7 +31,7 @@ from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce, alltoallv_dense
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator_per_vertex
-from .engine import EngineConfig, _triangle_phases
+from .engine import CONFIGS, EngineConfig, _triangle_phases
 
 __all__ = ["lcc_from_delta", "lcc_sequential", "lcc_program", "PELcc"]
 
@@ -113,7 +113,7 @@ class _GhostDelta:
 def lcc_program(
     ctx: PEContext,
     dist: DistGraph,
-    config: EngineConfig = EngineConfig(contraction=True),
+    config: EngineConfig = CONFIGS["cetric"],
 ) -> Generator[None, None, PELcc]:
     """Distributed exact LCC (CETRIC- or DITRIC-flavoured by config).
 

@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..core.cetric import CETRIC2_CONFIG, CETRIC_CONFIG
 from ..core.checkpoint import CheckpointStore, run_with_recovery
-from ..core.ditric import DITRIC2_CONFIG, DITRIC_CONFIG
 from ..core.edge_iterator import edge_iterator
-from ..core.engine import EngineConfig, counting_program
+from ..core.engine import CONFIGS, EngineConfig, counting_program
 from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph, distribute
 from ..graphs.generators import gnm
@@ -46,13 +44,8 @@ __all__ = [
     "format_campaign",
 ]
 
-#: Fault-tolerant algorithm configurations the harness can exercise.
-CHAOS_ALGORITHMS: dict[str, EngineConfig] = {
-    "ditric": DITRIC_CONFIG,
-    "ditric2": DITRIC2_CONFIG,
-    "cetric": CETRIC_CONFIG,
-    "cetric2": CETRIC2_CONFIG,
-}
+#: The :data:`~repro.core.engine.CONFIGS` variants the harness exercises.
+CHAOS_ALGORITHMS: tuple[str, ...] = ("ditric", "ditric2", "cetric", "cetric2")
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ def run_chaos_case(
         raise ValueError(
             f"unknown recovery mode {recovery!r}; expected 'global' or 'localized'"
         )
-    config = CHAOS_ALGORITHMS[algorithm]
+    config = CONFIGS[algorithm]
     if expected is None:
         expected = int(edge_iterator(graph).triangles)
     dist: DistGraph = distribute(graph, num_pes=num_pes)

@@ -2,20 +2,13 @@
 
 import pytest
 
+from repro.analysis.runner import ALGORITHMS
 from repro.core.edge_iterator import edge_iterator
-from repro.core.engine import EngineConfig, counting_program
+from repro.core.engine import CONFIGS, EngineConfig, counting_program
+from repro.faults.chaos import CHAOS_ALGORITHMS
 from repro.graphs import distribute
 from repro.graphs import generators as gen
 from repro.net import Machine
-
-CONFIGS = {
-    "naive": EngineConfig(aggregate=False, surrogate=False),
-    "naive-aggregated": EngineConfig(aggregate=True, surrogate=False),
-    "ditric": EngineConfig(),
-    "ditric2": EngineConfig(indirect=True),
-    "cetric": EngineConfig(contraction=True),
-    "cetric2": EngineConfig(contraction=True, indirect=True),
-}
 
 
 @pytest.mark.parametrize("config_name", CONFIGS)
@@ -148,33 +141,9 @@ def test_config_threshold_words():
     assert cfg.threshold_words(0) >= 16
 
 
-def test_wrapper_programs_validate_config():
-    from repro.core.cetric import cetric_program
-    from repro.core.ditric import ditric_program
-
-    g = gen.ring(6)
-    dist = distribute(g, num_pes=2)
-    with pytest.raises(ValueError):
-        Machine(2).run(ditric_program, dist, EngineConfig(contraction=True))
-    with pytest.raises(ValueError):
-        Machine(2).run(cetric_program, dist, EngineConfig(contraction=False))
-
-
-def test_wrapper_programs_run():
-    from repro.core.cetric import cetric2_program, cetric_program
-    from repro.core.ditric import ditric2_program, ditric_program
-    from repro.core.naive_distributed import naive_program
-
-    g = gen.wheel(13)
-    truth = edge_iterator(g).triangles
-    dist = distribute(g, num_pes=3)
-    for prog in (ditric_program, ditric2_program, cetric_program, cetric2_program):
-        assert Machine(3).run(prog, dist).values[0].triangles_total == truth
-    assert Machine(3).run(naive_program, dist).values[0].triangles_total == truth
-    assert (
-        Machine(3).run(naive_program, dist, aggregate=True).values[0].triangles_total
-        == truth
-    )
+def test_algorithm_names_come_from_configs():
+    assert ALGORITHMS == ("sequential", *CONFIGS, "tric", "havoqgt")
+    assert set(CHAOS_ALGORITHMS) <= set(CONFIGS)
 
 
 def test_more_pes_than_vertices():

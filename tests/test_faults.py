@@ -14,9 +14,8 @@ import hashlib
 import pytest
 
 from repro.core.checkpoint import CheckpointStore, run_with_recovery, state_words
-from repro.core.ditric import DITRIC_CONFIG
 from repro.core.edge_iterator import edge_iterator
-from repro.core.engine import counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.faults import (
     CrashEvent,
     FaultPlan,
@@ -27,7 +26,7 @@ from repro.faults import (
     run_campaign,
     run_chaos_case,
 )
-from repro.faults.chaos import CHAOS_ALGORITHMS, default_chaos_graph
+from repro.faults.chaos import default_chaos_graph
 from repro.graphs.distributed import distribute
 from repro.net import (
     DeadlockError,
@@ -300,7 +299,7 @@ def test_repeated_crashes_of_the_same_rank_recover():
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=4)
     expected = edge_iterator(graph).triangles
-    dry = Machine(4).run(counting_program, dist, DITRIC_CONFIG)
+    dry = Machine(4).run(counting_program, dist, CONFIGS["ditric"])
     plan = FaultPlan(
         crashes=(
             CrashEvent(rank=2, at_event=int(dry.events * 0.5)),
@@ -310,7 +309,7 @@ def test_repeated_crashes_of_the_same_rank_recover():
     machine = Machine(
         4, fault_plan=plan, transport="reliable", checkpoint_store=CheckpointStore(4)
     )
-    recovery = run_with_recovery(machine, counting_program, dist, DITRIC_CONFIG)
+    recovery = run_with_recovery(machine, counting_program, dist, CONFIGS["ditric"])
     assert recovery.restarts == 2
     assert [r for r, _ in recovery.crashes] == [2, 2]
     assert recovery.values[0].triangles_total == expected
@@ -320,12 +319,12 @@ def test_recovery_result_prices_lost_attempts():
     """``total_time`` bills every aborted attempt, not just the survivor."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=4)
-    dry = Machine(4).run(counting_program, dist, DITRIC_CONFIG)
+    dry = Machine(4).run(counting_program, dist, CONFIGS["ditric"])
     plan = FaultPlan(crashes=(CrashEvent(rank=1, at_event=int(dry.events * 0.6)),))
     machine = Machine(
         4, fault_plan=plan, transport="reliable", checkpoint_store=CheckpointStore(4)
     )
-    recovery = run_with_recovery(machine, counting_program, dist, DITRIC_CONFIG)
+    recovery = run_with_recovery(machine, counting_program, dist, CONFIGS["ditric"])
     assert recovery.restarts == 1
     assert len(recovery.attempt_times) == 1
     assert recovery.attempt_times[0] > 0.0
@@ -339,7 +338,7 @@ def test_recovery_result_prices_lost_attempts():
         Machine(4, transport="reliable", checkpoint_store=CheckpointStore(4)),
         counting_program,
         dist,
-        DITRIC_CONFIG,
+        CONFIGS["ditric"],
     )
     assert clean.restarts == 0 and clean.lost_time == 0.0
     assert clean.total_time == clean.time
@@ -350,13 +349,13 @@ def test_recovery_reruns_only_the_lost_phase():
     dist = distribute(graph, num_pes=4)
     expected = edge_iterator(graph).triangles
 
-    dry = Machine(4).run(counting_program, dist, DITRIC_CONFIG)
+    dry = Machine(4).run(counting_program, dist, CONFIGS["ditric"])
     # Crash late: well inside the global phase, after checkpoints.
     plan = FaultPlan(crashes=(CrashEvent(rank=2, at_event=int(dry.events * 0.9)),))
     machine = Machine(
         4, fault_plan=plan, transport="reliable", checkpoint_store=CheckpointStore(4)
     )
-    recovery = run_with_recovery(machine, counting_program, dist, DITRIC_CONFIG)
+    recovery = run_with_recovery(machine, counting_program, dist, CONFIGS["ditric"])
     assert recovery.restarts == 1
     assert [r for r, _ in recovery.crashes] == [2]
     assert recovery.values[0].triangles_total == expected
@@ -371,10 +370,10 @@ def test_recovery_without_store_still_finishes():
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=2)
     expected = edge_iterator(graph).triangles
-    dry = Machine(2).run(counting_program, dist, DITRIC_CONFIG)
+    dry = Machine(2).run(counting_program, dist, CONFIGS["ditric"])
     plan = FaultPlan(crashes=(CrashEvent(rank=0, at_event=dry.events // 2),))
     machine = Machine(2, fault_plan=plan, transport="reliable")
-    recovery = run_with_recovery(machine, counting_program, dist, DITRIC_CONFIG)
+    recovery = run_with_recovery(machine, counting_program, dist, CONFIGS["ditric"])
     assert recovery.restarts == 1
     assert recovery.values[0].triangles_total == expected
 
@@ -428,7 +427,7 @@ def test_faulty_run_repeats_bit_identically_with_trace():
         tracer = Tracer()
         plan = FaultPlan(13, drop_rate=0.05, duplicate_rate=0.03)
         machine = Machine(3, fault_plan=plan, transport="reliable", tracer=tracer)
-        result = machine.run(counting_program, dist, DITRIC_CONFIG)
+        result = machine.run(counting_program, dist, CONFIGS["ditric"])
         return result, tracer
 
     r1, t1 = one_run()
@@ -443,7 +442,7 @@ def test_zero_fault_reliable_overhead_within_budget():
     """Reliable transport with no faults costs <= 10% simulated time."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=4)
-    for config in (DITRIC_CONFIG,):
+    for config in (CONFIGS["ditric"],):
         direct = Machine(4).run(counting_program, dist, config)
         reliable = Machine(4, transport="reliable").run(counting_program, dist, config)
         assert reliable.values[0].triangles_total == direct.values[0].triangles_total
@@ -482,7 +481,7 @@ def test_event_engine_fault_traces_byte_identical_including_lossy():
         tracer = Tracer()
         machine = Machine(3, fault_plan=_lossy_toy_plan(), transport=transport, tracer=tracer)
         if transport == "reliable":
-            result = machine.run(counting_program, dist, DITRIC_CONFIG)
+            result = machine.run(counting_program, dist, CONFIGS["ditric"])
         else:
             # Lossy delivery breaks collectives; use a loss-tolerant toy.
             result = machine.run(_lossy_toy)
@@ -528,7 +527,7 @@ def test_fault_injection_bit_identical_between_schedulers():
     dist = distribute(graph, num_pes=3)
     plan = FaultPlan(31, drop_rate=0.08, duplicate_rate=0.04, delay_rate=0.03)
     res = Machine(3, fault_plan=plan, transport="reliable").run(
-        counting_program, dist, DITRIC_CONFIG
+        counting_program, dist, CONFIGS["ditric"]
     )
     assert res.values[0].triangles_total == edge_iterator(graph).triangles
     assert res.metrics.total_retransmits > 0
@@ -545,11 +544,11 @@ def test_crash_coordinates_bit_identical_between_schedulers():
     """A crash fires at exactly the planned machine event."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=3)
-    dry = Machine(3).run(counting_program, dist, DITRIC_CONFIG)
+    dry = Machine(3).run(counting_program, dist, CONFIGS["ditric"])
     at_event = dry.events // 2
     plan = FaultPlan(5, crashes=[CrashEvent(rank=1, at_event=at_event)])
     with pytest.raises(PECrashError) as err:
-        Machine(3, fault_plan=plan).run(counting_program, dist, DITRIC_CONFIG)
+        Machine(3, fault_plan=plan).run(counting_program, dist, CONFIGS["ditric"])
     assert (err.value.rank, err.value.event) == (1, at_event)
 
 
@@ -574,7 +573,7 @@ CRASH_FRACTIONS = (0.0, 0.13, 0.5, 0.87, 0.999, 1.5)
 @pytest.mark.parametrize("p", [3, 7])
 @pytest.mark.parametrize("algorithm", ["ditric", "cetric"])
 def test_crash_grid_matches_golden_fingerprint(algorithm, p, faults):
-    config = CHAOS_ALGORITHMS[algorithm]
+    config = CONFIGS[algorithm]
     dist = distribute(default_chaos_graph(), num_pes=p)
     dry = Machine(p).run(counting_program, dist, config).events
     rates = {"drop_rate": 0.05, "duplicate_rate": 0.02} if faults == "lossy" else {}
@@ -671,7 +670,7 @@ def _run_digest(res):
 
 def _contended_run(algorithm, setup):
     """One chaos-graph run at p=3 on the contended network."""
-    config = CHAOS_ALGORITHMS[algorithm]
+    config = CONFIGS[algorithm]
     dist = distribute(default_chaos_graph(), num_pes=3)
     contended = Network(model="contended")
     if setup == "direct":

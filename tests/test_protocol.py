@@ -165,15 +165,14 @@ def test_deadlock_census_includes_finished_holders():
 
 def test_engine_runs_clean_under_protocol_check():
     """End-to-end: a real counting run satisfies the whole contract."""
-    from repro.core.cetric import CETRIC_CONFIG
-    from repro.core.engine import counting_program
+    from repro.core.engine import CONFIGS, counting_program
     from repro.graphs import distribute
     from repro.graphs import generators as gen
 
     g = gen.complete_graph(8)
     dist = distribute(g, num_pes=4)
     res = Machine(4, protocol_check=True).run(
-        counting_program, dist, CETRIC_CONFIG
+        counting_program, dist, CONFIGS["cetric"]
     )
     assert res.values[0].triangles_total == 56
 

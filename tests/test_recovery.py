@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.checkpoint import BuddyCheckpointStore, CheckpointStore
 from repro.core.edge_iterator import edge_iterator
-from repro.core.engine import counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.faults import (
     FaultPlan,
     RecoveryConfig,
@@ -21,7 +21,7 @@ from repro.faults import (
     run_campaign,
     run_chaos_case,
 )
-from repro.faults.chaos import CHAOS_ALGORITHMS, default_chaos_graph
+from repro.faults.chaos import default_chaos_graph
 from repro.graphs.distributed import distribute
 from repro.net import DeadlockError, Machine
 from repro.obs import chrome_trace_json
@@ -43,7 +43,7 @@ def crash_run():
     """One localized crash run on the chaos graph, shared across tests."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=4)
-    config = CHAOS_ALGORITHMS["ditric"]
+    config = CONFIGS["ditric"]
     base = _localized(4).run(counting_program, dist, config)
     crash_time = base.time * 0.5
 
@@ -159,7 +159,7 @@ def test_heartbeats_accrue_without_faults():
     """A tight detector period makes the standing probe cost visible."""
     graph = default_chaos_graph()
     dist = distribute(graph, num_pes=4)
-    config = CHAOS_ALGORITHMS["ditric"]
+    config = CONFIGS["ditric"]
     loose = _localized(4).run(counting_program, dist, config)
     tight = _localized(
         4,

@@ -20,11 +20,10 @@ import hashlib
 
 import pytest
 
-from repro.analysis.runner import _ENGINE_CONFIGS
 from repro.baselines.havoqgt import havoqgt_program
 from repro.baselines.tric import tric_program
 from repro.core.edge_iterator import edge_iterator
-from repro.core.engine import counting_program
+from repro.core.engine import CONFIGS, counting_program
 from repro.graphs import distribute
 from repro.graphs import generators as gen
 from repro.net import DeadlockError, Machine, Network, ProcessMachine
@@ -165,7 +164,7 @@ def test_engine_stats_reported_only_by_event_scheduler():
 # Compat bit-identity fingerprint: 2 generators x 3 seeds x 8 variants
 # ---------------------------------------------------------------------------
 
-ALGOS = (*_ENGINE_CONFIGS, "tric", "havoqgt")
+ALGOS = (*CONFIGS, "tric", "havoqgt")
 
 #: sha256 over all eight variants per (generator, seed): per-PE return
 #: values, makespan and event counter, per-PE clocks and message/word
@@ -183,8 +182,8 @@ GOLDEN_SCHEDULE = {
 
 
 def _program_of(algorithm, dist):
-    if algorithm in _ENGINE_CONFIGS:
-        return counting_program, (dist, _ENGINE_CONFIGS[algorithm])
+    if algorithm in CONFIGS:
+        return counting_program, (dist, CONFIGS[algorithm])
     if algorithm == "tric":
         return tric_program, (dist,)
     return havoqgt_program, (dist,)
