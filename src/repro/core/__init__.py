@@ -30,9 +30,9 @@ from .intersect import (
     intersect_sorted,
     merge_cost,
 )
-from .ordering import DegreeOrder, degree_order_keys, precedes
 from .orientation import (
     is_acyclic_orientation,
+    order_keys,
     orient,
     orient_by_degree,
     out_neighborhoods,
@@ -83,10 +83,8 @@ __all__ = [
     "intersect_count",
     "intersect_sorted",
     "merge_cost",
-    "DegreeOrder",
-    "degree_order_keys",
-    "precedes",
     "is_acyclic_orientation",
+    "order_keys",
     "orient",
     "orient_by_degree",
     "out_neighborhoods",

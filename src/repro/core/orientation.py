@@ -1,14 +1,24 @@
-"""Orienting graphs along a total order; out-/in-neighborhoods.
+"""The degree order's keys; orienting graphs along a total order.
 
-Applying the degree order of :mod:`repro.core.ordering` to an
-undirected :class:`~repro.graphs.csr.CSRGraph` keeps, for every vertex
-``v``, only the out-neighbors ``N_v^+ = {u : v ≺ u}``.  The result is
-an *oriented* CSR graph (one arc per edge) that is acyclic by
-construction — the property that guarantees each triangle is counted
-exactly once from its ≺-smallest vertex.
+Triangle counters orient the undirected input along a total order
+``u ≺ v`` to count each triangle exactly once.  The paper uses the
+degree-based order of Latapy's COMPACT-FORWARD::
 
-The orientation is a pure NumPy filter over the adjacency array; no
-per-edge Python work.
+    u ≺ v  <=>  d_u < d_v, or (d_u == d_v and u < v)
+
+which directs edges towards high-degree vertices and provably bounds
+the out-degree by ``O(sqrt(m))``.  :func:`order_keys` encodes it as one
+int64 key per vertex; the distributed orientation
+(:func:`repro.core.preprocessing.build_oriented`) encodes ghosts with
+the same function and bound, so every PE compares the same keys.
+
+Orienting an undirected :class:`~repro.graphs.csr.CSRGraph` along a key
+array keeps, for every vertex ``v``, only the out-neighbors
+``N_v^+ = {u : key[v] < key[u]}``.  The result is an *oriented* CSR
+graph (one arc per edge) that is acyclic by construction — the
+property that guarantees each triangle is counted exactly once from
+its ≺-smallest vertex.  The filter is pure NumPy; no per-edge Python
+work.
 """
 
 from __future__ import annotations
@@ -16,31 +26,40 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from .ordering import DegreeOrder
+from ..net.frames import concat_xadj
 
-__all__ = ["orient", "orient_by_degree", "out_neighborhoods", "is_acyclic_orientation"]
+__all__ = ["order_keys", "orient", "orient_by_degree", "out_neighborhoods", "is_acyclic_orientation"]
 
 
-def orient(graph: CSRGraph, order: DegreeOrder) -> CSRGraph:
-    """Keep only arcs ``(v, u)`` with ``v ≺ u`` under ``order``.
+def order_keys(degrees: np.ndarray, ids: np.ndarray, bound: int) -> np.ndarray:
+    """``(degree, id)`` encoded as ``degree * bound + id``, so numeric ``<``
+    realizes the total order; ``bound`` must exceed every id."""
+    return degrees.astype(np.int64) * np.int64(bound) + ids.astype(np.int64)
 
-    Neighborhood sortedness (by vertex id) is preserved because
-    filtering a sorted sequence keeps it sorted.
+
+def _kept_rows(xadj: np.ndarray, adj: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(xadj, adj)`` restricted to the entries ``keep`` selects."""
+    rows = np.repeat(np.arange(xadj.size - 1, dtype=np.int64), np.diff(xadj))
+    return concat_xadj(np.bincount(rows[keep], minlength=xadj.size - 1)), adj[keep]
+
+
+def orient(graph: CSRGraph, keys: np.ndarray) -> CSRGraph:
+    """Keep only arcs ``(v, u)`` with ``keys[v] < keys[u]``.
+
+    ``keys`` holds one distinct key per vertex (:func:`order_keys`, or
+    :func:`repro.graphs.stats.degeneracy_order`).  Neighborhood
+    sortedness (by vertex id) is preserved because filtering a sorted
+    sequence keeps it sorted.
     """
     if graph.oriented:
         raise ValueError("graph is already oriented")
-    if order.num_vertices != graph.num_vertices:
-        raise ValueError("order covers a different vertex count")
-    src = np.repeat(graph.vertices(), graph.degrees)
-    keep = order.compare(src, graph.adjncy)
-    new_adj = graph.adjncy[keep]
-    # Recompute offsets from per-vertex kept counts.
-    kept_counts = np.bincount(src[keep], minlength=graph.num_vertices)
-    xadj = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    np.cumsum(kept_counts, out=xadj[1:])
+    if keys.size != graph.num_vertices:
+        raise ValueError("keys cover a different vertex count")
+    keep = np.repeat(keys, graph.degrees) < keys[graph.adjncy]
+    xadj, adjncy = _kept_rows(graph.xadj, graph.adjncy, keep)
     return CSRGraph(
         xadj,
-        new_adj,
+        adjncy,
         oriented=True,
         sorted_neighborhoods=graph.sorted_neighborhoods,
         name=graph.name,
@@ -49,7 +68,8 @@ def orient(graph: CSRGraph, order: DegreeOrder) -> CSRGraph:
 
 def orient_by_degree(graph: CSRGraph) -> CSRGraph:
     """Orient with the COMPACT-FORWARD degree order (paper default)."""
-    return orient(graph, DegreeOrder.from_degrees(graph.degrees))
+    n = graph.num_vertices
+    return orient(graph, order_keys(graph.degrees, np.arange(n), n + 1))
 
 
 def out_neighborhoods(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:

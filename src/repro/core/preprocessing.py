@@ -38,6 +38,7 @@ from ..graphs.distributed import LocalGraph
 from ..net.comm import alltoallv_dense, sparse_alltoall
 from ..net.machine import PEContext
 from .intersect import concat_xadj
+from .orientation import _kept_rows, order_keys
 
 __all__ = [
     "exchange_ghost_degrees",
@@ -215,17 +216,6 @@ class OrientedLocalGraph:
         return _kept_rows(self.oxadj, self.oadjncy, cut)
 
 
-def _order_keys(degrees: np.ndarray, ids: np.ndarray, bound: int) -> np.ndarray:
-    """``(degree, id)`` encoded so numeric ``<`` realizes the total order."""
-    return degrees.astype(np.int64) * np.int64(bound) + ids.astype(np.int64)
-
-
-def _kept_rows(xadj: np.ndarray, adj: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR ``(xadj, adj)`` restricted to the entries ``keep`` selects."""
-    rows = np.repeat(np.arange(xadj.size - 1, dtype=np.int64), np.diff(xadj))
-    return concat_xadj(np.bincount(rows[keep], minlength=xadj.size - 1)), adj[keep]
-
-
 def orient_by_keys(
     ctx: PEContext,
     lg: LocalGraph,
@@ -274,6 +264,6 @@ def build_oriented(
     if ghosts.size and lg.ghost_degrees is None:
         raise RuntimeError("ghost degrees missing; run exchange_ghost_degrees")
     bound = lg.partition.num_vertices + 1
-    local_keys = _order_keys(lg.degrees, lg.owned_vertices(), bound)
-    ghost_keys = _order_keys(lg.ghost_degrees, ghosts, bound) if ghosts.size else ghosts
+    local_keys = order_keys(lg.degrees, lg.owned_vertices(), bound)
+    ghost_keys = order_keys(lg.ghost_degrees, ghosts, bound) if ghosts.size else ghosts
     return orient_by_keys(ctx, lg, local_keys, ghost_keys, with_ghosts=with_ghosts)

@@ -127,16 +127,14 @@ def degeneracy(graph: CSRGraph) -> int:
     return int(core_numbers(graph).max(initial=0))
 
 
-def degeneracy_order(graph: CSRGraph):
-    """A :class:`~repro.core.ordering.DegreeOrder`-style total order
-    following the peeling sequence.
+def degeneracy_order(graph: CSRGraph) -> np.ndarray:
+    """Order keys following the peeling sequence: ``keys[v]`` is the
+    position at which ``v`` is peeled.
 
-    Orienting along this order bounds every out-degree by the
-    degeneracy — the theoretical optimum over acyclic orientations.
-    Returns an object usable with :func:`repro.core.orientation.orient`.
+    Orienting along these keys (:func:`repro.core.orientation.orient`)
+    bounds every out-degree by the degeneracy — the theoretical optimum
+    over acyclic orientations.
     """
-    from ..core.ordering import DegreeOrder
-
     n = graph.num_vertices
     # Re-run the peeling, recording removal positions.
     deg = graph.degrees.copy()
@@ -162,4 +160,4 @@ def degeneracy_order(graph: CSRGraph):
                 deg[u] -= 1
                 heapq.heappush(heap, (int(deg[u]), u))
     # keys = removal position: earlier-peeled precede later-peeled.
-    return DegreeOrder(keys=position)
+    return position
