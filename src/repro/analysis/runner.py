@@ -154,7 +154,7 @@ def run_algorithm(
         ``batch_pairs``).
     tracer:
         Optional :class:`~repro.net.trace.Tracer` receiving every
-        message/phase event of the run (Chrome-trace export).
+        message event of the run (Chrome-trace export).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")

@@ -207,9 +207,6 @@ class PEContext:
                     recovery_time=m.recovery_seconds - rec0,
                 )
             )
-            tracer = self._machine.tracer
-            if tracer is not None:
-                tracer.phase(self.rank, name, start, end)
 
     # ------------------------------------------------------------------
     # Messaging

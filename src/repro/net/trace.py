@@ -1,10 +1,11 @@
 """Optional event tracing for simulated runs.
 
 Attach a :class:`Tracer` to a :class:`~repro.net.machine.Machine` and
-every send, receive, phase transition, injected drop, and
-retransmission is recorded with its simulated timestamp — the raw material for debugging protocols
-(who sent what to whom, and when) and for the timeline rendering of
-:func:`render_timeline`.
+every send, receive, injected drop, and retransmission is recorded
+with its simulated timestamp — the raw material for debugging
+protocols (who sent what to whom, and when) and for the timeline
+rendering of :func:`render_timeline`.  Phases are not trace events:
+``ctx.span`` records them as :class:`SpanRecord` in the PE metrics.
 
 Tracing is strictly opt-in and costs nothing when absent (a single
 ``is None`` test per event).
@@ -22,9 +23,8 @@ __all__ = ["SpanRecord", "TraceEvent", "Tracer", "render_timeline"]
 class SpanRecord:
     """One closed ``ctx.span`` interval on one PE.
 
-    Spans are the structured counterpart of the flat ``phase`` trace
-    events: they carry their nesting ``depth`` and a decomposition of
-    the simulated time spent inside the interval —
+    A span carries its nesting ``depth`` and a decomposition of the
+    simulated time spent inside the interval —
 
     ``comm_time``
         seconds charged at message endpoints (``alpha + beta * words``
@@ -86,16 +86,12 @@ class TraceEvent:
 
     * ``"send"`` — a message injection;
     * ``"recv"`` — a message consumption;
-    * ``"phase"`` — a completed phase block;
     * ``"drop"`` — a wire transmission lost to an injected fault
       (:mod:`repro.faults`);
     * ``"retry"`` — a reliable-transport retransmission after a
       timeout (:mod:`repro.net.reliable`).
 
-    For message events (``send``/``recv``/``drop``/``retry``) ``peer``
-    is the other endpoint; for phase events ``tag`` holds the phase
-    name and ``words`` the phase duration in seconds scaled by 1e9
-    (integer nanoseconds) to keep the field integral.
+    ``peer`` is the message's other endpoint.
     """
 
     kind: str
@@ -120,12 +116,6 @@ class Tracer:
         """Record a message consumption."""
         self.events.append(TraceEvent("recv", time, rank, src, tag, words))
 
-    def phase(self, rank: int, name: str, start: float, end: float) -> None:
-        """Record a completed phase block."""
-        self.events.append(
-            TraceEvent("phase", start, rank, rank, name, int((end - start) * 1e9))
-        )
-
     def drop(self, time: float, src: int, dest: int, tag, words: int) -> None:
         """Record a wire transmission lost to an injected fault."""
         self.events.append(TraceEvent("drop", time, src, dest, tag, words))
@@ -147,14 +137,6 @@ class Tracer:
                 out[e.tag] = out.get(e.tag, 0) + e.words
         return out
 
-    def phase_spans(self, rank: int) -> list[tuple[str, float, float]]:
-        """``(name, start, end)`` phase intervals of one PE."""
-        return [
-            (str(e.tag), e.time, e.time + e.words / 1e9)
-            for e in self.events
-            if e.kind == "phase" and e.rank == rank
-        ]
-
 
 def render_timeline(tracer: Tracer, *, max_events: int = 40) -> str:
     """A human-readable event log, chronologically ordered."""
@@ -170,13 +152,9 @@ def render_timeline(tracer: Tracer, *, max_events: int = 40) -> str:
             lines.append(
                 f"{t:12.3f}  PE{e.rank} -x PE{e.peer}  {e.words}w  tag={e.tag!r}  DROPPED"
             )
-        elif e.kind == "retry":
-            lines.append(
-                f"{t:12.3f}  PE{e.rank} ~> PE{e.peer}  {e.words}w  tag={e.tag!r}  RETRY"
-            )
         else:
             lines.append(
-                f"{t:12.3f}  PE{e.rank} phase {e.tag!r} ({e.words / 1e3:.3f} us)"
+                f"{t:12.3f}  PE{e.rank} ~> PE{e.peer}  {e.words}w  tag={e.tag!r}  RETRY"
             )
     if len(events) > max_events:
         lines.append(f"... {len(events) - max_events} more events")

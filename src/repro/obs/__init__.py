@@ -1,7 +1,7 @@
 """Observability: structured tracing, exporters, and the phase profiler.
 
 This package unifies the raw plumbing of :mod:`repro.net.trace`
-(message/phase event streams) and :mod:`repro.net.metrics` (per-PE
+(message event streams) and :mod:`repro.net.metrics` (per-PE
 counters and :class:`~repro.net.trace.SpanRecord` lists) behind the
 interfaces the evaluation needs:
 

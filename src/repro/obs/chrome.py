@@ -105,8 +105,6 @@ def chrome_trace(
     messages = []
     if tracer is not None:
         for e in tracer.events:
-            if e.kind == "phase":
-                continue  # spans cover phases with strictly more detail
             messages.append(
                 {
                     "ph": "i",

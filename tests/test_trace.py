@@ -1,5 +1,6 @@
 """Tests for the opt-in event tracer."""
 
+import pytest
 
 from repro.core.engine import EngineConfig, counting_program
 from repro.graphs import distribute
@@ -28,16 +29,12 @@ def test_trace_counts_match_metrics():
 
 
 def test_trace_phase_spans_match_phase_times():
-    tracer, res = _traced_run()
+    _, res = _traced_run()
     for rank, m in enumerate(res.metrics.per_pe):
-        spans = tracer.phase_spans(rank)
         by_name = {}
-        for name, start, end in spans:
-            by_name[name] = by_name.get(name, 0.0) + (end - start)
-        for name, t in m.phase_times.items():
-            assert by_name[name] == (
-                __import__("pytest").approx(t, abs=1e-8)
-            ), (rank, name)
+        for span in m.spans:
+            by_name[span.name] = by_name.get(span.name, 0.0) + span.elapsed
+        assert by_name == pytest.approx(dict(m.phase_times), abs=1e-12), rank
 
 
 def test_messages_between_endpoints():
