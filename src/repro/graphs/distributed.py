@@ -242,17 +242,21 @@ class LocalGraph:
             CSR arrays over the ghosts in :attr:`ghost_vertices` order,
             holding slots; neighborhoods sorted ascending.
         """
+        from scipy.sparse import csr_matrix
+
+        # Transposing the owned rows (CSR -> CSC, a linear and stable
+        # counting sort) lists each slot's owned neighbours as ascending
+        # row numbers; the ghost columns are the cut arcs.  The owned
+        # columns sit contiguously between the two runs of ghost columns.
         own = self.owned_slots
-        cut = ~self.is_owned(slots)
-        ghost_slots = slots[cut]
-        # The owned endpoints come sorted, so a stable sort by ghost
-        # slot keeps each ghost's local neighbours ascending.
-        order = np.argsort(ghost_slots, kind="stable")
-        owned = np.arange(own.start, own.stop, dtype=np.int64)
-        local_nbrs = np.repeat(owned, self.degrees)[cut][order]
-        counts = np.bincount(ghost_slots, minlength=self.ids.size)
-        gxadj = np.zeros(self.num_ghosts + 1, dtype=np.int64)
-        np.cumsum(self.ghost_part(counts), out=gxadj[1:])
+        flags = np.ones(slots.size, dtype=bool)
+        shape = (self.num_local_vertices, self.ids.size)
+        csc = csr_matrix((flags, slots, self.xadj), shape=shape).tocsc()
+        xadj = csc.indptr.astype(np.int64)
+        lo, hi = xadj[own.start], xadj[own.stop]
+        gxadj = np.concatenate((xadj[: own.start], xadj[own.stop :] - (hi - lo)))
+        local_nbrs = np.concatenate((csc.indices[:lo], csc.indices[hi:])).astype(np.int64)
+        local_nbrs += own.start
         return gxadj, local_nbrs
 
     def memory_words(self) -> int:
