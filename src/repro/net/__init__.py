@@ -17,7 +17,8 @@
   dedup), costs charged to the alpha-beta model;
 * :mod:`~repro.net.shm` — the zero-copy shared-memory frame pool the
   process backend uses to move payloads between workers without
-  pickling (``REPRO_SHM_FRAMES``, see ``docs/PERFORMANCE.md``).
+  pickling (``ProcessMachine(..., shm=...)``, see
+  ``docs/PERFORMANCE.md``).
 """
 
 from .aggregation import BufferedMessageQueue

@@ -34,8 +34,8 @@ Design
   sent to several destinations fill one slot once and fan out by
   refcount.  When the pool is exhausted (or a payload exceeds the
   slot size) the message *spills* to the legacy pickled path,
-  observably identical and merely slower; ``REPRO_SHM_FRAMES=0`` or
-  ``ProcessMachine(..., shm=False)`` turns the pool off entirely.
+  observably identical and merely slower; ``ProcessMachine(...,
+  shm=False)`` turns the pool off entirely.
   Per-PE ``shm_frames`` / ``shm_spills`` / ``bytes_moved`` counters
   report what the transport actually did (see ``docs/PERFORMANCE.md``).
 * Each worker receives only *its own* local graph view, exactly the
@@ -88,12 +88,6 @@ from .shm import (
 
 __all__ = ["ProcessMachine", "RemoteDist"]
 
-#: Environment defaults for the shared-memory frame pool (overridable
-#: per-machine via the ``ProcessMachine`` keyword arguments).
-ENV_SHM = "REPRO_SHM_FRAMES"
-ENV_SHM_SLOTS = "REPRO_SHM_SLOTS"
-ENV_SHM_SLOT_BYTES = "REPRO_SHM_SLOT_BYTES"
-
 #: Slots are virtual address space until touched (``/dev/shm`` is
 #: sparse), so the defaults are sized for paper-scale frames rather
 #: than for the tiny test instances: 256 slots × 16 MiB ≈ 4 GiB of
@@ -106,18 +100,6 @@ DEFAULT_SHM_SLOT_BYTES = 1 << 24  # 16 MiB per slot
 #: Payloads with less array data than this pickle faster than a slot
 #: round-trip; they stay on the legacy path (not counted as spills).
 MIN_SHM_BYTES = 512
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
 
 
 class RemoteDist:
@@ -516,16 +498,15 @@ class ProcessMachine:
     own view.  Results and metrics come back exactly like the
     simulator's :class:`MachineResult`.
 
-    Shared-memory transport knobs (keyword arguments override the
-    environment; the environment overrides the defaults):
+    Shared-memory transport knobs:
 
-    ``shm`` / ``REPRO_SHM_FRAMES``
+    ``shm``
         Route large payloads through the zero-copy pool (default on
         where ``multiprocessing.shared_memory`` works).
-    ``shm_slots`` / ``REPRO_SHM_SLOTS``
+    ``shm_slots``
         Number of pool slots (default 256).  A full pool never blocks —
         senders spill to the pickled path and count a ``shm_spills``.
-    ``shm_slot_bytes`` / ``REPRO_SHM_SLOT_BYTES``
+    ``shm_slot_bytes``
         Bytes per slot (default 16 MiB); payloads above this always
         spill.
     ``start_method``
@@ -544,9 +525,9 @@ class ProcessMachine:
         spec: MachineSpec = DEFAULT_SPEC,
         *,
         timeout: float = 300.0,
-        shm: bool | None = None,
-        shm_slots: int | None = None,
-        shm_slot_bytes: int | None = None,
+        shm: bool = True,
+        shm_slots: int = DEFAULT_SHM_SLOTS,
+        shm_slot_bytes: int = DEFAULT_SHM_SLOT_BYTES,
         start_method: str | None = None,
     ):
         if num_pes < 1:
@@ -560,17 +541,9 @@ class ProcessMachine:
         self.spec = spec
         self.timeout = timeout
         self.start_method = start_method or _default_start_method()
-        if shm is None:
-            shm = _env_flag(ENV_SHM, True)
         self.shm = bool(shm) and shm_supported()
-        self.shm_slots = (
-            shm_slots if shm_slots is not None else _env_int(ENV_SHM_SLOTS, DEFAULT_SHM_SLOTS)
-        )
-        self.shm_slot_bytes = (
-            shm_slot_bytes
-            if shm_slot_bytes is not None
-            else _env_int(ENV_SHM_SLOT_BYTES, DEFAULT_SHM_SLOT_BYTES)
-        )
+        self.shm_slots = shm_slots
+        self.shm_slot_bytes = shm_slot_bytes
 
     def run(self, program: Callable, /, *args, **kwargs) -> MachineResult:
         """Execute ``program(ctx, *args, **kwargs)`` on every PE.

@@ -311,19 +311,6 @@ def test_disabled_pool_counts_nothing(graph):
     assert res.metrics.total_bytes_moved == 0
 
 
-def test_env_knobs(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_FRAMES", "0")
-    assert ProcessMachine(2).shm is False
-    monkeypatch.setenv("REPRO_SHM_FRAMES", "1")
-    monkeypatch.setenv("REPRO_SHM_SLOTS", "7")
-    monkeypatch.setenv("REPRO_SHM_SLOT_BYTES", "8192")
-    m = ProcessMachine(2)
-    assert m.shm is True and m.shm_slots == 7 and m.shm_slot_bytes == 8192
-    # explicit kwargs win over the environment
-    m = ProcessMachine(2, shm=False, shm_slots=3)
-    assert m.shm is False and m.shm_slots == 3
-
-
 def _crashing_program(ctx, dist, cfg):
     yield
     if ctx.rank == 1:
