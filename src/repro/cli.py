@@ -12,7 +12,7 @@ Subcommands
 ``datasets``
     The Table-I stand-in statistics next to the paper's numbers.
 ``lint``
-    Static SPMD-protocol checks (rules R1-R6) over source trees.
+    Static SPMD-protocol checks (rules R1-R14) over source trees.
 ``chaos``
     Fault-injection campaign: sweep seeds x drop rates (plus one
     scheduled PE crash) and assert exact counts; ``--recovery

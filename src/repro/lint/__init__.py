@@ -4,9 +4,10 @@ The machine's programming contract — collectives driven with ``yield
 from``, identical collective order on every PE, deterministic message
 order, explicit message costs, vectorized message hot paths — is
 unchecked by Python itself; this package enforces it with AST analysis:
-the per-module lexical rules R1–R7 plus the whole-program dataflow
-rules R8–R12 (static deadlock, rank taint, charge coverage, checkpoint
-consistency — see ``docs/STATIC_ANALYSIS.md``).  All rules are
+the per-module lexical rules R1–R7, R13 and R14 plus the
+whole-program dataflow rules R8–R12 (static deadlock, rank taint,
+charge coverage, checkpoint consistency — see
+``docs/STATIC_ANALYSIS.md``).  All rules are
 catalogued in :data:`~repro.lint.findings.RULES` and documented with
 examples in ``docs/SPMD_CONTRACT.md``.
 

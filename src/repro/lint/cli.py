@@ -18,8 +18,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Static checker for the SPMD protocol contract of the simulated "
-            "machine: lexical rules R1-R7 plus the whole-program dataflow "
-            "rules R8-R12 (see docs/SPMD_CONTRACT.md and "
+            "machine: lexical rules R1-R7, R13 and R14 plus the whole-program "
+            "dataflow rules R8-R12 (see docs/SPMD_CONTRACT.md and "
             "docs/STATIC_ANALYSIS.md). Suppress a deliberate violation with "
             "'# noqa: R<n>' on the offending line; dataflow rules require a "
             "justification: '# noqa: R8 -- <why this is safe>'."

@@ -1,7 +1,7 @@
 """File walking, ``# noqa`` suppression, and the linting entry points.
 
-Two analysis layers run here: the per-module lexical rules R1–R7
-(:func:`repro.lint.rules.check_module`) and the whole-program dataflow
+Two analysis layers run here: the per-module lexical rules R1–R7,
+R13 and R14 (:func:`repro.lint.rules.check_module`) and the whole-program dataflow
 rules R8–R12 (:func:`repro.lint.flow.analyze_modules`), which see the
 entire linted file set at once so cross-file calls resolve.
 

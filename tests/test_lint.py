@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import RULES, lint_paths, lint_source
-from repro.lint.cli import main as lint_main
+from repro.lint.cli import build_parser, main as lint_main
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
@@ -220,6 +220,11 @@ def test_finding_format_is_compiler_style():
     text = finding.format()
     assert text.startswith("x.py:3:")
     assert " R1 " in text
+
+
+def test_cli_description_names_every_rule_range():
+    description = build_parser().description
+    assert "R13" in description and "R14" in description
 
 
 def test_rule_catalogue_is_complete():
