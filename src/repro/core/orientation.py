@@ -28,7 +28,13 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..net.frames import concat_xadj
 
-__all__ = ["order_keys", "orient", "orient_by_degree", "out_neighborhoods", "is_acyclic_orientation"]
+__all__ = [
+    "order_keys",
+    "orient",
+    "orient_by_degree",
+    "out_neighborhoods",
+    "is_acyclic_orientation",
+]
 
 
 def order_keys(degrees: np.ndarray, ids: np.ndarray, bound: int) -> np.ndarray:

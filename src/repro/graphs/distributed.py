@@ -252,9 +252,9 @@ class LocalGraph:
         flags = np.ones(slots.size, dtype=bool)
         shape = (self.num_local_vertices, self.ids.size)
         csc = csr_matrix((flags, slots, self.xadj), shape=shape).tocsc()
-        xadj = csc.indptr.astype(np.int64)
-        lo, hi = xadj[own.start], xadj[own.stop]
-        gxadj = np.concatenate((xadj[: own.start], xadj[own.stop :] - (hi - lo)))
+        colptr = csc.indptr.astype(np.int64)
+        lo, hi = colptr[own.start], colptr[own.stop]
+        gxadj = np.concatenate((colptr[: own.start], colptr[own.stop :] - (hi - lo)))
         local_nbrs = np.concatenate((csc.indices[:lo], csc.indices[hi:])).astype(np.int64)
         local_nbrs += own.start
         return gxadj, local_nbrs
