@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.approx import amq_cetric_program, amq_lcc_program
 from repro.core.components import components_program
-from repro.core.engine import EngineConfig
+from repro.core.engine import CONFIGS, EngineConfig
 from repro.core.enumerate import enumerate_program
 from repro.core.kcore import kcore_program
 from repro.core.lcc import lcc_program
@@ -125,12 +125,6 @@ GOLDEN_CLOCK_FREE = {
     ),
 }
 
-_CONFIGS = {
-    "ditric": EngineConfig(),
-    "ditric2": EngineConfig(indirect=True),
-    "cetric": EngineConfig(contraction=True),
-    "cetric2": EngineConfig(contraction=True, indirect=True),
-}
 GOLDEN_PES = (4, 6)
 _HALO_PROGRAMS = {"kcore": kcore_program, "components": components_program}
 
@@ -142,7 +136,7 @@ def _program(name):
     family, _, variant = name.partition("-")
     if family in ("lcc", "enumerate"):
         program = lcc_program if family == "lcc" else enumerate_program
-        return program, (_CONFIGS[variant],), {}
+        return program, (CONFIGS[variant],), {}
     kind = "ssbf" if "ssbf" in variant else "bloom"
     if variant.startswith("cetric"):
         config = EngineConfig(contraction=True, indirect=variant.endswith("indirect"))
