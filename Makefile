@@ -61,7 +61,7 @@ bench-e2e-test:
 examples:
 	@for ex in examples/*.py; do \
 		echo "=== $$ex ==="; \
-		$(PYTHON) $$ex || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
 report:
