@@ -338,6 +338,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             & {b.key for b in baseline if b.simulated_time is not None}
         )
         print(bench.format_diff(regressions, compared=compared, threshold=args.threshold))
+        for line in bench.drifts(baseline, records, threshold=args.threshold):
+            print(f"  drift below the gate: {line}")
         if regressions:
             return 1
     return 0

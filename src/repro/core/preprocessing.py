@@ -83,8 +83,8 @@ def ghost_send_lists(ctx: PEContext, lg: LocalGraph) -> list[tuple[int, np.ndarr
     kept = kept[np.argsort(ranks[kept], kind="stable")]
     ctx.charge(cut.shape[0])
     ids, ranks = src[kept], ranks[kept]
-    splits = np.flatnonzero(np.diff(ranks)) + 1
-    return list(zip(ranks[np.r_[0, splits]].tolist(), np.split(ids, splits)))
+    bounds = np.flatnonzero(np.diff(ranks, prepend=-1, append=-1)).tolist()
+    return [(int(ranks[lo]), ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def exchange_ghost_values(
@@ -106,9 +106,12 @@ def exchange_ghost_values(
     """
     if mode not in ("dense", "sparse"):
         raise ValueError("mode must be 'dense' or 'sparse'")
-    payloads = {
-        rank: ((ids, values[ids - lg.vlo]), 2 * ids.size) for rank, ids in send_lists
-    }
+    flat = np.concatenate([np.empty(0, np.int64), *(ids for _, ids in send_lists)])
+    gathered, end = values[flat - lg.vlo], 0  # one gather, sliced per rank
+    payloads = {}
+    for rank, ids in send_lists:
+        end += ids.size
+        payloads[rank] = ((ids, gathered[end - ids.size : end]), 2 * ids.size)
     if mode == "dense":
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label=tag_label)
     else:

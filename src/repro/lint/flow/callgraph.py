@@ -39,9 +39,9 @@ __all__ = ["FunctionDecl", "CallGraph"]
 
 #: Attribute calls that feed costs into the model (directly or by
 #: sending): the queues' ``post*``/``flush`` charge wire words when they
-#: flush, and every ``ctx.send`` is charged by the machine itself.
+#: flush, and every ``ctx.send``/``send_many`` is charged by the machine itself.
 _CHARGE_ATTRS = frozenset(
-    {"charge", "charge_time", "send", "post", "post_many", "post_items", "flush"}
+    {"charge", "charge_time", "send", "send_many", "post", "post_many", "post_items", "flush"}
 )
 _CHARGE_NAMES = frozenset({"reliable_send"})
 

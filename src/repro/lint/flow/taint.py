@@ -2,10 +2,10 @@
 
 A value is *rank-tainted* when it can differ across PEs running the
 same program: anything derived from ``ctx.rank``, from received
-messages (``recv`` / ``try_recv`` / ``drain`` / a queue ``finalize``),
-from checkpoint replay (``ctx.restore`` — present on the recovering
-PE, ``None`` elsewhere mid-crash), or transitively from those through
-arithmetic, indexing, calls, and loop targets.
+messages (``recv`` / ``try_recv`` / ``recv_many`` / ``drain`` / a
+queue ``finalize``), from checkpoint replay (``ctx.restore`` — present
+on the recovering PE, ``None`` elsewhere mid-crash), or transitively
+from those through arithmetic, indexing, calls, and loop targets.
 
 Two deliberate *sanitizers* keep the analysis useful on real programs:
 
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Method calls whose result is received data (rank-local by nature).
-_SOURCE_ATTRS = frozenset({"recv", "try_recv", "restore", "pending", "finalize"})
+_SOURCE_ATTRS = frozenset({"recv", "try_recv", "recv_many", "restore", "pending", "finalize"})
 #: Free functions whose result is received data.
 _SOURCE_NAMES = frozenset({"drain"})
 #: Collectives whose *result* is rank-invariant (same value on all PEs).
@@ -134,7 +134,7 @@ def mentions_rank(expr: ast.AST, rank_aliases: set[str]) -> bool:
 
 # -- R10: unordered iteration feeding message destinations -------------
 
-_SEND_ATTRS = frozenset({"send", "post", "post_items"})
+_SEND_ATTRS = frozenset({"send", "send_many", "post", "post_items"})
 
 
 def _body_sends(body: list[ast.stmt]) -> bool:

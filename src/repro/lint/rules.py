@@ -205,7 +205,7 @@ def _is_ctx_recv(call: ast.Call) -> bool:
 
 
 def _is_send_call(call: ast.Call) -> bool:
-    return isinstance(call.func, ast.Attribute) and call.func.attr == "send"
+    return isinstance(call.func, ast.Attribute) and call.func.attr in ("send", "send_many")
 
 
 def _array_derived_iter(expr: ast.AST) -> bool:

@@ -98,11 +98,6 @@ class BufferedMessageQueue:
         self.flushes = 0
         self.records_posted = 0
 
-    @property
-    def buffered_words(self) -> int:
-        """Current total buffered size ``B = sum_j |B_j|``."""
-        return self._total_words
-
     def post_many(
         self,
         dest_ranks: np.ndarray,
@@ -182,7 +177,9 @@ class BufferedMessageQueue:
         # (segment, dest) group a contiguous slice in batch order.
         seg = np.searchsorted(np.asarray(stops, dtype=np.int64), np.arange(n), "right")
         key = seg * self.ctx.num_pes + dest_ranks
-        order = np.argsort(key, kind="stable")
+        # numpy sorts 16-bit keys stably by radix sort, in linear time.
+        small = (len(stops) + 1) * self.ctx.num_pes <= 1 << 16
+        order = np.argsort(key.astype(np.uint16) if small else key, kind="stable")
         sub = _gathered(vertices, targets, slots, xadj, adj, order)
         fd = final_dests[order] if final_dests is not None else None
         if fd is not None:
@@ -195,6 +192,8 @@ class BufferedMessageQueue:
         flush_after = set(stops)
         for g, (dest, words) in enumerate(zip(group_dests, group_words)):
             lo, hi = starts[g], starts[g + 1]
+            # One small rebased xadj per group: a shared, vectorised one
+            # stays pinned by any frame still alive and raises peak memory.
             gxadj = sub.xadj[lo : hi + 1] - offsets[g]
             gxadj.flags.writeable = False
             chunk = RecordFrame(
@@ -228,8 +227,9 @@ class BufferedMessageQueue:
         """
         if not self._chunks:
             return
-        for dest in sorted(self._chunks):
-            self.ctx.send(dest, self.tag, merge_frames(self._chunks[dest]), self._buffer_words[dest])
+        dests = sorted(self._chunks)
+        frames = [merge_frames(self._chunks[dest]) for dest in dests]
+        self.ctx.send_many(dests, self.tag, frames, [self._buffer_words[d] for d in dests])
         self._chunks = {}
         self._buffer_words = {}
         self._total_words = 0

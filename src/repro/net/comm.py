@@ -76,15 +76,14 @@ def reduce_to_root(
     tag = ("reduce", cid)
     acc = value
     mask = 1
-    while mask < p:
-        if ctx.rank & mask:
-            ctx.send(ctx.rank - mask, tag, acc, words)
-            return None
-        src = ctx.rank + mask
-        if src < p:
+    while mask < p and not ctx.rank & mask:
+        if ctx.rank + mask < p:
             msg = yield from ctx.recv(tag)
             acc = op(acc, msg.payload)
         mask <<= 1
+    if mask < p:
+        ctx.send(ctx.rank - mask, tag, acc, words)
+        return None
     return acc
 
 
@@ -102,12 +101,8 @@ def bcast(
         assert msg.src == parent, "binomial tree violated"
         value = msg.payload
     k = rank.bit_length()  # children are rank + 2^k for 2^k > rank
-    while True:
-        child = rank + (1 << k)
-        if child >= p:
-            break
-        ctx.send(child, tag, value, words)
-        k += 1
+    children = [child for j in range(k, p.bit_length()) if (child := rank + (1 << j)) < p]
+    ctx.send_many(children, tag, [value] * len(children), [words] * len(children))
     return value
 
 
@@ -143,29 +138,21 @@ def alltoallv_dense(
     p = ctx.num_pes
     cid = ctx.enter_collective(f"alltoallv:{tag_label}")
     tag = (tag_label, cid)
+    dests = [dest for dest in range(p) if dest != ctx.rank]
+    sends = [payloads.get(dest, (None, 0)) for dest in dests]
+    sizes = [max(int(words), CONTROL_WORDS) for _, words in sends]
+    ctx.send_many(dests, tag, [payload for payload, _ in sends], sizes)
     received: list[Message] = []
-    for dest in range(p):
-        if dest == ctx.rank:
-            continue
-        payload, words = payloads.get(dest, (None, 0))
-        ctx.send(dest, tag, payload, max(int(words), CONTROL_WORDS))
     if ctx.rank in payloads:
         payload, words = payloads[ctx.rank]
-        received.append(
-            Message(
-                src=ctx.rank,
-                dest=ctx.rank,
-                tag=tag,
-                payload=payload,
-                words=int(words),
-                send_time=ctx.clock,
-            )
-        )
+        received.append(Message(ctx.rank, ctx.rank, tag, payload, int(words), ctx.clock))
     need = p - 1
     while need > 0:
-        msg = yield from ctx.recv(tag)
-        received.append(msg)
-        need -= 1
+        got = ctx.recv_many(tag, need)
+        if not got:
+            got = [(yield from ctx.recv(tag))]
+        received.extend(got)
+        need -= len(got)
     return received
 
 
@@ -196,21 +183,12 @@ def sparse_alltoall(
     """
     cid = ctx.enter_collective(f"sparse-alltoall:{tag_label}")
     tag = (tag_label, cid)
-    received: list[Message] = []
-    for dest, payload, words in payloads:
-        if dest == ctx.rank:
-            received.append(
-                Message(
-                    src=ctx.rank,
-                    dest=ctx.rank,
-                    tag=tag,
-                    payload=payload,
-                    words=int(words),
-                    send_time=ctx.clock,
-                )
-            )
-            continue
-        ctx.send(dest, tag, payload, int(words))
+    sends = [(dest, payload, int(words)) for dest, payload, words in payloads]
+    out = [send for send in sends if send[0] != ctx.rank]
+    ctx.send_many([d for d, _, _ in out], tag, [x for _, x, _ in out], [w for _, _, w in out])
+    received = [
+        Message(ctx.rank, ctx.rank, tag, x, w, ctx.clock) for d, x, w in sends if d == ctx.rank
+    ]
     # NBX discipline: wait for our own sends to finish delivery before
     # entering the barrier — under the contended network model messages
     # are in flight (queueing on links) after ``send`` returns, and a
@@ -229,9 +207,4 @@ def drain(ctx: PEContext, tag: Tag) -> list[Message]:
     in queue order, so injected reordering (``repro.faults``) changes
     the list order but never the multiset of messages.
     """
-    out: list[Message] = []
-    while True:
-        msg = ctx.try_recv(tag)
-        if msg is None:
-            return out
-        out.append(msg)
+    return ctx.recv_many(tag)

@@ -103,6 +103,13 @@ class Grid:
             return dest
         return candidate
 
+    def proxies(self, src: int) -> np.ndarray:
+        """:meth:`proxy` from ``src`` to every rank, as one array."""
+        (si, sj), dest = self.position(src), np.arange(self.num_pes, dtype=np.int64)
+        di, dj = np.divmod(dest, self.cols)
+        hop = np.where(si * self.cols + dj < self.num_pes, si * self.cols + dj, sj * self.cols + dj)
+        return np.where((di == si) | (dj == sj) | (hop == src) | (hop == dest), dest, hop)
+
 
 class GridRouter:
     """Two-hop aggregated routing over the logical grid.
@@ -120,11 +127,7 @@ class GridRouter:
         self._col_tag: Tag = ("grid-col", tag)
         self._row_queue = BufferedMessageQueue(ctx, self._row_tag, threshold_words)
         self._col_queue = BufferedMessageQueue(ctx, self._col_tag, threshold_words)
-        self._proxy_of = np.fromiter(
-            (self.grid.proxy(ctx.rank, d) for d in range(ctx.num_pes)),
-            dtype=np.int64,
-            count=ctx.num_pes,
-        )
+        self._proxy_of = self.grid.proxies(ctx.rank)
         ctx.charge(ctx.num_pes)  # the O(p) proxy table above
         #: Application records posted at this PE (a proxy's re-posts
         #: are not counted).

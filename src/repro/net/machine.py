@@ -34,12 +34,19 @@ the generator:
 * ``ctx.charge(ops[, phase])`` — account local work;
 * ``ctx.send(dest, tag, payload, words)`` — non-blocking send;
 * ``ctx.try_recv(tag)`` — non-blocking receive (``None`` if empty);
+* ``ctx.send_many(dests, tag, payloads, words)`` and
+  ``ctx.recv_many(tag, count=None)`` — the same for a batch;
 * ``yield from ctx.recv(tag)`` — blocking receive;
 * ``yield`` — bare progress point inside long local sections;
 * ``return value`` — the PE's result, collected by ``Machine.run``.
 
 Collectives (barrier, allreduce, alltoallv, sparse all-to-all) live in
 :mod:`repro.net.comm` and are used with ``yield from``.
+
+A batch saves host work only: ``send_many``/``recv_many`` still build
+one :class:`Message` per simulated message and account each exactly
+like ``send``/``try_recv``, their one-message cases (see
+``docs/SIMULATION.md``).
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from __future__ import annotations
 import os
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Generator
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, Sequence
 
 from ..sim.engine import EngineStats, SimEngine
 from ..sim.network import Network, NetworkStats
@@ -217,54 +224,93 @@ class PEContext:
         Matches the paper's use of non-blocking MPI sends: the cost of
         injecting the message is charged to the sender, and the message
         becomes visible to the receiver no earlier than the sender's
-        post-send clock.
+        post-send clock.  A one-message :meth:`send_many`.
         """
-        if not (0 <= dest < self.num_pes):
-            raise ValueError(f"invalid destination rank {dest}")
-        if words < 0:
+        self.send_many((dest,), tag, (payload,), (words,))
+
+    def send_many(
+        self, dests: Sequence[int], tag: Tag, payloads: Sequence[Any], words: Sequence[int]
+    ) -> None:
+        """Send ``payloads[i]`` of ``words[i]`` words to ``dests[i]``, in order.
+
+        Accounted exactly like one :meth:`send` per message, but the whole
+        batch is checked before anything is charged.  Under instant
+        direct delivery the batch lands in one machine call; a wire
+        transport may charge this PE between two messages, so there (and
+        under the contended network) each message is handed over before
+        the next one is charged.
+        """
+        if not len(dests) == len(payloads) == len(words):
+            raise ValueError("send_many needs one payload and one size per destination")
+        bad = [dest for dest in dests if not 0 <= dest < self.num_pes]
+        if bad:
+            raise ValueError(f"invalid destination rank {bad[0]}")
+        if min(words, default=0) < 0:
             raise ValueError("words must be non-negative")
-        dt = self._slowdown * self.spec.message_time(words)
-        self.metrics.clock += dt
-        self.metrics.comm_seconds += dt
-        self.metrics.messages_sent += 1
-        self.metrics.words_sent += int(words)
-        msg = Message(
-            src=self.rank,
-            dest=dest,
-            tag=tag,
-            payload=payload,
-            words=int(words),
-            send_time=self.metrics.clock,
-        )
-        tracer = self._machine.tracer
-        if tracer is not None:
-            tracer.send(self.metrics.clock, self.rank, dest, tag, int(words))
-        self._machine._transmit(msg)
+        machine, m, rank = self._machine, self.metrics, self.rank
+        tracer, slowdown, message_time = machine.tracer, self._slowdown, self.spec.message_time
+        batch = [] if machine._wire is None and machine._in_flight is None else None
+        clock, comm, total = m.clock, m.comm_seconds, 0
+        for dest, payload, w in zip(dests, payloads, words):
+            w = int(w)
+            dt = slowdown * message_time(w)
+            clock += dt
+            comm += dt
+            total += w
+            msg = Message(rank, dest, tag, payload, w, clock)
+            if tracer is not None:
+                tracer.send(clock, rank, dest, tag, w)
+            if batch is not None:
+                batch.append(msg)
+                continue
+            m.clock, m.comm_seconds = clock, comm
+            machine._transmit(msg)
+            clock, comm = m.clock, m.comm_seconds
+        m.clock, m.comm_seconds = clock, comm
+        m.messages_sent += len(words)
+        m.words_sent += total
+        if batch:
+            machine._land_many(batch)
 
     def try_recv(self, tag: Tag) -> Message | None:
         """Consume the oldest pending message with ``tag``, if any.
 
         Consuming pays the receiver-side ``alpha + beta * words`` and
-        fast-forwards the clock to the message's causal timestamp.
+        fast-forwards the clock to the message's causal timestamp.  A
+        one-message :meth:`recv_many`.
         """
+        got = self.recv_many(tag, 1)
+        return got[0] if got else None
+
+    def recv_many(self, tag: Tag, count: int | None = None) -> list[Message]:
+        """Consume up to ``count`` (default: all) pending ``tag`` messages,
+        oldest first, each accounted exactly like one :meth:`try_recv`."""
         q = self._inbox.get(tag)
-        if not q:
-            return None
-        msg = q.popleft()
-        self._machine._note_consumed(msg)
-        if msg.send_time > self.metrics.clock:
-            self.metrics.wait_seconds += msg.send_time - self.metrics.clock
-            self.metrics.clock = msg.send_time
-        dt = self._slowdown * self.spec.message_time(msg.words)
-        self.metrics.clock += dt
-        self.metrics.comm_seconds += dt
-        self.metrics.messages_received += 1
-        self.metrics.words_received += msg.words
-        tracer = self._machine.tracer
-        if tracer is not None:
-            tracer.recv(self.metrics.clock, self.rank, msg.src, msg.tag, msg.words)
-        self._machine._note_progress()
-        return msg
+        n = len(q) if q else 0
+        if count is not None:
+            n = min(n, count)
+        if n <= 0:
+            return []
+        got = [q.popleft() for _ in range(n)]
+        machine, m, rank = self._machine, self.metrics, self.rank
+        tracer, slowdown, message_time = machine.tracer, self._slowdown, self.spec.message_time
+        clock, comm, wait, total = m.clock, m.comm_seconds, m.wait_seconds, 0
+        for msg in got:
+            machine._note_consumed(msg)
+            if msg.send_time > clock:
+                wait += msg.send_time - clock
+                clock = msg.send_time
+            dt = slowdown * message_time(msg.words)
+            clock += dt
+            comm += dt
+            total += msg.words
+            if tracer is not None:
+                tracer.recv(clock, rank, msg.src, msg.tag, msg.words)
+        m.clock, m.comm_seconds, m.wait_seconds = clock, comm, wait
+        m.messages_received += n
+        m.words_received += total
+        machine._note_progress(n)
+        return got
 
     def recv(self, tag: Tag) -> Generator[None, None, Message]:
         """Blocking receive: poll (yielding) until a message arrives."""
@@ -602,6 +648,16 @@ class Machine:
         if settle:
             self._settle_send(msg.src)
 
+    def _land_many(self, msgs: list[Message]) -> None:
+        """:meth:`_deliver` for a batch under instant direct delivery, where
+        nothing overtakes and there is no in-flight count to settle."""
+        contexts, engine = self._contexts, self._engine
+        for msg in msgs:
+            contexts[msg.dest]._inbox[msg.tag].append(msg)
+            if engine is not None:
+                engine.on_deliver(msg.dest, msg.tag)
+        self._progress += len(msgs)
+
     def _transmit(self, msg: Message) -> None:
         """Carry one application send over the configured transport."""
         if self._in_flight is not None:
@@ -626,7 +682,7 @@ class Machine:
 
         def claim() -> None:
             arrival = self.network.arrival_time(msg.src, msg.dest, msg.words, msg.send_time)
-            out = replace(msg, send_time=arrival)
+            out = msg._replace(send_time=arrival)
             self._engine.post_delivery(
                 arrival, lambda: self._deliver(out, front=front, settle=settle)
             )
@@ -641,8 +697,8 @@ class Machine:
         if self._in_flight[src] <= 0 and self._engine is not None:
             self._engine.on_sends_settled(src)
 
-    def _note_progress(self) -> None:
-        self._progress += 1
+    def _note_progress(self, n: int = 1) -> None:
+        self._progress += n
 
     def _note_consumed(self, msg: Message) -> None:
         """A program consumed ``msg`` (localized-recovery log pruning)."""

@@ -9,9 +9,7 @@ algorithms only read payloads they were sent).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple
 
 __all__ = ["Message", "Tag", "HEADER_WORDS"]
 
@@ -22,12 +20,12 @@ Tag = Hashable
 #: aggregated message: the vertex id and the neighborhood length.
 HEADER_WORDS = 2
 
-_seq = itertools.count()
 
-
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One in-flight or delivered message.
+
+    A named tuple, cheap to build once per simulated message; transports
+    derive changed copies with ``msg._replace(...)``.
 
     Attributes
     ----------
@@ -45,9 +43,6 @@ class Message:
         Sender's simulated clock when the send *completed* — the
         earliest moment the receiver can observe the message
         (causal timestamp).
-    seq:
-        Global monotonically increasing id; keeps delivery order
-        deterministic.
     channel_seq:
         Per-(src, dest) channel sequence number stamped by the
         reliable transport (:mod:`repro.net.reliable`) so the receive
@@ -61,7 +56,6 @@ class Message:
     payload: Any
     words: int
     send_time: float
-    seq: int = field(default_factory=lambda: next(_seq))
     channel_seq: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

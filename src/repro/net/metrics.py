@@ -161,24 +161,9 @@ class RunMetrics:
 
     # Observability aggregates (repro.obs) -----------------------------
     @property
-    def total_comm_seconds(self) -> float:
-        """Total message-endpoint seconds charged across the machine."""
-        return sum(m.comm_seconds for m in self.per_pe)
-
-    @property
-    def total_wait_seconds(self) -> float:
-        """Total causal-timestamp waiting seconds across the machine."""
-        return sum(m.wait_seconds for m in self.per_pe)
-
-    @property
     def total_recovery_seconds(self) -> float:
         """Total localized-recovery seconds charged across the machine."""
         return sum(m.recovery_seconds for m in self.per_pe)
-
-    @property
-    def max_recovery_seconds(self) -> float:
-        """Worst per-PE localized-recovery cost (the crashed rank's outage)."""
-        return max((m.recovery_seconds for m in self.per_pe), default=0.0)
 
     @property
     def total_heartbeats(self) -> int:

@@ -64,7 +64,6 @@ throughput, not micro-instance speed records.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
 import os
 import pickle
@@ -237,12 +236,13 @@ class _QueueBus:
     A worker has no tracer, fault plan, checkpoint store, wire
     protocol, in-flight accounting or protocol verifier, so those are
     ``None``/empty and the bookkeeping hooks do nothing;
-    :meth:`_transmit` puts the message into the destination's pipe.
+    :meth:`_transmit` (and, per message, :meth:`_land_many`) puts the
+    message into the destination's pipe.
 
     With a pool attached, every outgoing payload is offered to
     :meth:`SharedFramePool.encode` first; on success the queue carries
     a :class:`ShmPayload` descriptor instead of the payload.  All
-    simulated accounting happened in ``PEContext.send`` before this
+    simulated accounting happened in ``PEContext.send_many`` before this
     point, so the routing decision is invisible to the cost model.
 
     Broadcast payloads are deduplicated: when the *same object* is
@@ -320,11 +320,16 @@ class _QueueBus:
                 elif spilled:
                     self.metrics.shm_spills += 1
             if descriptor is not None:
-                msg = dataclasses.replace(msg, payload=descriptor)
+                msg = msg._replace(payload=descriptor)
         data = pickle.dumps(msg, protocol=5)
         self._channels[msg.dest].send_bytes(data, self.pump)
 
-    def _note_progress(self) -> None:
+    def _land_many(self, msgs) -> None:
+        # Back-to-back sends of one payload still hit the dedup cache.
+        for msg in msgs:
+            self._transmit(msg)
+
+    def _note_progress(self, n: int = 1) -> None:
         pass
 
     def _note_consumed(self, msg) -> None:
@@ -361,18 +366,16 @@ class _WorkerContext(PEContext):
         for data in self._own_channel.drain():
             msg = pickle.loads(data)
             if isinstance(msg.payload, ShmPayload):
-                msg = dataclasses.replace(
-                    msg, payload=self._pool.decode(msg.payload)
-                )
+                msg = msg._replace(payload=self._pool.decode(msg.payload))
             self._inbox[msg.tag].append(msg)
 
-    def try_recv(self, tag):
+    def recv_many(self, tag, count=None):
         """Non-blocking receive over the OS pipe (see PEContext)."""
         self._pump()
-        msg = super().try_recv(tag)
-        if msg is not None:
+        got = super().recv_many(tag, count)
+        if got:
             self._idle_polls = 0
-        return msg
+        return got
 
     def pending(self, tag) -> int:
         """Queued message count for ``tag`` after pumping the pipe."""

@@ -36,7 +36,7 @@ Programs that require reliable delivery mark themselves with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from .messages import Message
@@ -169,7 +169,7 @@ class ReliableTransport:
         chan = (msg.src, msg.dest)
         seq = self._next_seq.get(chan, 0)
         self._next_seq[chan] = seq + 1
-        out = replace(msg, channel_seq=seq)
+        out = msg._replace(channel_seq=seq)
         if self._log_enabled:
             # Keyed by seq so a respawned rank's re-send of the same
             # message overwrites its log entry instead of duplicating it.
@@ -194,13 +194,13 @@ class ReliableTransport:
                 attempts += 1
             t += plan.delay_seconds(spec.alpha)
 
-        delivered = replace(out, send_time=t)
+        delivered = out._replace(send_time=t)
         self._arrive(delivered, duplicate=False)
         if plan is not None and plan.should_duplicate():
             # The wire delivers a stale copy one message-time later.
             self.wire_duplicates += 1
             self._arrive(
-                replace(delivered, send_time=t + spec.message_time(msg.words)),
+                delivered._replace(send_time=t + spec.message_time(msg.words)),
                 duplicate=True,
             )
 
@@ -251,14 +251,14 @@ class ReliableTransport:
             arrival = machine.network.arrival_time(msg.src, msg.dest, msg.words, inject_t)
             machine._engine.post_delivery(
                 arrival,
-                lambda: self._arrive(replace(msg, send_time=arrival), duplicate=False),
+                lambda: self._arrive(msg._replace(send_time=arrival), duplicate=False),
             )
             if plan is not None and plan.should_duplicate():
                 self.wire_duplicates += 1
                 dup_arrival = arrival + spec.message_time(msg.words)
                 machine._engine.post_delivery(
                     dup_arrival,
-                    lambda: self._arrive(replace(msg, send_time=dup_arrival), duplicate=True),
+                    lambda: self._arrive(msg._replace(send_time=dup_arrival), duplicate=True),
                 )
 
         if inject_t > t:
@@ -394,7 +394,7 @@ class ReliableTransport:
                 continue
             sender = machine._contexts[chan[0]]
             for seq in sorted(log):
-                out = replace(log[seq], send_time=at_time)
+                out = log[seq]._replace(send_time=at_time)
                 resend_dt = sender._slowdown * spec.message_time(out.words)
                 sender.metrics.clock += resend_dt
                 sender.metrics.recovery_seconds += resend_dt
@@ -464,15 +464,13 @@ class LossyTransport:
             machine._settle_send(msg.src)
             return
         delay = plan.delay_seconds(machine.spec.alpha)
-        out = replace(msg, send_time=msg.send_time + delay) if delay else msg
+        out = msg._replace(send_time=msg.send_time + delay) if delay else msg
         # Reorder: the message overtakes everything queued for its tag
         # class at delivery time (the program sees it first).
         machine._inject(out, front=plan.should_reorder())
         if plan.should_duplicate():
             self.wire_duplicates += 1
-            dup = replace(
-                out, send_time=out.send_time + machine.spec.message_time(msg.words)
-            )
+            dup = out._replace(send_time=out.send_time + machine.spec.message_time(msg.words))
             machine._inject(dup, settle=False)
 
 

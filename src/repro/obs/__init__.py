@@ -33,6 +33,7 @@ from .bench import (
     BenchRecord,
     Regression,
     diff_records,
+    drifts,
     format_diff,
     load_bench_json,
     record_from_run,
@@ -49,6 +50,7 @@ __all__ = [
     "BenchRecord",
     "Regression",
     "diff_records",
+    "drifts",
     "format_diff",
     "load_bench_json",
     "record_from_run",

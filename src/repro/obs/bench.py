@@ -37,6 +37,7 @@ __all__ = [
     "load_bench_json",
     "bench_json_name",
     "diff_records",
+    "drifts",
     "format_diff",
     "smoke_suite",
     "DEFAULT_THRESHOLD",
@@ -44,6 +45,11 @@ __all__ = [
 
 #: Relative simulated-cost increase that fails the regression gate.
 DEFAULT_THRESHOLD = 0.15
+
+#: Record fields the simulation determines, compared exactly by :func:`drifts`.
+SIMULATED_FIELDS = (
+    "simulated_time", "total_volume", "bottleneck_volume", "max_messages", "peak_words", "triangles"
+)
 
 #: Schema tag written into every BENCH_*.json file.
 SCHEMA = "repro-bench-v1"
@@ -196,9 +202,8 @@ class Regression:
 
     def format(self) -> str:
         """One diagnostic line."""
-        params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return (
-            f"{self.name} ({params}): simulated time "
+            f"{_label(self.name, self.params)}: simulated time "
             f"{self.baseline_time:.6f}s -> {self.current_time:.6f}s "
             f"({(self.ratio - 1.0):+.1%})"
         )
@@ -238,6 +243,31 @@ def diff_records(
             )
     out.sort(key=lambda r: r.ratio, reverse=True)
     return out
+
+
+def drifts(
+    baseline: Iterable[BenchRecord],
+    current: Iterable[BenchRecord],
+    *,
+    threshold: float = DEFAULT_THRESHOLD,
+) -> list[str]:
+    """One line per simulated field of a matched record that differs from
+    the baseline without failing the gate: the simulation is
+    deterministic, so such drift is a real cost change too."""
+    base = {r.key: r for r in baseline}
+    out: list[str] = []
+    for rec in current:
+        old = base.get(rec.key, rec)  # an unmatched record has no drift
+        for name in SIMULATED_FIELDS:
+            was, now = getattr(old, name), getattr(rec, name)
+            gated = name == "simulated_time" and was and now and now > was * (1.0 + threshold)
+            if was != now and not gated:
+                out.append(f"{_label(rec.name, rec.params)}: {name} {was!r} -> {now!r}")
+    return out
+
+
+def _label(name: str, params: dict) -> str:
+    return f"{name} ({', '.join(f'{k}={v}' for k, v in sorted(params.items()))})"
 
 
 def format_diff(

@@ -315,15 +315,15 @@ def test_grid_router_slot_path_matches_legacy(p, threshold, calls):
 def test_flushed_and_finalized_frames_are_read_only(threshold):
     def prog(ctx):
         sent = []
-        send = ctx.send
-        ctx.send = lambda dest, tag, payload, words: (
-            sent.append(payload), send(dest, tag, payload, words)
+        send_many = ctx.send_many
+        ctx.send_many = lambda dests, tag, payloads, words: (
+            sent.extend(payloads), send_many(dests, tag, payloads, words)
         )
         rng = np.random.default_rng(ctx.rank)
         q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
         _post_batch(q, "slots", 1, *_random_batch(rng, ctx.num_pes, 60))
         received = yield from q.finalize()
-        del ctx.send
+        del ctx.send_many
         return [f for f in sent if isinstance(f, RecordFrame)], received
 
     for sent, received in Machine(3).run(prog).values:

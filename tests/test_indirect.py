@@ -80,6 +80,16 @@ def test_proxy_never_returns_invalid_pe():
                 assert 0 <= hop < p
 
 
+def test_proxies_match_proxy_for_every_pair():
+    """The router's vectorised table, including partial last rows."""
+    for p in range(1, 71):
+        g = Grid.of(p)
+        for s in range(p):
+            table = g.proxies(s)
+            assert table.dtype == np.int64
+            assert table.tolist() == [g.proxy(s, d) for d in range(p)]
+
+
 def test_max_peers_bounded_by_grid_dims():
     """Each PE's possible first hops lie in its row/virtual row — O(sqrt p)."""
     for p in (9, 16, 25, 36):

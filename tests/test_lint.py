@@ -247,6 +247,18 @@ def prog(ctx):
     yield
 """
     assert [f.code for f in lint_source(dotted)] == ["R5"]
+    # A batch send bypasses the reliable transport the same way.
+    batch = dotted.replace('ctx.send(1, "t", None, 4)', 'ctx.send_many([1], "t", [None], [4])')
+    assert [f.code for f in lint_source(batch)] == ["R5"]
+
+
+def test_r4_flags_send_many_without_words():
+    src = """
+def prog(ctx):
+    ctx.send_many([1], "t", [None])
+    yield
+"""
+    assert [f.code for f in lint_source(src)] == ["R4"]
 
 
 def test_r5_noqa_escape():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.costmodel import CLOUD, LAN, SUPERMUC, MachineSpec
-from repro.net.messages import HEADER_WORDS, Message
+from repro.net.messages import HEADER_WORDS
 from repro.net.metrics import PEMetrics, RunMetrics
 
 
@@ -32,12 +32,6 @@ def test_scaled_returns_new_instance():
 
 
 # ------------------------------------------------------------- messages
-def test_message_sequence_monotone():
-    a = Message(0, 1, "t", None, 1, 0.0)
-    b = Message(0, 1, "t", None, 1, 0.0)
-    assert b.seq > a.seq
-
-
 def test_header_words_constant():
     assert HEADER_WORDS == 2
 

@@ -25,6 +25,7 @@ from repro.obs import (
     chrome_trace,
     chrome_trace_json,
     diff_records,
+    drifts,
     format_diff,
     load_bench_json,
     profile_metrics,
@@ -236,6 +237,24 @@ def test_diff_gate_passes_on_identical_and_trips_on_regression():
     assert regs[0].ratio == pytest.approx(1.2)
     text = format_diff(regs, compared=2)
     assert "1 regression(s)" in text and "+20.0%" in text
+
+
+def test_drifts_name_every_simulated_field_below_the_gate():
+    base = [
+        BenchRecord(name="s", params={"p": 4}, simulated_time=1.0, total_volume=10),
+        BenchRecord(name="s", params={"p": 8}, simulated_time=2.0, wall_seconds=1.0),
+    ]
+    current = [
+        BenchRecord(name="s", params={"p": 4}, simulated_time=1.0000001, total_volume=11),
+        BenchRecord(name="s", params={"p": 8}, simulated_time=3.0, wall_seconds=9.0),
+        BenchRecord(name="new", params={}, simulated_time=5.0),
+    ]
+    assert drifts(base, base) == []
+    # p=8 is a regression (the gate reports it) and wall time is not simulated.
+    assert drifts(base, current) == [
+        "s (p=4): simulated_time 1.0 -> 1.0000001",
+        "s (p=4): total_volume 10 -> 11",
+    ]
 
 
 def test_diff_gate_ignores_unmatched_and_wall_only_records():

@@ -223,6 +223,31 @@ def test_broadcast_fanout_shares_one_slot(pool):
     assert pool.live_slots() == 0
 
 
+def test_send_many_batch_fanout_shares_one_slot(pool):
+    """The bus's batch hook keeps the fan-out dedup of repeated payloads."""
+    import pickle
+
+    from repro.net.messages import Message
+    from repro.net.parallel import _QueueBus
+
+    class _SinkChannel:
+        def __init__(self):
+            self.frames = []
+
+        def send_bytes(self, data, pump):
+            self.frames.append(data)
+
+    channels = [_SinkChannel() for _ in range(4)]
+    bus = _QueueBus(channels, pool)
+    frame = _frame(3)
+    bus._land_many([Message(0, dest, ("t",), frame, frame.words, 0.0) for dest in range(1, 4)])
+    descs = [pickle.loads(c.frames[0]).payload for c in channels[1:]]
+    assert all(isinstance(d, ShmPayload) for d in descs)
+    assert len({d.slot for d in descs}) == 1  # one physical copy
+    del descs
+    bus._evict_cache()
+
+
 def test_control_message_after_cache_gc_stays_unpooled(pool):
     """Regression: a dead cache weakref returns None — a control message
     with a ``None`` payload must not inherit the stale descriptor."""
