@@ -39,7 +39,7 @@ def emit(
     peak_words: int | None = None,
     **params,
 ) -> BenchRecord:
-    """Record one hand-rolled measurement (e.g. a kernel wall time)."""
+    """Log one hand-rolled measurement (e.g. a kernel wall time)."""
     rec = BenchRecord(
         name=name,
         params=params,
@@ -56,7 +56,7 @@ def emit(
 
 
 def emit_wall(name: str, benchmark, **params) -> BenchRecord:
-    """Record a pytest-benchmark mean wall time (kernels only).
+    """Log a pytest-benchmark mean wall time (kernels only).
 
     The stats object is probed defensively — its layout differs across
     pytest-benchmark versions and is absent under ``--benchmark-disable``.

@@ -30,10 +30,9 @@ import numpy as np
 
 from ..graphs.distributed import DistGraph
 from ..net.comm import allreduce, alltoallv_dense
-from ..net.frames import RecordFrame, merge_frames
+from ..net.frames import group_frames, merge_frames
 from ..net.machine import PEContext
 from ..core.engine import _cut_arcs, _local_phase_pairs, _surrogate_filter
-from ..core.intersect import gather_blocks
 from ..core.kernels import count_record_pairs
 from ..core.preprocessing import orient_by_keys
 
@@ -81,22 +80,15 @@ def tric_program(
         ctx.charge(c_src.size)
         # One frame per destination: the surrogate records sorted
         # stably by destination, so each frame keeps the CSR order.
-        ranks = dst_ranks[sends]
-        order = np.argsort(ranks, kind="stable")
-        slots, ranks = c_src[sends][order], ranks[order]
-        neighbors, nbh_xadj = gather_blocks(oxadj, oadjncy, slots)
-        run_starts = np.flatnonzero(np.diff(ranks, prepend=-1))
-        run_ends = np.append(run_starts[1:], slots.size)
-        payloads: dict[int, tuple[RecordFrame, int]] = {}
-        for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-            lo, hi = int(nbh_xadj[start]), int(nbh_xadj[end])
-            frame = RecordFrame(
-                vlo + slots[start:end],
-                np.full(end - start, -1, dtype=np.int64),
-                nbh_xadj[start : end + 1] - lo,
-                neighbors[lo:hi],
-            )
-            payloads[int(ranks[start])] = (frame, frame.words)
+        slots, ranks = c_src[sends], dst_ranks[sends]
+        order, starts, frames = group_frames(
+            ranks, ctx.num_pes, vlo + slots, np.full(slots.size, -1, dtype=np.int64),
+            slots, oxadj, oadjncy,
+        )
+        payloads = {
+            dest: (frame, frame.words)
+            for dest, frame in zip(ranks[order[starts[:-1]]].tolist(), frames)
+        }
         staged_words = sum(words for _, words in payloads.values())
         ctx.metrics.note_buffer(staged_words)
         # The static buffer is never emptied before the exchange: if it

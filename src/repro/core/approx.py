@@ -109,10 +109,10 @@ def _amq_global_phase(
     """Ship one filter per (vertex, destination PE) run of the contracted
     cut arcs and return the records received (collective).
 
-    Record ``(v, |A(v)|, [filter words, targets])``: the targets are the
-    members of ``A(v)`` owned by the destination PE (the run members, the
-    reason the record is sent at all); only the rest of ``A(v)`` is
-    compressed away into the filter.  The charge per record is the
+    Each record is ``(v, |A(v)|, [filter words, targets])``: the targets
+    are the members of ``A(v)`` owned by the destination PE (the run
+    members, the reason the record is sent at all); only the rest of
+    ``A(v)`` is compressed away into the filter.  The charge per record is the
     block plus the header and the target word, ``t + W + 3``.
     """
     router = _router(ctx, lg, config, tag)

@@ -106,7 +106,7 @@ class CheckpointStore:
         return [name for name, _, _ in self._snaps[rank]]
 
     def save(self, rank: int, name: str, state: Any) -> int:
-        """Record a snapshot; returns its size in words (for costing).
+        """Store a snapshot; returns its size in words (for costing).
 
         Anything the rank had checkpointed beyond its current replay
         position belongs to an abandoned execution and is truncated —

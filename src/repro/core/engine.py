@@ -78,11 +78,11 @@ import numpy as np
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce
+from ..net.frames import record_words
 from ..net.indirect import GridRouter
 from ..net.machine import PEContext
-from ..net.messages import HEADER_WORDS
 from ..net.reliable import fault_tolerant
-from .intersect import block_total, gather_blocks
+from .intersect import gather_blocks
 from .kernels import count_csr_pairs, count_record_pairs, csr_pairs_elements, record_pairs_elements
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees, first_of_runs
 
@@ -271,8 +271,8 @@ def _post_cut_neighborhoods(
     cut arc, carrying its owned endpoint ``u``.  Records are posted as
     slots of the send structure, which the queue gathers itself.
     Returns ``(router, records, words)``: the queue to ``finalize`` and
-    what was posted — ``words`` is exactly the sum of the per-record
-    ``Record.words``.
+    what was posted — ``words`` is the sum of the records'
+    :func:`~repro.net.frames.record_words`.
     """
     router = _router(ctx, lg, config, tag)
     c_src, c_dst, dst_ranks = _cut_arcs(lg, send_xadj, send_adj)
@@ -285,8 +285,8 @@ def _post_cut_neighborhoods(
     targeted = not config.surrogate
     targets = c_dst[sends] if targeted else np.full(k, -1, dtype=np.int64)
     router.post_many(dst_ranks[sends], lg.vlo + slots, targets, slots, send_xadj, send_adj)
-    words = block_total(send_xadj, slots) + HEADER_WORDS * k + (k if targeted else 0)
-    return router, k, words
+    words = record_words(send_xadj[slots + 1] - send_xadj[slots], targets)
+    return router, k, int(words.sum())
 
 
 def _triangle_phases(

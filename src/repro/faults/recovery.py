@@ -193,7 +193,7 @@ class RecoveryManager:
         self.machine._note_progress()
 
     def note_checkpoint(self, rank: int, collective_seq: int, collective_entries: int) -> None:
-        """Record ``rank``'s machine-level state at its latest checkpoint."""
+        """Save ``rank``'s machine-level state at its latest checkpoint."""
         self._marks[rank] = (collective_seq, collective_entries)
 
     # ------------------------------------------------------------------

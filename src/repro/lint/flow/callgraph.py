@@ -38,11 +38,10 @@ from ..rules import (
 __all__ = ["FunctionDecl", "CallGraph"]
 
 #: Attribute calls that feed costs into the model (directly or by
-#: sending): the queues' ``post*``/``flush`` charge wire words when they
-#: flush, and every ``ctx.send``/``send_many`` is charged by the machine itself.
-_CHARGE_ATTRS = frozenset(
-    {"charge", "charge_time", "send", "send_many", "post", "post_many", "post_items", "flush"}
-)
+#: sending): the queues' ``post_many``/``flush`` charge wire words when
+#: they flush, and every ``ctx.send``/``send_many`` is charged by the
+#: machine itself.
+_CHARGE_ATTRS = frozenset({"charge", "charge_time", "send", "send_many", "post_many", "flush"})
 _CHARGE_NAMES = frozenset({"reliable_send"})
 
 

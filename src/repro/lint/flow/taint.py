@@ -134,7 +134,7 @@ def mentions_rank(expr: ast.AST, rank_aliases: set[str]) -> bool:
 
 # -- R10: unordered iteration feeding message destinations -------------
 
-_SEND_ATTRS = frozenset({"send", "send_many", "post", "post_items"})
+_SEND_ATTRS = frozenset({"send", "send_many", "post_many"})
 
 
 def _body_sends(body: list[ast.stmt]) -> bool:

@@ -24,7 +24,6 @@
 from .aggregation import BufferedMessageQueue
 from .frames import (
     ForwardFrame,
-    Record,
     RecordFrame,
     merge_frames,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "BufferedMessageQueue",
-    "Record",
     "RecordFrame",
     "ForwardFrame",
     "merge_frames",

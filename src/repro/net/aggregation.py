@@ -45,27 +45,11 @@ from typing import Generator
 import numpy as np
 
 from .comm import barrier, drain
-from .frames import ForwardFrame, RecordFrame, gather_blocks, merge_frames
+from .frames import ForwardFrame, RecordFrame, group_frames, merge_frames, record_words
 from .machine import PEContext
-from .messages import HEADER_WORDS, Tag
+from .messages import Tag
 
 __all__ = ["RecordFrame", "BufferedMessageQueue"]
-
-
-def _gathered(
-    vertices: np.ndarray,
-    targets: np.ndarray,
-    slots: np.ndarray,
-    xadj: np.ndarray,
-    adj: np.ndarray,
-    pick: np.ndarray,
-) -> RecordFrame:
-    """The records ``pick`` of a slot batch as one read-only frame."""
-    neighbors, gxadj = gather_blocks(xadj, adj, slots[pick])
-    frame = RecordFrame(vertices[pick], targets[pick], gxadj, neighbors)
-    for a in (frame.vertices, frame.targets, frame.xadj, frame.neighbors):
-        a.flags.writeable = False
-    return frame
 
 
 class BufferedMessageQueue:
@@ -111,7 +95,7 @@ class BufferedMessageQueue:
     ) -> None:
         """Post a whole batch of records as references into a source CSR.
 
-        Record ``i`` is ``(vertices[i], targets[i],
+        The ``i``-th record is ``(vertices[i], targets[i],
         adj[xadj[slots[i]]:xadj[slots[i]+1]])`` bound for
         ``dest_ranks[i]`` (``targets[i] == -1`` for broadcast); slots may
         repeat.  With ``final_dests`` the records are grid row-hop
@@ -121,14 +105,14 @@ class BufferedMessageQueue:
         Equivalent to posting the records one per call in batch order —
         same flush boundaries, per-destination record order, buffer
         high-water marks, and wire words — without a Python loop over
-        records.  Flush points are found from the block sizes alone, by
-        ``searchsorted`` on the cumulative word counts (each
-        threshold-crossing record closes a segment).  One stable sort by
-        (segment, destination) then orders the records, and one
-        :func:`~repro.net.frames.gather_blocks` copies every neighborhood
-        straight into that order: each group is buffered as a read-only
-        frame slice of the gather, and a destination's lone slice leaves
-        as is.
+        records.  Flush points are found from the block sizes alone
+        (:func:`~repro.net.frames.record_words`), by ``searchsorted`` on
+        the cumulative word counts (each threshold-crossing record
+        closes a segment).  :func:`~repro.net.frames.group_frames` then
+        sorts the records by (segment, destination) and gathers every
+        neighborhood once, straight into that order: each group is
+        buffered as a read-only frame slice of the gather, and a
+        destination's lone slice leaves as is.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         k = int(dest_ranks.size)
@@ -145,7 +129,10 @@ class BufferedMessageQueue:
         self_mask = dest_ranks == self.ctx.rank
         if np.any(self_mask):
             idx = np.flatnonzero(self_mask)
-            local = _gathered(vertices, targets, slots, xadj, adj, idx)
+            _, _, (local,) = group_frames(
+                np.zeros(idx.size, dtype=np.int64), 1,
+                vertices[idx], targets[idx], slots[idx], xadj, adj,
+            )
             if final_dests is not None:
                 local = ForwardFrame(final_dests[idx], local)
             self._local.append(local)
@@ -159,7 +146,7 @@ class BufferedMessageQueue:
         n = int(dest_ranks.size)
         if n == 0:
             return
-        rw = xadj[slots + 1] - xadj[slots] + np.int64(HEADER_WORDS) + (targets >= 0)
+        rw = record_words(xadj[slots + 1] - xadj[slots], targets)
         if final_dests is not None:
             rw += 1  # the routing word
         cw = np.cumsum(rw)
@@ -173,37 +160,23 @@ class BufferedMessageQueue:
             stops.append(end + 1)
             base, prev = 0, int(cw[end])
 
-        # One stable sort by (segment, dest) and one gather make every
-        # (segment, dest) group a contiguous slice in batch order.
+        # Every (segment, dest) group becomes one frame, in batch order.
         seg = np.searchsorted(np.asarray(stops, dtype=np.int64), np.arange(n), "right")
-        key = seg * self.ctx.num_pes + dest_ranks
-        # numpy sorts 16-bit keys stably by radix sort, in linear time.
-        small = (len(stops) + 1) * self.ctx.num_pes <= 1 << 16
-        order = np.argsort(key.astype(np.uint16) if small else key, kind="stable")
-        sub = _gathered(vertices, targets, slots, xadj, adj, order)
+        order, starts, chunks = group_frames(
+            seg * self.ctx.num_pes + dest_ranks, (len(stops) + 1) * self.ctx.num_pes,
+            vertices, targets, slots, xadj, adj,
+        )
         fd = final_dests[order] if final_dests is not None else None
         if fd is not None:
             fd.flags.writeable = False
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(key[order])) + 1, [n]))
-        group_dests = dest_ranks[order][starts[:-1]].tolist()
+        group_dests = dest_ranks[order[starts[:-1]]].tolist()
         group_words = np.add.reduceat(rw[order], starts[:-1]).tolist()
-        offsets = sub.xadj[starts].tolist()
         starts = starts.tolist()
         flush_after = set(stops)
-        for g, (dest, words) in enumerate(zip(group_dests, group_words)):
-            lo, hi = starts[g], starts[g + 1]
-            # One small rebased xadj per group: a shared, vectorised one
-            # stays pinned by any frame still alive and raises peak memory.
-            gxadj = sub.xadj[lo : hi + 1] - offsets[g]
-            gxadj.flags.writeable = False
-            chunk = RecordFrame(
-                sub.vertices[lo:hi],
-                sub.targets[lo:hi],
-                gxadj,
-                sub.neighbors[offsets[g] : offsets[g + 1]],
-            )
+        for g, (dest, words, chunk) in enumerate(zip(group_dests, group_words, chunks)):
+            hi = starts[g + 1]
             if fd is not None:
-                chunk = ForwardFrame(fd[lo:hi], chunk)
+                chunk = ForwardFrame(fd[starts[g] : hi], chunk)
             self._chunks.setdefault(dest, []).append(chunk)
             self._buffer_words[dest] = self._buffer_words.get(dest, 0) + words
             self._total_words += words

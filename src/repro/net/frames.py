@@ -1,38 +1,27 @@
 """Flat packed message frames: the struct-of-arrays wire format.
 
-The counting kernels are batch-vectorized, but a message path that
-builds one :class:`Record` dataclass per cut arc pays Python's
-per-object overhead on every benchmark.  A :class:`RecordFrame`
-represents a whole batch of records as four contiguous NumPy arrays —
-the same struct-of-arrays layout the intersection kernels already use
-— so the sender builds it with array ops, the wire carries four arrays
-instead of N dataclasses (which is also what :class:`ProcessMachine`
-pickles), and the receiver feeds it straight into the batched kernels.
+A :class:`RecordFrame` holds a whole batch of records as four
+contiguous NumPy arrays — the same struct-of-arrays layout the
+intersection kernels already use — so the sender builds it with array
+ops, the wire carries four arrays (which is also what
+:class:`ProcessMachine` pickles), and the receiver feeds it straight
+into the batched kernels.  Records exist only as rows of these arrays.
 
 The accounting invariant
 ------------------------
-``RecordFrame.words`` charges **exactly** what the equivalent list of
-:class:`Record` objects charges: per record, the neighborhood entries
-plus :data:`~repro.net.messages.HEADER_WORDS`, plus one extra word when
-the record is targeted.  Simulated costs, volume metrics, and the
-δ-threshold flush semantics of the aggregation queue are therefore
-bit-identical between the two representations (property-tested in
-``tests/test_frames.py``; see ``docs/PERFORMANCE.md``).
-
-A broadcast record (the surrogate shape ``(v, A(v))``) stores a
-``target`` of −1; a targeted record (the Algorithm 2 shape
-``((v, u), A(v))``) stores the owned endpoint ``u``.  The approximate
-global phase (:mod:`repro.core.approx`) sends a third shape in the same
-frames: the block is a filter's wire words (a Bloom filter's bits, or
-a single-shot filter's Rice code) and then its targets, and the target
-field holds ``|A(v)|``.
+:func:`record_words` is the one definition of a record's wire charge:
+the block's words plus :data:`~repro.net.messages.HEADER_WORDS`, plus
+one word when the record is targeted.  ``RecordFrame.words``, the
+aggregation queue's flush planning and the engine's posted words all
+call it, so simulated costs, volume metrics and the δ-threshold flush
+semantics follow from one formula (see ``docs/PERFORMANCE.md``).
 
 Read-only views
 ---------------
 The aggregation queue gathers each posted neighborhood once, from the
 sender's CSR (:func:`gather_blocks`), and every frame it flushes is a
-set of slices of that one gather.  Frames sent to different PEs
-therefore share a base array, so the queue marks the gathered arrays
+slice of that one gather (:func:`group_frames`).  Frames sent to
+different PEs therefore share a base array, so the gathered arrays are
 read-only (as are :func:`merge_frames`' results and the shm pool's
 views): an in-place write raises instead of corrupting another PE's
 frame.
@@ -41,16 +30,17 @@ frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .messages import HEADER_WORDS
 
 __all__ = [
-    "Record",
     "RecordFrame",
     "ForwardFrame",
+    "record_words",
+    "group_frames",
     "merge_frames",
     "concat_xadj",
     "gather_blocks",
@@ -60,32 +50,28 @@ __all__ = [
 BROADCAST = -1
 
 
-@dataclass(frozen=True)
-class Record:
-    """One application record: a vertex and (some of) its neighborhood.
+def record_words(sizes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Charged wire words of each record: block + header + target word.
 
-    ``words`` counts the neighborhood entries plus the
+    A record is a vertex and a block of words, usually (some of) its
+    neighborhood; ``sizes`` are the block lengths.  The
     :data:`~repro.net.messages.HEADER_WORDS` envelope (vertex id +
-    length field), matching how the paper measures communication
-    volume in machine words.
+    length field) matches how the paper measures communication volume
+    in machine words.
 
-    ``target`` distinguishes the two message shapes of the paper:
+    ``targets`` distinguishes the two message shapes of the paper:
     Algorithm 2 sends ``((v, u), N_v^+)`` — the receiver intersects for
-    that single edge ``(v, u)`` — whereas the surrogate-optimized
-    algorithms send ``(v, A(v))`` once per destination PE and the
-    receiver loops over *all* its local ``u ∈ A(v)``.  ``target=None``
-    selects the latter; a vertex id costs one extra word on the wire.
+    that single edge ``(v, u)``, and the target ``u`` costs one extra
+    word — whereas the surrogate-optimized algorithms send
+    ``(v, A(v))`` once per destination PE with target
+    :data:`BROADCAST` (−1), and the receiver loops over *all* its local
+    ``u ∈ A(v)``.  The approximate global phase
+    (:mod:`repro.core.approx`) sends a third shape: the block is a
+    filter's wire words (a Bloom filter's bits, or a single-shot
+    filter's Rice code) and then its targets, and the target field
+    holds ``|A(v)|``.
     """
-
-    vertex: int
-    neighbors: np.ndarray
-    target: int | None = None
-
-    @property
-    def words(self) -> int:
-        """Charged size of this record in machine words."""
-        extra = 0 if self.target is None else 1
-        return int(self.neighbors.size) + HEADER_WORDS + extra
+    return sizes + np.int64(HEADER_WORDS) + (targets >= 0)
 
 
 def concat_xadj(sizes: np.ndarray) -> np.ndarray:
@@ -123,17 +109,12 @@ def gather_blocks(
 class RecordFrame:
     """A batch of records packed as four contiguous arrays.
 
-    Record ``i`` is ``(vertices[i], targets[i],
+    The ``i``-th record is ``(vertices[i], targets[i],
     neighbors[xadj[i]:xadj[i+1]])`` with ``targets[i] == -1`` meaning
     broadcast; ``xadj[0] == 0``.  Frames are frozen, and the ones the
     message plane produces hold read-only arrays, often views of one
     sender-side gather shared with other frames (see the module notes):
     consumers read them and never write in place.
-
-    The sequence protocol (``len``, iteration, indexing) yields
-    :class:`Record` views for object-at-a-time consumers (tests,
-    diagnostics) — but hot paths must use the arrays directly (see
-    ``docs/PERFORMANCE.md``).
     """
 
     vertices: np.ndarray
@@ -147,21 +128,6 @@ class RecordFrame:
         z = np.empty(0, dtype=np.int64)
         return cls(z, z.copy(), np.zeros(1, dtype=np.int64), z.copy())
 
-    @classmethod
-    def from_records(cls, records: Iterable[Record]) -> "RecordFrame":
-        """Pack a list of :class:`Record` objects (legacy adapter)."""
-        records = list(records)
-        blocks = [np.asarray(r.neighbors, dtype=np.int64) for r in records]
-        return cls(
-            np.array([r.vertex for r in records], dtype=np.int64),
-            np.array(
-                [BROADCAST if r.target is None else r.target for r in records],
-                dtype=np.int64,
-            ),
-            concat_xadj([b.size for b in blocks]),
-            np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64),
-        )
-
     @property
     def num_records(self) -> int:
         """Number of records in the frame."""
@@ -169,49 +135,8 @@ class RecordFrame:
 
     @property
     def words(self) -> int:
-        """Charged wire size — identical to the equivalent Record list."""
-        return (
-            int(self.neighbors.size)
-            + HEADER_WORDS * self.num_records
-            + int(np.count_nonzero(self.targets >= 0))
-        )
-
-    def record_words(self) -> np.ndarray:
-        """Per-record charged words (the flush-threshold quantity)."""
-        return (
-            np.diff(self.xadj)
-            + np.int64(HEADER_WORDS)
-            + (self.targets >= 0).astype(np.int64)
-        )
-
-    def record(self, i: int) -> Record:
-        """Record ``i`` as a :class:`Record` view (no copy of neighbors)."""
-        t = int(self.targets[i])
-        return Record(
-            int(self.vertices[i]),
-            self.neighbors[int(self.xadj[i]) : int(self.xadj[i + 1])],
-            target=None if t == BROADCAST else t,
-        )
-
-    def to_records(self) -> list[Record]:
-        """Expand into per-record objects (legacy adapter; cold paths only)."""
-        return [self.record(i) for i in range(self.num_records)]
-
-    def __len__(self) -> int:
-        return self.num_records
-
-    def __iter__(self) -> Iterator[Record]:
-        for i in range(self.num_records):
-            yield self.record(i)
-
-    def __getitem__(self, i: int) -> Record:
-        return self.record(int(i))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RecordFrame({self.num_records} records, "
-            f"{int(self.neighbors.size)} neighbor words)"
-        )
+        """Charged wire size: the :func:`record_words` of every record."""
+        return int(record_words(np.diff(self.xadj), self.targets).sum())
 
 
 @dataclass(frozen=True)
@@ -229,6 +154,47 @@ class ForwardFrame:
     def words(self) -> int:
         """Wire size: the inner frame plus one routing word per record."""
         return self.frame.words + int(self.final_dests.size)
+
+
+def group_frames(
+    keys: np.ndarray,
+    num_keys: int,
+    vertices: np.ndarray,
+    targets: np.ndarray,
+    slots: np.ndarray,
+    xadj: np.ndarray,
+    adj: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, list[RecordFrame]]:
+    """Records grouped by key into one read-only frame per run.
+
+    The ``i``-th record is ``(vertices[i], targets[i],
+    adj[xadj[slots[i]]:xadj[slots[i]+1]])`` with key ``keys[i]`` in
+    ``[0, num_keys)``.  One stable sort orders the records by key, and
+    one :func:`gather_blocks` copies every block straight into that
+    order; each run of equal keys becomes a frame of read-only slices
+    of that gather, with its own rebased ``xadj`` (a shared rebased
+    array would stay pinned by any frame still alive, raising peak
+    memory).
+
+    Returns ``(order, starts, frames)``: the sorting permutation, the
+    run bounds in sorted order (``starts[-1] == keys.size``) and the
+    frames in ascending key order.
+    """
+    # numpy sorts 16-bit keys stably by radix sort, in linear time.
+    small = num_keys <= 1 << 16
+    order = np.argsort(keys.astype(np.uint16) if small else keys, kind="stable")
+    neighbors, gxadj = gather_blocks(xadj, adj, slots[order])
+    vertices, targets = vertices[order], targets[order]
+    for a in (vertices, targets, neighbors):
+        a.flags.writeable = False
+    starts = np.append(np.flatnonzero(np.diff(keys[order], prepend=-1)), keys.size)
+    bounds, offsets = starts.tolist(), gxadj[starts].tolist()
+    frames = []
+    for lo, hi, first, end in zip(bounds, bounds[1:], offsets, offsets[1:]):
+        rebased = gxadj[lo : hi + 1] - first
+        rebased.flags.writeable = False
+        frames.append(RecordFrame(vertices[lo:hi], targets[lo:hi], rebased, neighbors[first:end]))
+    return order, starts, frames
 
 
 def merge_frames(parts: Iterable[RecordFrame | ForwardFrame]) -> RecordFrame | ForwardFrame:
@@ -262,15 +228,18 @@ def _concat(frames: list[RecordFrame]) -> RecordFrame:
     """
     if not frames:
         return RecordFrame.empty()
-    counts = [f.num_records for f in frames]
-    xadj = np.zeros(sum(counts) + 1, dtype=np.int64)
+    vertices = [f.vertices for f in frames]
+    neighbors = [f.neighbors for f in frames]
+    counts = np.fromiter(map(len, vertices), np.int64, len(frames))
+    shifts = concat_xadj(np.fromiter(map(len, neighbors), np.int64, len(frames)))
+    xadj = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
     np.concatenate([f.xadj[1:] for f in frames], out=xadj[1:])
-    xadj[1:] += np.repeat(concat_xadj([f.neighbors.size for f in frames])[:-1], counts)
+    xadj[1:] += np.repeat(shifts[:-1], counts)
     merged = RecordFrame(
-        np.concatenate([f.vertices for f in frames]),
+        np.concatenate(vertices),
         np.concatenate([f.targets for f in frames]),
         xadj,
-        np.concatenate([f.neighbors for f in frames]),
+        np.concatenate(neighbors),
     )
     for a in (merged.vertices, merged.targets, merged.xadj, merged.neighbors):
         a.flags.writeable = False

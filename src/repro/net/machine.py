@@ -752,7 +752,7 @@ class Machine:
             del self._collective_log[rank][collective_entries:]
 
     def _note_collective_entry(self, rank: int, seq: int, label: str) -> None:
-        """Record and cross-validate one PE's collective entry.
+        """Log and cross-validate one PE's collective entry.
 
         The per-PE sequence counter is monotone, so the n-th entry of
         every PE must name the same collective; the first PE to disagree

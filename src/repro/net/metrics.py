@@ -77,7 +77,7 @@ class PEMetrics:
     spans: list[SpanRecord] = field(default_factory=list)
 
     def note_buffer(self, words: int) -> None:
-        """Record an aggregation-buffer high-water mark."""
+        """Note an aggregation-buffer high-water mark."""
         if words > self.peak_buffer_words:
             self.peak_buffer_words = words
 

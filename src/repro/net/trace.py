@@ -109,19 +109,19 @@ class Tracer:
     events: list[TraceEvent] = field(default_factory=list)
 
     def send(self, time: float, src: int, dest: int, tag, words: int) -> None:
-        """Record a message injection."""
+        """Log a message injection."""
         self.events.append(TraceEvent("send", time, src, dest, tag, words))
 
     def recv(self, time: float, rank: int, src: int, tag, words: int) -> None:
-        """Record a message consumption."""
+        """Log a message consumption."""
         self.events.append(TraceEvent("recv", time, rank, src, tag, words))
 
     def drop(self, time: float, src: int, dest: int, tag, words: int) -> None:
-        """Record a wire transmission lost to an injected fault."""
+        """Log a wire transmission lost to an injected fault."""
         self.events.append(TraceEvent("drop", time, src, dest, tag, words))
 
     def retry(self, time: float, src: int, dest: int, tag, words: int) -> None:
-        """Record a reliable-transport retransmission after a timeout."""
+        """Log a reliable-transport retransmission after a timeout."""
         self.events.append(TraceEvent("retry", time, src, dest, tag, words))
 
     # ------------------------------------------------------------ query

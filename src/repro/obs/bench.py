@@ -46,7 +46,7 @@ __all__ = [
 #: Relative simulated-cost increase that fails the regression gate.
 DEFAULT_THRESHOLD = 0.15
 
-#: Record fields the simulation determines, compared exactly by :func:`drifts`.
+#: BENCH fields the simulation determines, compared exactly by :func:`drifts`.
 SIMULATED_FIELDS = (
     "simulated_time", "total_volume", "bottleneck_volume", "max_messages", "peak_words", "triangles"
 )

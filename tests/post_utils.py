@@ -1,4 +1,4 @@
-"""Test helper: post one :class:`~repro.net.frames.Record` per call.
+"""Test helper: post one record per call.
 
 The queues take batches only (``post_many``); one call per record, in
 order, is the reference a batch must equal — same flush boundaries,
@@ -7,17 +7,16 @@ received order, words and buffer high-water marks.
 
 import numpy as np
 
-from repro.net import RecordFrame
 
-
-def post_record(queue, dest, record):
-    """Post ``record`` to ``dest`` as a single-record ``post_many`` call."""
-    frame = RecordFrame.from_records([record])
+def post_record(queue, dest, vertex, block, target=-1):
+    """Post the record ``(vertex, target, block)`` to ``dest`` as a
+    single-record ``post_many`` call (``target=-1`` for broadcast)."""
+    block = np.asarray(block, dtype=np.int64)
     queue.post_many(
         np.array([dest], dtype=np.int64),
-        frame.vertices,
-        frame.targets,
+        np.array([vertex], dtype=np.int64),
+        np.array([target], dtype=np.int64),
         np.zeros(1, dtype=np.int64),
-        frame.xadj,
-        frame.neighbors,
+        np.array([0, block.size], dtype=np.int64),
+        block,
     )

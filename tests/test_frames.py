@@ -20,11 +20,10 @@ from repro.net import (
     BufferedMessageQueue,
     GridRouter,
     Machine,
-    Record,
     RecordFrame,
     merge_frames,
 )
-from repro.net.frames import BROADCAST, ForwardFrame, gather_blocks
+from repro.net.frames import BROADCAST, ForwardFrame, gather_blocks, group_frames, record_words
 from repro.net.parallel import ProcessMachine
 
 
@@ -43,13 +42,23 @@ def _random_batch(rng, num_pes, n):
     return dests, vertices, targets, xadj, neighbors
 
 
-def _canon(received):
-    """Order-preserving canonical form of a received record sequence."""
-    out = []
-    for r in received:
-        t = BROADCAST if r.target is None else int(r.target)
-        out.append((int(r.vertex), t, tuple(r.neighbors.tolist())))
-    return out
+def _canon(frame):
+    """Order-preserving canonical form of a frame's records."""
+    x = frame.xadj.tolist()
+    return [
+        (v, t, tuple(frame.neighbors[x[i] : x[i + 1]].tolist()))
+        for i, (v, t) in enumerate(zip(frame.vertices.tolist(), frame.targets.tolist()))
+    ]
+
+
+def _reference_words(frame):
+    """Per-record charge, one record at a time: block + header, plus one
+    word for a targeted record."""
+    x = frame.xadj.tolist()
+    return [
+        x[i + 1] - x[i] + HEADER_WORDS + (1 if t >= 0 else 0)
+        for i, t in enumerate(frame.targets.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +71,46 @@ def test_frame_words_equal_record_word_sum(seed):
     rng = np.random.default_rng(seed)
     _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 40)
     frame = RecordFrame(vertices, targets, xadj, neighbors)
-    records = frame.to_records()
-    assert frame.words == sum(r.words for r in records)
-    assert frame.record_words().tolist() == [r.words for r in records]
+    assert frame.words == sum(_reference_words(frame))
+    assert record_words(np.diff(xadj), targets).tolist() == _reference_words(frame)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_from_records_roundtrip_and_gather(seed):
+def test_gather_picks_records_by_slot(seed):
     rng = np.random.default_rng(seed)
     _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 25)
     frame = RecordFrame(vertices, targets, xadj, neighbors)
-    again = RecordFrame.from_records(frame.to_records())
-    assert _canon(again) == _canon(frame)
     # Records picked by slot, repeats included, as the queue gathers them.
-    idx = rng.integers(0, len(frame), size=12)
+    idx = rng.integers(0, frame.num_records, size=12)
     gathered, gxadj = gather_blocks(xadj, neighbors, idx)
     sub = RecordFrame(vertices[idx], targets[idx], gxadj, gathered)
     assert _canon(sub) == [_canon(frame)[i] for i in idx]
-    assert sub.words == sum(frame.record_words()[idx])
+    assert sub.words == sum(_reference_words(frame)[i] for i in idx)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_group_frames_splits_runs_of_equal_keys(seed):
+    rng = np.random.default_rng(seed)
+    _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 30)
+    keys = rng.integers(0, 5, size=30).astype(np.int64)
+    slots = rng.permutation(30).astype(np.int64)
+    order, starts, frames = group_frames(keys, 5, vertices, targets, slots, xadj, neighbors)
+    whole = _canon(RecordFrame(vertices, targets, xadj, neighbors))
+    # One frame per distinct key, ascending, each in batch order.
+    assert order.tolist() == sorted(range(30), key=lambda i: (keys[i], i))
+    assert [int(keys[order[s]]) for s in starts[:-1]] == sorted(set(keys.tolist()))
+    assert starts[-1] == 30
+    for frame, key in zip(frames, sorted(set(keys.tolist()))):
+        picked = [i for i in range(30) if keys[i] == key]
+        assert _canon(frame) == [
+            (int(vertices[i]), int(targets[i]), whole[slots[i]][2]) for i in picked
+        ]
+        assert frame.xadj[0] == 0
+        for a in (frame.vertices, frame.targets, frame.xadj, frame.neighbors):
+            assert not a.flags.writeable
+    z = np.empty(0, dtype=np.int64)
+    _, starts, frames = group_frames(z, 1, z, z, z, np.zeros(1, dtype=np.int64), z)
+    assert starts.tolist() == [0] and frames == []
 
 
 def test_merge_of_one_part_returns_it():
@@ -109,16 +140,9 @@ def test_merge_equals_records_of_parts():
         _, v, t, x, a = _random_batch(rng, 4, 10)
         frames.append(RecordFrame(v, t, x, a))
     merged = merge_frames(frames)
-    reference = RecordFrame.from_records([r for f in frames for r in f])
-    assert _canon(merged) == _canon(reference)
-    assert merged.words == reference.words == sum(f.words for f in frames)
-
-
-def test_builder_matches_from_records():
-    rng = np.random.default_rng(11)
-    _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 20)
-    frame = RecordFrame(vertices, targets, xadj, neighbors)
-    assert _canon(RecordFrame.from_records(list(frame))) == _canon(frame)
+    assert _canon(merged) == [r for f in frames for r in _canon(f)]
+    reference = sum(sum(_reference_words(f)) for f in frames)
+    assert merged.words == reference == sum(f.words for f in frames)
 
 
 def test_merge_rejects_mixed_forward_and_plain_parts():
@@ -336,6 +360,35 @@ def test_flushed_and_finalized_frames_are_read_only(threshold):
                     frame.neighbors[0] = -7
 
 
+def test_tric_staged_frames_are_read_only():
+    from repro.baselines import tric_program
+    from repro.graphs import distribute
+    from repro.graphs import generators as gen
+
+    def prog(ctx, dist):
+        sent = []
+        send_many = ctx.send_many
+        ctx.send_many = lambda dests, tag, payloads, words: (
+            sent.extend(payloads), send_many(dests, tag, payloads, words)
+        )
+        counts = yield from tric_program(ctx, dist)
+        del ctx.send_many
+        return [f for f in sent if isinstance(f, RecordFrame)], counts
+
+    dist = distribute(gen.gnm(200, 1500, seed=3), num_pes=4)
+    values = Machine(4).run(prog, dist).values
+    # The vertex-ID order sends only to higher ranks.
+    assert all(sent for sent, _ in values[:-1])
+    for sent, counts in values:
+        # The static buffer holds exactly the frames that leave.
+        assert counts.staged_words == sum(f.words for f in sent)
+        for frame in sent:
+            assert frame.xadj[0] == 0
+            for a in (frame.vertices, frame.targets, frame.xadj, frame.neighbors):
+                assert not a.flags.writeable
+            assert np.all(frame.targets == BROADCAST)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_machine_equivalence_with_empty_and_self_only_batches(seed):
     def prog(ctx, mode):
@@ -353,7 +406,7 @@ def test_machine_equivalence_with_empty_and_self_only_batches(seed):
                 np.array([8, 4, 5], dtype=np.int64),
             )
         else:
-            post_record(q, ctx.rank, Record(9, np.array([4, 5], dtype=np.int64)))
+            post_record(q, ctx.rank, 9, [4, 5])
         received = yield from q.finalize()
         return _canon(received)
 
@@ -401,8 +454,13 @@ def test_count_record_pairs_frame_equals_record_list(seed):
         return total, charged
         yield  # pragma: no cover
 
+    # The same records packed one per frame and merged again.
+    singles = []
+    for i in range(frame.num_records):
+        block, bxadj = gather_blocks(xadj, neighbors, [i])
+        singles.append(RecordFrame(vertices[i : i + 1], targets[i : i + 1], bxadj, block))
     by_frame = Machine(1).run(prog, frame)
-    by_list = Machine(1).run(prog, RecordFrame.from_records(frame.to_records()))
+    by_list = Machine(1).run(prog, merge_frames(singles))
     assert by_frame.values == by_list.values
     assert by_frame.time == by_list.time
 
@@ -411,13 +469,14 @@ def _reference_expand(frame, vlo, vhi):
     """Per-record loop: the (record, owned target) pairs of a received
     frame and the scan charges, targeted records first, then broadcast
     entries in order."""
-    targeted = [i for i, r in enumerate(frame) if r.target is not None]
-    broadcast = [i for i, r in enumerate(frame) if r.target is None]
-    pairs = [(i, frame[i].target) for i in targeted if vlo <= frame[i].target < vhi]
-    pairs += [(i, int(u)) for i in broadcast for u in frame[i].neighbors if vlo <= u < vhi]
+    x, nb, tg = frame.xadj.tolist(), frame.neighbors.tolist(), frame.targets.tolist()
+    targeted = [i for i, t in enumerate(tg) if t != BROADCAST]
+    broadcast = [i for i, t in enumerate(tg) if t == BROADCAST]
+    pairs = [(i, tg[i]) for i in targeted if vlo <= tg[i] < vhi]
+    pairs += [(i, u) for i in broadcast for u in nb[x[i] : x[i + 1]] if vlo <= u < vhi]
     charges = [len(targeted)] if targeted else []
     if broadcast:
-        charges.append(sum(frame[i].neighbors.size for i in broadcast))
+        charges.append(sum(x[i + 1] - x[i] for i in broadcast))
     return pairs, charges
 
 

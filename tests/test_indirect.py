@@ -9,11 +9,12 @@ from post_utils import post_record
 
 from repro.analysis.runner import run_algorithm
 from repro.graphs import generators as gen
-from repro.net import ForwardFrame, Grid, GridRouter, Machine, Record, RecordFrame
+from repro.net import HEADER_WORDS, ForwardFrame, Grid, GridRouter, Machine, RecordFrame
 
 
 def _rec(v, size=2):
-    return Record(v, np.arange(size, dtype=np.int64))
+    """The broadcast record ``(v, [0, size))`` as ``post_record`` arguments."""
+    return v, np.arange(size, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- Grid
@@ -105,9 +106,9 @@ def test_router_delivers_exactly_once(p):
     def prog(ctx):
         r = GridRouter(ctx, "x", threshold_words=64)
         for d in range(p):
-            post_record(r, d, _rec(ctx.rank * 100 + d))
+            post_record(r, d, *_rec(ctx.rank * 100 + d))
         recs = yield from r.finalize()
-        return sorted(rec.vertex for rec in recs)
+        return sorted(recs.vertices.tolist())
 
     res = Machine(p).run(prog)
     for rank, got in enumerate(res.values):
@@ -123,14 +124,14 @@ def test_router_reduces_peer_count_on_hotspot():
 
         q = BufferedMessageQueue(ctx, "d", threshold_words=10_000)
         if ctx.rank != 0:
-            post_record(q, 0, _rec(ctx.rank))
+            post_record(q, 0, *_rec(ctx.rank))
         yield from q.finalize()
         return None
 
     def indirect(ctx):
         r = GridRouter(ctx, "i", threshold_words=10_000)
         if ctx.rank != 0:
-            post_record(r, 0, _rec(ctx.rank))
+            post_record(r, 0, *_rec(ctx.rank))
         yield from r.finalize()
         return None
 
@@ -154,22 +155,24 @@ def test_router_at_most_doubles_volume():
         r = GridRouter(ctx, "x", threshold_words=10_000)
         for d in range(p):
             if d != ctx.rank:
-                post_record(r, d, _rec(d, size=8))
+                post_record(r, d, *_rec(d, size=8))
         yield from r.finalize()
         return None
 
     res = Machine(p).run(prog)
     vol = res.metrics.total_volume
-    rec_words = _rec(0, 8).words
+    rec_words = 8 + HEADER_WORDS
     direct_vol = p * (p - 1) * rec_words
     # two hops max, plus the 1-word forward header and barrier traffic
     assert vol <= 2 * direct_vol + p * (p - 1) * 2 + 200
 
 
 def test_forward_frame_words():
-    frame = RecordFrame.from_records([_rec(0, size=4), _rec(1, size=0)])
+    frame = RecordFrame(
+        np.array([0, 1]), np.array([-1, -1]), np.array([0, 4, 4]), np.arange(4, dtype=np.int64)
+    )
     fwd = ForwardFrame(np.array([3, 5], dtype=np.int64), frame)
-    assert fwd.words == _rec(0, size=4).words + _rec(1, size=0).words + 2
+    assert fwd.words == (4 + HEADER_WORDS) + (0 + HEADER_WORDS) + 2
 
 
 def test_router_records_posted_counter():
@@ -177,7 +180,7 @@ def test_router_records_posted_counter():
         r = GridRouter(ctx, "x", threshold_words=64)
         # On the 2x2 grid, rank r+1 is in r's row for even r and needs
         # a proxy for odd r; the batch reaches every PE, self included.
-        post_record(r, (ctx.rank + 1) % ctx.num_pes, _rec(1))
+        post_record(r, (ctx.rank + 1) % ctx.num_pes, *_rec(1))
         dests = np.arange(ctx.num_pes, dtype=np.int64)
         r.post_many(
             dests, dests, np.full(4, -1), np.zeros(4, dtype=np.int64),

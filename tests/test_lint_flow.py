@@ -110,6 +110,16 @@ def prog(ctx):
         ctx.send(dest, "t", None, 1)
     yield
 """,
+        # A queue post is a send too: its flushes follow the set order.
+        """
+def targets(ctx):
+    return {1, 2, 3}
+
+def prog(ctx, q, vertices, slots, xadj, adj):
+    for dest in targets(ctx):
+        q.post_many(np.full(slots.size, dest), vertices, vertices, slots, xadj, adj)
+    yield
+""",
     ],
     "R11": [
         # Vectorized compute with no route to the cost model.

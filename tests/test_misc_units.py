@@ -107,11 +107,11 @@ def test_repeated_phase_accumulates():
 
 # ------------------------------------------------------ record semantics
 def test_record_is_frozen():
-    from repro.net import Record
+    from repro.net import RecordFrame
 
-    r = Record(1, np.arange(3))
+    r = RecordFrame(np.array([1]), np.array([-1]), np.array([0, 3]), np.arange(3))
     with pytest.raises(Exception):
-        r.vertex = 2  # type: ignore[misc]
+        r.vertices = np.array([2])  # type: ignore[misc]
 
 
 # ------------------------------------------------------ error branches
@@ -119,13 +119,13 @@ def test_grid_router_rejects_foreign_row_records():
     """A plain frame on the row tag is a protocol violation."""
     from post_utils import post_record
 
-    from repro.net import GridRouter, Machine, Record
+    from repro.net import GridRouter, Machine
 
     def prog(ctx):
         router = GridRouter(ctx, "x", threshold_words=64)
         # Inject a plain record directly onto the row queue (self post
         # -> handed back by the row finalize on this same PE).
-        post_record(router._row_queue, ctx.rank, Record(0, np.empty(0, dtype=np.int64)))
+        post_record(router._row_queue, ctx.rank, 0, [])
         yield from router.finalize()
         return "unreachable"
 

@@ -226,7 +226,7 @@ def test_grid_proxy_valid_for_all_pairs(p):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 12), st.data())
 def test_grid_router_delivery_random_traffic(p, data):
-    from repro.net import GridRouter, Record
+    from repro.net import GridRouter
 
     traffic = data.draw(
         st.lists(
@@ -239,9 +239,9 @@ def test_grid_router_delivery_random_traffic(p, data):
         r = GridRouter(ctx, "t", threshold_words=32)
         for src, dest in traffic:
             if src == ctx.rank:
-                post_record(r, dest, Record(src * 1000 + dest, np.empty(0, dtype=np.int64)))
+                post_record(r, dest, src * 1000 + dest, [])
         recs = yield from r.finalize()
-        return sorted(x.vertex for x in recs)
+        return sorted(recs.vertices.tolist())
 
     res = Machine(p).run(prog)
     for rank in range(p):

@@ -18,7 +18,7 @@ from repro.core.edge_iterator import edge_iterator
 from repro.core.engine import EngineConfig, counting_program
 from repro.graphs import distribute
 from repro.graphs import generators as gen
-from repro.net.frames import BROADCAST, ForwardFrame, Record, RecordFrame
+from repro.net.frames import BROADCAST, ForwardFrame, RecordFrame
 from repro.net.parallel import ProcessMachine
 from repro.net.reliable import TransportError
 from repro.net.shm import (
@@ -43,17 +43,16 @@ def pool():
 
 def _frame(seed=0, n=40):
     rng = np.random.default_rng(seed)
-    return RecordFrame.from_records(
-        [
-            Record(
-                vertex=int(rng.integers(0, 100)),
-                neighbors=np.sort(rng.choice(100, size=5, replace=False)).astype(
-                    np.int64
-                ),
-                target=int(rng.integers(0, 100)) if i % 2 else BROADCAST,
-            )
-            for i in range(n)
-        ]
+    vertices, targets, blocks = [], [], []
+    for i in range(n):
+        vertices.append(int(rng.integers(0, 100)))
+        blocks.append(np.sort(rng.choice(100, size=5, replace=False)))
+        targets.append(int(rng.integers(0, 100)) if i % 2 else BROADCAST)
+    return RecordFrame(
+        np.array(vertices, dtype=np.int64),
+        np.array(targets, dtype=np.int64),
+        np.arange(0, 5 * n + 1, 5, dtype=np.int64),
+        np.concatenate(blocks).astype(np.int64),
     )
 
 
@@ -126,7 +125,7 @@ def test_mixed_payload_shapes_roundtrip(pool):
     """Every payload shape the aggregation layer emits must survive."""
     frame = _frame(1)
     fwd = ForwardFrame(
-        final_dests=np.arange(len(frame), dtype=np.int64) % 3, frame=_frame(2)
+        final_dests=np.arange(frame.num_records, dtype=np.int64) % 3, frame=_frame(2)
     )
     for payload in [frame, fwd, [frame, ("misc", 7)], [("token", 1), ("token", 2)]]:
         descriptor, _, _ = pool.encode(payload)
@@ -144,8 +143,8 @@ def test_min_bytes_keeps_small_payloads_on_legacy_path(pool):
 
 
 def test_oversized_payload_spills(pool):
-    big = RecordFrame.from_records(
-        [Record(vertex=0, neighbors=np.arange(5000, dtype=np.int64), target=1)]
+    big = RecordFrame(
+        np.array([0]), np.array([1]), np.array([0, 5000]), np.arange(5000, dtype=np.int64)
     )
     descriptor, _, spilled = pool.encode(big)
     assert descriptor is None and spilled
